@@ -32,6 +32,7 @@ from .errors import (
     CompositionError,
     DiscriminantMismatch,
     GammaFormsError,
+    InvariantError,
     SearchBoundExceeded,
     UnsupportedLevelError,
     ValidationError,
@@ -75,6 +76,8 @@ from .reduction import (
     ReductionResult,
     automorphs,
     canonical_rep,
+    class_key,
+    class_reps,
     coset_reps,
     enumerate_reduced,
     equivalent_gamma0,

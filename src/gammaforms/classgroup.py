@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import (
     Form,
@@ -28,15 +28,17 @@ from .core import (
     require_qf,
     search_bound,
     validate_discriminant,
+    validate_level,
     xgcd,
 )
-from .errors import CompositionError, DiscriminantMismatch, SearchBoundExceeded, ValidationError
-from .reduction import (
-    canonical_rep,
-    enumerate_reduced,
-    gamma0_class_representatives,
-    level_supported,
+from .errors import (
+    CompositionError,
+    DiscriminantMismatch,
+    InvariantError,
+    SearchBoundExceeded,
+    ValidationError,
 )
+from .reduction import canonical_rep, class_reps
 
 
 def principal_form(d: int) -> Form:
@@ -145,12 +147,12 @@ class FormClassGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def identity_index(self) -> int:
         for i in range(self.order):
             if all(self.cayley[i][j] == j for j in range(self.order)):
                 return i
-        raise RuntimeError("Cayley table has no identity")
+        raise InvariantError("Cayley table has no identity")
 
     def op(self, i: int, j: int) -> int:
         return self.cayley[i][j]
@@ -160,7 +162,7 @@ class FormClassGroup:
         for j in range(self.order):
             if self.cayley[i][j] == e:
                 return j
-        raise RuntimeError(f"element {i} has no inverse")
+        raise InvariantError(f"element {i} has no inverse")
 
     def power(self, i: int, k: int) -> int:
         out = self.identity_index
@@ -185,17 +187,6 @@ class FormClassGroup:
         raise ValidationError(f"{q} does not define a class in C({self.D}, Gamma0({self.N}))")
 
 
-def _class_reps(d: int, n: int) -> list[Form]:
-    if level_supported(n):
-        return [f for f in enumerate_reduced(d, n) if math.gcd(f.a, n) == 1]
-    # general level: split SL2(Z)-classes through coset translates
-    reps = []
-    for q in gamma0_class_representatives(d, n):
-        if math.gcd(q.a, n) == 1:
-            reps.append(canonical_rep(q, n))
-    return sorted(set(reps), key=lambda f: (f.a, f.b, f.c))
-
-
 def compose_classes(q1: Form, q2: Form, n: int) -> Form:
     """Composition at class level: prepare q2, compose, canonicalize."""
     q2p = prepare_coprime(q2, q1.a * n, n)
@@ -206,9 +197,8 @@ def compose_classes(q1: Form, q2: Form, n: int) -> Form:
 def class_group(d: int, n: int) -> FormClassGroup:
     """The full group: elements, Cayley table, invariant factors."""
     validate_discriminant(d)
-    if n < 1:
-        raise ValidationError(f"level must be >= 1: {n}")
-    reps = _class_reps(d, n)
+    validate_level(n)
+    reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
     index = {f: i for i, f in enumerate(reps)}
     size = len(reps)
     table = [[0] * size for _ in range(size)]
@@ -216,7 +206,7 @@ def class_group(d: int, n: int) -> FormClassGroup:
         for j in range(i, size):
             out = compose_classes(reps[i], reps[j], n)
             if out not in index:
-                raise RuntimeError(f"composition left the class list: {out}")
+                raise InvariantError(f"composition left the class list: {out}")
             table[i][j] = table[j][i] = index[out]
     group = FormClassGroup(
         d,
@@ -288,7 +278,7 @@ def _invariant_factors(cayley: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     for f in factors:
         total *= f
     if total != size:
-        raise RuntimeError(f"invariant factors {factors} do not multiply to {size}")
+        raise InvariantError(f"invariant factors {factors} do not multiply to {size}")
     return tuple(factors)
 
 

@@ -1,6 +1,6 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 table mismatch, 2 validation error,
+Exit codes: 0 success, 1 table mismatch or internal error, 2 validation error,
 3 unsupported level, 4 safety-bound diagnostic.
 """
 

@@ -143,6 +143,11 @@ def validate_discriminant(d: int) -> None:
         raise ValidationError(f"not a negative discriminant: {d}")
 
 
+def validate_level(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"level must be >= 1: {n}")
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -198,8 +203,7 @@ class GammaLevel:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"level must be >= 1: {self.n}")
+        validate_level(self.n)
 
     def contains(self, g: GroupElement) -> bool:
         return g.in_gamma0(self.n)
@@ -209,9 +213,9 @@ class GammaLevel:
 # forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Form:
-    """The quadratic form a*x^2 + b*xy + c*y^2 as a value type."""
+    """The quadratic form a*x^2 + b*xy + c*y^2 as a value type, ordered by (a, b, c)."""
 
     a: int
     b: int
@@ -384,8 +388,7 @@ def representation_values(q: Form, n: int, modulus: int) -> frozenset[int]:
     """
     if modulus < 1:
         raise ValidationError(f"modulus must be >= 1: {modulus}")
-    if n < 1:
-        raise ValidationError(f"level must be >= 1: {n}")
+    validate_level(n)
     l = modulus // math.gcd(modulus, n) * n
     good_x = [x for x in range(l) if math.gcd(x, n) == 1]
     values = set()

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by the library and the command line front end.
 
 The CLI maps these onto exit codes: ValidationError -> 2,
-UnsupportedLevelError -> 3, SearchBoundExceeded -> 4.
+UnsupportedLevelError -> 3, SearchBoundExceeded -> 4, and every other
+GammaFormsError (an InvariantError, say) -> 1.
 """
 
 
@@ -31,3 +32,7 @@ class SearchBoundExceeded(GammaFormsError):
     The limit can be raised via the GAMMA_FORMS_MAX_SEARCH environment
     variable; hitting it normally indicates a violated precondition.
     """
+
+
+class InvariantError(GammaFormsError):
+    """A computed result contradicts what the theory guarantees: a bug."""

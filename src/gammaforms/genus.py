@@ -32,12 +32,12 @@ from .core import (
     search_bound,
     units_mod,
     validate_discriminant,
+    validate_level,
     xgcd,
 )
-from .errors import SearchBoundExceeded, ValidationError
+from .errors import InvariantError, SearchBoundExceeded, ValidationError
 from .ideals import OIdeal, ideal_from_form
-from .reduction import enumerate_reduced, level_supported
-from . import classgroup
+from .reduction import class_reps
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def find_representations(q: Form, m: int, n: int) -> tuple[Representation, ...]:
     """
     if not q.is_positive_definite():
         raise ValidationError(f"form must be positive definite: {q}")
-    if n < 1:
-        raise ValidationError(f"level must be >= 1: {n}")
+    validate_level(n)
     if m < 0:
         return ()
     d = q.disc
@@ -159,12 +158,6 @@ class GenusTable:
         return tuple(f for f, j in self.assignment if j == i)
 
 
-def _admissible_reps(d: int, n: int) -> list[Form]:
-    if level_supported(n):
-        return [f for f in enumerate_reduced(d, n) if math.gcd(f.a, n) == 1]
-    return [cl.rep for cl in classgroup.class_group(d, n).elements]
-
-
 @lru_cache(maxsize=None)
 def genus_table(d: int, n: int) -> GenusTable:
     """ker(chi), H, its cosets, and the genus of every admissible form.
@@ -174,29 +167,30 @@ def genus_table(d: int, n: int) -> GenusTable:
     checked, not assumed.
     """
     validate_discriminant(d)
-    if n < 1:
-        raise ValidationError(f"level must be >= 1: {n}")
+    validate_level(n)
     modulus = abs(d)
     units = units_mod(d)
     ker = ker_chi(d)
     h = representation_values(principal_form(d), n, modulus) & units
     if not h <= ker:
-        raise RuntimeError(f"H is not inside ker(chi) for disc {d}, level {n}")
+        raise InvariantError(f"H is not inside ker(chi) for disc {d}, level {n}")
     cosets: list[frozenset[int]] = []
     remaining = set(ker)
     while remaining:
         m = min(remaining)
         coset = frozenset(m * x % modulus for x in h)
         if not coset <= remaining:
-            raise RuntimeError(f"H-cosets do not partition ker(chi) for disc {d}")
+            raise InvariantError(f"H-cosets do not partition ker(chi) for disc {d}")
         cosets.append(coset)
         remaining -= coset
     assignment = []
-    for f in _admissible_reps(d, n):
+    for f in class_reps(d, n):
+        if math.gcd(f.a, n) != 1:
+            continue
         values = representation_values(f, n, modulus) & units
         matches = [i for i, coset in enumerate(cosets) if values == coset]
         if len(matches) != 1:
-            raise RuntimeError(
+            raise InvariantError(
                 f"values of {f} are not exactly one H-coset (disc {d}, level {n})"
             )
         assignment.append((f, matches[0]))
@@ -222,10 +216,11 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
     """Locate the coset of an odd prime p and exhibit a representing form.
 
     For (D/p) = 1 the witness search runs over the forms of the matching
-    genus first, then over every reduced form (a witness with leading
-    coefficient sharing a factor with N can occur only when p divides N).
+    genus first, then over every class representative, admissible or not
+    (a witness with gcd(a, N) > 1 occurs exactly when p divides N).
     """
     validate_discriminant(d)
+    validate_level(n)
     if p == 2 or not is_prime(p):
         raise ValidationError(f"p must be an odd prime: {p}")
     if d % p == 0:
@@ -235,7 +230,7 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
         return PrimeClassification(p, d, n, chi, None, None, None)
     table = genus_table(d, n)
     idx = table.coset_of_residue(p)
-    pools = [table.genus_forms(idx), _all_reduced(d, n)]
+    pools = [table.genus_forms(idx), class_reps(d, n)]
     for pool in pools:
         for f in pool:
             good = [r for r in find_representations(f, p, n) if r.admissible]
@@ -243,13 +238,7 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
                 return PrimeClassification(
                     p, d, n, chi, tuple(sorted(table.cosets[idx])), f, good[0]
                 )
-    raise RuntimeError(f"no reduced form of disc {d} N-represents {p} at level {n}")
-
-
-def _all_reduced(d: int, n: int) -> tuple[Form, ...]:
-    if level_supported(n):
-        return enumerate_reduced(d, n)
-    return tuple(cl.rep for cl in classgroup.class_group(d, n).elements)
+    raise InvariantError(f"no reduced form of disc {d} N-represents {p} at level {n}")
 
 
 def principal_genus_congruences(d: int, n: int) -> frozenset[int]:
@@ -260,8 +249,7 @@ def principal_genus_congruences(d: int, n: int) -> frozenset[int]:
     Unit residues only; equals genus_table(D, N).h_subgroup.
     """
     validate_discriminant(d)
-    if n < 1:
-        raise ValidationError(f"level must be >= 1: {n}")
+    validate_level(n)
     modulus = abs(d)
     l = modulus // math.gcd(modulus, n) * n
     vals = set()

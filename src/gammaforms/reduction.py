@@ -1,11 +1,12 @@
 """Reduction of positive-definite forms to canonical class representatives.
 
+``class_key`` names each Gamma0(N)-class by a hashable value, and one cached
+table per (D, N) maps every key to the canonical form of its class: the
+least coset translate of an SL2(Z)-reduced form at arbitrary levels.
 Levels 1, 2, 3 and primes p >= 5 have an explicit reduced-form predicate
-(the CM point lies in a chosen fundamental region); for those levels
-``enumerate_reduced`` lists the finitely many reduced forms of a
-discriminant by a complete coefficient sweep.  Arbitrary levels get a
-deterministic canonical representative through coset translates, which is
-what the class-group machinery uses for composite N > 3.
+(the CM point lies in a chosen fundamental region); there the reduced forms,
+found by a complete coefficient sweep, replace the translates once their
+keys are checked to be exactly the keys of the translate covering.
 
 The sweep bounds come from the membership conditions themselves:
 
@@ -14,9 +15,6 @@ The sweep bounds come from the membership conditions themselves:
 * level p >= 5:  either Im(tau) >= sqrt(3)/(2p) (corner height), so
                  a <= p*sqrt(-D/3), or |b| <= a/p and |b| <= p*c, so
                  a*c <= -D/3.  Hence a <= max(p*sqrt(-D/3), -D/3).
-
-Every enumeration is cross-checked against an independent covering of the
-Gamma0(N)-classes by coset translates of the SL2(Z)-reduced forms.
 """
 
 from __future__ import annotations
@@ -37,9 +35,10 @@ from .core import (
     require_qf,
     translation,
     validate_discriminant,
+    validate_level,
     xgcd,
 )
-from .errors import DiscriminantMismatch, UnsupportedLevelError, ValidationError
+from .errors import DiscriminantMismatch, InvariantError, UnsupportedLevelError, ValidationError
 
 SUPPORTED_SMALL = (1, 2, 3)
 
@@ -191,19 +190,16 @@ class CosetSystem:
 
 def p1_label(n: int, c: int, d: int) -> tuple[int, int]:
     """Canonical label of (c : d) on P^1(Z/N): the lexicographically least
-    unit multiple.  Requires gcd(c, d, n) = 1."""
+    unit multiple.  Requires gcd(c, d, n) = 1.  With g = gcd(c, N) the least
+    first entry is g (0 if g = N), reached by the units u = (c/g)^(-1) mod N/g."""
     c %= n
     d %= n
-    if math.gcd(math.gcd(c, d), n) != 1:
+    g = math.gcd(c, n)
+    if math.gcd(g, d) != 1:
         raise ValidationError(f"({c} : {d}) is not a point of P^1(Z/{n})")
-    best = None
-    for u in range(1, n + 1):
-        if math.gcd(u, n) != 1:
-            continue
-        cand = (u * c % n, u * d % n)
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else (0, 0)
+    m = n // g
+    u0 = pow(c // g, -1, m) if m > 1 else 0
+    return min((u * c % n, u * d % n) for u in range(u0, n, m) if math.gcd(u, n) == 1)
 
 
 def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
@@ -221,17 +217,16 @@ def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
 
 @lru_cache(maxsize=None)
 def coset_reps(n: int) -> CosetSystem:
-    """A complete duplicate-free right-coset system for Gamma0(n)."""
-    if n < 1:
-        raise ValidationError(f"level must be >= 1: {n}")
-    if n == 1:
-        return CosetSystem(1, (IDENTITY,))
+    """A complete duplicate-free right-coset system for Gamma0(n); every
+    label starts with a divisor of n (n standing for 0)."""
+    validate_level(n)
     labels = sorted(
         {
             p1_label(n, c, d)
-            for c in range(n)
+            for c in range(1, n + 1)
+            if n % c == 0
             for d in range(n)
-            if math.gcd(math.gcd(c, d), n) == 1
+            if math.gcd(c, d) == 1
         }
     )
     reps = tuple(_lift_to_sl2(n, c, d) for c, d in labels)
@@ -283,6 +278,7 @@ def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
     """
     require_qf(q1)
     require_qf(q2)
+    validate_level(n)
     if q1.disc != q2.disc:
         raise DiscriminantMismatch(f"disc {q1.disc} != {q2.disc}")
     r1 = reduce_sl2(q1)
@@ -299,62 +295,98 @@ def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of reduced forms
+# class keys and the class table
 
 
-def _sweep_forms(d: int, a_max: int, b_bound_of_a=lambda a: a):
-    """All primitive forms (a, b, c) of discriminant d with
-    1 <= a <= a_max and |b| <= b_bound_of_a(a)."""
-    for a in range(1, a_max + 1):
-        bb = b_bound_of_a(a)
-        start = -bb if (-bb - d) % 2 == 0 else -bb + 1
-        for b in range(start, bb + 1, 2):
+def _key(r: Form, delta: GroupElement, n: int) -> tuple[Form, tuple[int, int]]:
+    """The class key of every form q with act(q, delta) = r, r reduced."""
+    return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in automorphs(r)))
+
+
+def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
+    """A hashable name of the Gamma0(n)-class of q: equal for two forms iff
+    they are Gamma0(n)-equivalent.
+
+    With delta carrying q to its SL2(Z)-reduction r, the key is r and the
+    least P^1(Z/n) label of the cosets Gamma0(n)*delta*u, u in Aut(r).
+    """
+    validate_level(n)
+    res = reduce_sl2(q)
+    return _key(res.reduced, res.transform, n)
+
+
+def _sweep(d: int, n: int) -> list[Form]:
+    """All Gamma0(n)-reduced forms of discriminant d, n a supported level,
+    sorted by (a, b, c)."""
+    if n == 1:
+        a_max = math.isqrt(-d // 3)
+    elif n in (2, 3):
+        a_max = -d // (4 - n)
+    else:
+        a_max = max(math.isqrt(n * n * (-d) // 3), -d // 3)
+    forms = []
+    for a in range(1, max(a_max, 1) + 1):
+        start = -a if (-a - d) % 2 == 0 else -a + 1
+        for b in range(start, a + 1, 2):
             num = b * b - d
             if num % (4 * a) != 0:
                 continue
-            c = num // (4 * a)
-            if c < 1:
-                continue
-            f = Form(a, b, c)
-            if f.is_primitive():
-                yield f
+            f = Form(a, b, num // (4 * a))
+            if f.is_primitive() and is_reduced(f, n):
+                forms.append(f)
+    return forms
 
 
-def _sweep_sl2(d: int) -> list[Form]:
-    a_max = math.isqrt(-d // 3)
-    return [f for f in _sweep_forms(d, max(a_max, 1)) if is_reduced_sl2(f)]
+def _covering(d: int, n: int, system: CosetSystem) -> dict:
+    """Class key -> least coset translate act(R, g^(-1)) in that class, over
+    the SL2(Z)-reduced forms R of discriminant d and g in system.  These
+    translates meet every class."""
+    table: dict = {}
+    for r in _sweep(d, 1):
+        for g in system.reps:
+            t = act(r, g.inverse())
+            key = _key(r, g, n)
+            table[key] = min(t, table.get(key, t))
+    return table
 
 
-def _sweep_small(d: int, p: int) -> list[Form]:
-    a_max = max((-d) // (4 - p), 1)
-    return [f for f in _sweep_forms(d, a_max) if is_reduced_gamma0_small(f, p)]
+@lru_cache(maxsize=None)
+def _class_table(d: int, n: int) -> dict:
+    """Class key -> canonical form for every Gamma0(n)-class of disc d: the
+    reduced form at supported levels, checked to be one per class against
+    the independent covering, and the least coset translate otherwise."""
+    table = _covering(d, n, coset_reps(n))
+    if not level_supported(n):
+        return table
+    forms = _sweep(d, n)
+    reduced = {class_key(f, n): f for f in forms}
+    if len(reduced) != len(forms) or reduced.keys() != table.keys():
+        raise InvariantError(
+            f"{len(forms)} reduced forms with {len(reduced)} distinct keys do not "
+            f"match the {len(table)} classes of disc {d}, level {n}"
+        )
+    return reduced
 
 
-def _sweep_prime(d: int, p: int) -> list[Form]:
-    a_max = max(math.isqrt(p * p * (-d) // 3), (-d) // 3, 1)
-    return [f for f in _sweep_forms(d, a_max) if is_reduced_gamma0_p(f, p)]
+def class_reps(d: int, n: int) -> tuple[Form, ...]:
+    """The canonical form of every Gamma0(n)-class of discriminant d,
+    sorted by (a, b, c).  Classes with gcd(a, n) = 1 are the admissible
+    ones of the class group and the genus tables."""
+    validate_discriminant(d)
+    validate_level(n)
+    return tuple(sorted(_class_table(d, n).values()))
 
 
 def gamma0_class_representatives(
     d: int, n: int, system: CosetSystem | None = None
 ) -> tuple[Form, ...]:
-    """One representative per Gamma0(n)-class of discriminant d.
-
-    Every form is Gamma0(n)-equivalent to act(R, g^(-1)) for its SL2(Z)
-    reduction R and some right-coset representative g, so deduplicating
-    those translates covers every class exactly once.
+    """One representative per Gamma0(n)-class of discriminant d: the least
+    coset translate act(R, g^(-1)) in the class, for R running over the
+    SL2(Z)-reduced forms and g over the right-coset representatives.
     """
     validate_discriminant(d)
-    system = system or coset_reps(n)
-    reps: list[Form] = []
-    for r in _sweep_sl2(d):
-        classes: list[Form] = []
-        for g in system.reps:
-            t = act(r, g.inverse())
-            if all(equivalent_gamma0(t, known, n) is None for known in classes):
-                classes.append(t)
-        reps.extend(classes)
-    return tuple(reps)
+    validate_level(n)
+    return tuple(_covering(d, n, system or coset_reps(n)).values())
 
 
 @lru_cache(maxsize=None)
@@ -365,29 +397,10 @@ def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
     independent class covering: one reduced form per class, no extras.
     """
     validate_discriminant(d)
-    if n == 1:
-        forms = _sweep_sl2(d)
-    elif n in (2, 3):
-        forms = _sweep_small(d, n)
-    elif level_supported(n):
-        forms = _sweep_prime(d, n)
-    else:
+    validate_level(n)
+    if not level_supported(n):
         raise UnsupportedLevelError(f"no fundamental domain for level {n}")
-    forms.sort(key=lambda f: (f.a, f.b, f.c))
-
-    classes = gamma0_class_representatives(d, n)
-    if len(forms) != len(classes):
-        raise RuntimeError(
-            f"reduced-form count {len(forms)} != class count {len(classes)} "
-            f"for disc {d}, level {n}"
-        )
-    for rep in classes:
-        hits = [f for f in forms if equivalent_gamma0(rep, f, n) is not None]
-        if len(hits) != 1:
-            raise RuntimeError(
-                f"class of {rep} matches {len(hits)} reduced forms at disc {d}, level {n}"
-            )
-    return tuple(forms)
+    return class_reps(d, n)
 
 
 def canonical_rep(q: Form, n: int) -> Form:
@@ -398,18 +411,5 @@ def canonical_rep(q: Form, n: int) -> Form:
     SL2(Z) reduction that stays in the class.  Same output for every input
     in the class.
     """
-    require_qf(q)
-    if level_supported(n):
-        for f in enumerate_reduced(q.disc, n):
-            if equivalent_gamma0(q, f, n) is not None:
-                return f
-        raise RuntimeError(f"no reduced form equivalent to {q} at level {n}")
-    r = reduce_sl2(q).reduced
-    candidates = []
-    for g in coset_reps(n).reps:
-        t = act(r, g.inverse())
-        if equivalent_gamma0(q, t, n) is not None:
-            candidates.append(t)
-    if not candidates:
-        raise RuntimeError(f"coset translates missed the class of {q} at level {n}")
-    return min(candidates, key=lambda f: (f.a, f.b, f.c))
+    key = class_key(q, n)
+    return _class_table(q.disc, n)[key]

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gammaforms import genus
 from gammaforms.cli import run
 
 
@@ -126,6 +127,25 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, err = capture(capsys, ["classify", "--prime", "7", "--disc", "-28", "--level", "2"])
     assert code == 2
+    # a level below 1 is invalid input for every command
+    for argv in (
+        ["equiv", "--form1", "1,1,6", "--form2", "1,1,6", "--level", "0"],
+        ["equiv", "--form1", "1,1,6", "--form2", "1,1,6", "--level", "-2"],
+        ["enumerate", "--disc", "-23", "--level", "0"],
+        ["enumerate", "--disc", "-23", "--level", "-3"],
+        ["reduce", "--form", "1,1,6", "--level", "0"],
+        ["classify", "--prime", "5", "--disc", "-23", "--level", "-1"],
+    ):
+        code, _, err = capture(capsys, argv)
+        assert code == 2 and "validation" in err, argv
+
+
+def test_invariant_failure_exit_code(capsys, monkeypatch):
+    # no witness for a represented prime contradicts the theory
+    monkeypatch.setattr(genus, "find_representations", lambda q, m, n: ())
+    code, out, err = capture(capsys, ["classify", "--prime", "23", "--disc", "-28", "--level", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal:") and "Traceback" not in err
 
 
 def _run_cli(args, env_extra=None):

@@ -131,10 +131,14 @@ def test_classify_prime_examples():
 
 
 def test_classify_prime_dividing_level():
-    # 5 | N: the witness exists but carries no genus (leading coeff 5)
-    c = classify_prime(5, -4, 5)
-    assert c.represented and c.witness.a % 5 == 0
-    assert c.representation.admissible
+    # p | N: the witness exists but carries no genus (p divides its leading
+    # coefficient), at prime and at composite levels
+    for p, d, n in [(5, -4, 5), (3, -23, 6), (5, -31, 10), (3, -8, 6)]:
+        c = classify_prime(p, d, n)
+        r = c.representation
+        assert c.represented and c.witness.a % p == 0 and r.admissible
+        assert c.witness(r.x, r.y) == p
+        assert math.gcd(r.x, n) == 1 and r.y % n == 0
 
 
 def test_ker_criterion_small():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act
 from gammaforms.errors import DiscriminantMismatch, UnsupportedLevelError, ValidationError
@@ -9,6 +10,7 @@ from gammaforms.reduction import (
     CosetSystem,
     automorphs,
     canonical_rep,
+    class_key,
     coset_reps,
     enumerate_reduced,
     equivalent_gamma0,
@@ -108,6 +110,33 @@ def test_coset_reps_are_distinct_and_complete(rng):
 def test_p1_label_rejects_non_points():
     with pytest.raises(ValidationError):
         p1_label(4, 2, 2)
+
+
+def _p1_label_unit_loop(n, c, d):
+    """Reference: the least unit multiple by trying every unit."""
+    c %= n
+    d %= n
+    best = None
+    for u in range(1, n + 1):
+        if math.gcd(u, n) != 1:
+            continue
+        cand = (u * c % n, u * d % n)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def test_p1_label_and_cosets_match_unit_loop():
+    for n in range(1, 61):
+        labels = set()
+        for c in range(n):
+            for d in range(n):
+                if math.gcd(math.gcd(c, d), n) == 1:
+                    label = _p1_label_unit_loop(n, c, d)
+                    assert p1_label(n, c, d) == label, (n, c, d)
+                    labels.add(label)
+        system = coset_reps(n)
+        assert sorted(system.label_of(g) for g in system.reps) == sorted(labels), n
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +278,33 @@ def test_canonical_rep_general_level(rng):
         base = canonical_rep(q, 4)
         translated = act(q, random_gamma0(rng, 4))
         assert canonical_rep(translated, 4) == base
+
+
+# ---------------------------------------------------------------------------
+# class keys
+
+
+KEY_DISCS = [-3, -4, -7, -8, -15, -20, -23, -56]
+KEY_LEVELS = [1, 2, 4, 5, 6, 12, 30]
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(KEY_DISCS), st.sampled_from(KEY_LEVELS))
+@settings(max_examples=150, deadline=None)
+def test_class_key_invariant_under_gamma0(r, d, n):
+    q = random_form(r, d)
+    assert class_key(act(q, random_gamma0(r, n)), n) == class_key(q, n)
+
+
+def test_class_key_decides_equivalence(rng):
+    # pairs from one SL2(Z)-orbit, so at N > 1 both outcomes occur;
+    # D = -3 and -4 have the larger automorphism groups
+    seen = set()
+    for _ in range(400):
+        d = rng.choice(KEY_DISCS)
+        n = rng.choice(KEY_LEVELS)
+        q1 = random_form(rng, d, max_len=6)
+        q2 = act(q1, random_sl2(rng, 6))
+        same = equivalent_gamma0(q1, q2, n) is not None
+        assert (class_key(q1, n) == class_key(q2, n)) == same, (q1, q2, n)
+        seen.add((d in (-3, -4), same))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
