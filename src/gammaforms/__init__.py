@@ -24,6 +24,7 @@ from .classgroup import (
     class_group,
     compose_classes,
     dirichlet_compose,
+    oracle_pairs,
     prepare_coprime,
     principal_form,
     verify_iso_with_scaled,
@@ -81,9 +82,7 @@ from .reduction import (
     coset_reps,
     enumerate_reduced,
     equivalent_gamma0,
-    gamma0_class_representatives,
     is_reduced,
-    is_reduced_gamma0_p,
     is_reduced_gamma0_small,
     is_reduced_sl2,
     reduce_sl2,

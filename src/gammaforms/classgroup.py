@@ -38,6 +38,7 @@ from .errors import (
     SearchBoundExceeded,
     ValidationError,
 )
+from .ideals import ideal_from_form, ideal_mul
 from .reduction import canonical_rep, class_reps
 
 
@@ -81,7 +82,8 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
                 _, u, v = xgcd(x, y)
                 gamma = GroupElement(x, -v, y, u)
                 out = act(q, gamma)
-                assert out.a == q(x, y)
+                if out.a != q(x, y):
+                    raise InvariantError(f"{gamma} carries {q} to {out}, not to a = {q(x, y)}")
                 return out
         s += 1
     raise SearchBoundExceeded(
@@ -218,6 +220,21 @@ def class_group(d: int, n: int) -> FormClassGroup:
     return group
 
 
+def oracle_pairs(d: int, n: int) -> int:
+    """Check Dirichlet composition against the lattice product of ideals on
+    every ordered pair of classes of C(d, Gamma0(n)); returns the number of
+    pairs checked."""
+    group = class_group(d, n)
+    for i, left in enumerate(group.elements):
+        q1 = left.rep
+        for j, right in enumerate(group.elements):
+            q2 = prepare_coprime(right.rep, q1.a * n, n)
+            lhs = ideal_from_form(dirichlet_compose(q1, q2, n))
+            if lhs != ideal_mul(ideal_from_form(q1), ideal_from_form(q2)):
+                raise InvariantError(f"oracle mismatch at classes {i}, {j} of disc {d}, level {n}")
+    return group.order**2
+
+
 def _invariant_factors(cayley: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of a finite abelian group given by
     its Cayley table, recovered from the counts of q^j-torsion elements."""
@@ -309,4 +326,5 @@ __all__ = [
     "compose_classes",
     "class_group",
     "verify_iso_with_scaled",
+    "oracle_pairs",
 ]

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import classgroup as cg
-from . import fundomain, genus, ideals, reduction
+from . import fundomain, genus, reduction
 from .core import Form
 from .errors import (
     GammaFormsError,
@@ -123,31 +122,11 @@ def _cmd_verify_iso(args) -> int:
         )
     lines = [line]
     if args.oracle:
-        pairs = _oracle_pairs(args.disc, args.level)
+        pairs = cg.oracle_pairs(args.disc, args.level)
         report["oracle_pairs"] = pairs
         lines.append(f"oracle: ok ({pairs} pairs)")
     _emit(args, lines, report)
     return 0
-
-
-def _oracle_pairs(d: int, n: int) -> int:
-    """Check Dirichlet composition against lattice multiplication on every
-    pair of classes; returns the number of pairs checked."""
-    group = cg.class_group(d, n)
-    count = 0
-    for i in range(group.order):
-        for j in range(group.order):
-            q1 = group.elements[i].rep
-            q2 = cg.prepare_coprime(group.elements[j].rep, q1.a * n, n)
-            composed = cg.dirichlet_compose(q1, q2, n)
-            lhs = ideals.ideal_from_form(composed)
-            rhs = ideals.ideal_mul(ideals.ideal_from_form(q1), ideals.ideal_from_form(q2))
-            if lhs != rhs:
-                raise GammaFormsError(
-                    f"oracle mismatch at classes {i}, {j} of disc {d}, level {n}"
-                )
-            count += 1
-    return count
 
 
 def _cmd_genus(args) -> int:
@@ -230,8 +209,11 @@ def _cmd_represent(args) -> int:
 def _cmd_fundomain(args) -> int:
     inventory = fundomain.boundary_json_dict(args.p)
     if args.svg:
-        with open(args.svg, "w") as handle:
-            handle.write(fundomain.boundary_svg(args.p))
+        try:
+            with open(args.svg, "w") as handle:
+                handle.write(fundomain.boundary_svg(args.p))
+        except OSError as exc:
+            raise ValidationError(f"cannot write SVG to {args.svg!r}: {exc.strerror}") from exc
     print(json.dumps(inventory))
     return 0
 

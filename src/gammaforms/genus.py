@@ -110,7 +110,8 @@ def form_from_representation(q: Form, r: Representation, n: int) -> Form:
     if not gamma.in_gamma0(n):
         raise ValidationError(f"completion of {r} left Gamma0({n})")
     out = act(q, gamma)
-    assert out.a == r.value
+    if out.a != r.value:
+        raise InvariantError(f"{gamma} carries {q} to {out}, not to a = {r.value}")
     return out
 
 
@@ -369,5 +370,6 @@ def ideal_of_norm_from_representation(q: Form, r: Representation) -> OIdeal:
     proper = Representation(r.x // d, r.y // d, r.value // (d * d), r.level, True, True)
     f2 = form_from_representation(q, proper, r.level)
     ideal = ideal_from_form(f2).scaled(d)
-    assert ideal.norm() == r.value
+    if ideal.norm() != r.value:
+        raise InvariantError(f"ideal {ideal} from {r} has norm {ideal.norm()}, not {r.value}")
     return ideal

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Form, require_qf, validate_discriminant, xgcd
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -163,7 +163,8 @@ def ideal_from_form(q: Form) -> OIdeal:
     d = q.disc
     rows = [(q.a, 0), (-(q.b + d) // 2, 1)]
     ideal = OIdeal.make(QuadOrder(d), rows)
-    assert ideal.norm() == q.a
+    if ideal.norm() != q.a:
+        raise InvariantError(f"ideal {ideal} of {q} has norm {ideal.norm()}, not {q.a}")
     return ideal
 
 

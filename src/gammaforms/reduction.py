@@ -3,10 +3,11 @@
 ``class_key`` names each Gamma0(N)-class by a hashable value, and one cached
 table per (D, N) maps every key to the canonical form of its class: the
 least coset translate of an SL2(Z)-reduced form at arbitrary levels.
-Levels 1, 2, 3 and primes p >= 5 have an explicit reduced-form predicate
-(the CM point lies in a chosen fundamental region); there the reduced forms,
-found by a complete coefficient sweep, replace the translates once their
-keys are checked to be exactly the keys of the translate covering.
+Levels 1, 2, 3 and primes p >= 5 have an explicit reduced-form predicate:
+the CM point lies in a chosen fundamental region, at p >= 5 the region of
+fundomain.contains.  There the reduced forms, found by a complete
+coefficient sweep, replace the translates once their keys are checked to be
+exactly the keys of the translate covering.
 
 The sweep bounds come from the membership conditions themselves:
 
@@ -30,6 +31,7 @@ from .core import (
     IDENTITY,
     S,
     act,
+    cm_point,
     is_prime,
     prime_factors,
     require_qf,
@@ -91,7 +93,8 @@ def reduce_sl2(q: Form) -> ReductionResult:
             b = -b
         break
     reduced = Form(a, b, c)
-    assert act(q, g) == reduced
+    if act(q, g) != reduced:
+        raise InvariantError(f"witness {g} does not carry {q} to {reduced}")
     return ReductionResult(reduced, g)
 
 
@@ -112,56 +115,15 @@ def is_reduced_gamma0_small(q: Form, p: int) -> bool:
     return True
 
 
-def is_reduced_gamma0_p(q: Form, p: int) -> bool:
-    """Reduced predicate for Gamma0(p), p >= 5 prime, in form coordinates.
-
-    Exact integer transcription of the region membership conditions; the
-    companion predicate on CM points is fundomain.contains.
-    """
-    if p < 5 or not is_prime(p):
-        raise ValidationError(f"level must be a prime >= 5: {p}")
-    data = fundomain.elliptic_data(p)
-    a, b, c = q.a, q.b, q.c
-
-    # (1) and (3): |b| <= a, and b = a on the boundary
-    if abs(b) > a:
-        return False
-    if abs(b) == a and b != a:
-        return False
-    # (4) the arc at 1/p is discarded
-    if b == -p * c:
-        return False
-    for k in fundomain.sym_residues(p):
-        val = b * p * k + (k * k - 1) * a + p * p * c
-        # (2) outside or on every circle
-        if val < 0:
-            return False
-        if val == 0:
-            if k in data.e2:
-                # (5)
-                if b * p < -2 * k * a:
-                    return False
-            elif k not in (1, -1):
-                # (6)
-                if b * p < -(2 * data.k2(k) + 1) * a:
-                    return False
-    # (7) corner points: only the orbit minimum survives
-    if p * p * (4 * a * c - b * b) == 3 * a * a:
-        for k in fundomain.sym_residues(p):
-            if k == 1 or k in data.e3 or k == data.k3(k):
-                continue
-            if b * p == (1 - 2 * k) * a:
-                return False
-    return True
-
-
 def is_reduced(q: Form, n: int) -> bool:
+    """True when q is the reduced form of its Gamma0(n)-class; at primes
+    n >= 5, when its CM point lies in the region of fundomain.contains."""
     if n == 1:
         return is_reduced_sl2(q)
     if n in (2, 3):
         return is_reduced_gamma0_small(q, n)
     if level_supported(n):
-        return is_reduced_gamma0_p(q, n)
+        return fundomain.contains(n, cm_point(q))
     raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
 
 
@@ -234,7 +196,7 @@ def coset_reps(n: int) -> CosetSystem:
     for p in prime_factors(n):
         expected = expected // p * (p + 1)
     if len(reps) != expected:
-        raise ValidationError(f"coset count {len(reps)} != index {expected} at level {n}")
+        raise InvariantError(f"coset count {len(reps)} != index {expected} at level {n}")
     return CosetSystem(n, reps)
 
 
@@ -289,7 +251,8 @@ def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
     for u in automorphs(r1.reduced):
         g = r1.transform * u * d2_inv
         if g.in_gamma0(n):
-            assert act(q1, g) == q2
+            if act(q1, g) != q2:
+                raise InvariantError(f"witness {g} does not carry {q1} to {q2}")
             return g
     return None
 
@@ -375,18 +338,6 @@ def class_reps(d: int, n: int) -> tuple[Form, ...]:
     validate_discriminant(d)
     validate_level(n)
     return tuple(sorted(_class_table(d, n).values()))
-
-
-def gamma0_class_representatives(
-    d: int, n: int, system: CosetSystem | None = None
-) -> tuple[Form, ...]:
-    """One representative per Gamma0(n)-class of discriminant d: the least
-    coset translate act(R, g^(-1)) in the class, for R running over the
-    SL2(Z)-reduced forms and g over the right-coset representatives.
-    """
-    validate_discriminant(d)
-    validate_level(n)
-    return tuple(_covering(d, n, system or coset_reps(n)).values())
 
 
 @lru_cache(maxsize=None)

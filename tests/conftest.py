@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from gammaforms.core import GroupElement, IDENTITY, S, T, act
+from gammaforms import fundomain
+from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act, is_prime
+from gammaforms.errors import ValidationError
 from gammaforms.reduction import enumerate_reduced
 
 T_INV = T.inverse()
@@ -29,6 +31,49 @@ def random_form(rng: random.Random, d: int, max_len: int = 8):
     SL2(Z)-class and at a random spot inside it."""
     base = rng.choice(enumerate_reduced(d, 1))
     return act(base, random_sl2(rng, max_len))
+
+
+def is_reduced_gamma0_p(q: Form, p: int) -> bool:
+    """Reduced predicate for Gamma0(p), p >= 5 prime, in form coordinates.
+
+    Exact integer transcription of the region membership conditions; the
+    oracle for fundomain.contains, which the library uses at these levels.
+    """
+    if p < 5 or not is_prime(p):
+        raise ValidationError(f"level must be a prime >= 5: {p}")
+    data = fundomain.elliptic_data(p)
+    a, b, c = q.a, q.b, q.c
+
+    # (1) and (3): |b| <= a, and b = a on the boundary
+    if abs(b) > a:
+        return False
+    if abs(b) == a and b != a:
+        return False
+    # (4) the arc at 1/p is discarded
+    if b == -p * c:
+        return False
+    for k in fundomain.sym_residues(p):
+        val = b * p * k + (k * k - 1) * a + p * p * c
+        # (2) outside or on every circle
+        if val < 0:
+            return False
+        if val == 0:
+            if k in data.e2:
+                # (5)
+                if b * p < -2 * k * a:
+                    return False
+            elif k not in (1, -1):
+                # (6)
+                if b * p < -(2 * data.k2(k) + 1) * a:
+                    return False
+    # (7) corner points: only the orbit minimum survives
+    if p * p * (4 * a * c - b * b) == 3 * a * a:
+        for k in fundomain.sym_residues(p):
+            if k == 1 or k in data.e3 or k == data.k3(k):
+                continue
+            if b * p == (1 - 2 * k) * a:
+                return False
+    return True
 
 
 @pytest.fixture

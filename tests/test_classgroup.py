@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from gammaforms import classgroup
 from gammaforms.classgroup import (
     class_group,
     compose_classes,
     dirichlet_compose,
+    oracle_pairs,
     prepare_coprime,
     principal_form,
     verify_iso_with_scaled,
@@ -15,6 +17,7 @@ from gammaforms.core import Form, act
 from gammaforms.errors import (
     CompositionError,
     DiscriminantMismatch,
+    InvariantError,
     SearchBoundExceeded,
     ValidationError,
 )
@@ -169,3 +172,12 @@ def test_class_group_general_level_matches_scaled():
     for d, n in [(-3, 4), (-4, 6), (-7, 4)]:
         ok, report = verify_iso_with_scaled(d, n)
         assert ok, report
+
+
+def test_oracle_pairs_detects_wrong_composition(monkeypatch):
+    assert oracle_pairs(-23, 2) == 9
+    # class_group(-23, 2) is cached now, so only the oracle composes with
+    # the patched law, which returns the class of the left factor
+    monkeypatch.setattr(classgroup, "dirichlet_compose", lambda q1, q2, n: q1)
+    with pytest.raises(InvariantError, match="oracle mismatch"):
+        oracle_pairs(-23, 2)

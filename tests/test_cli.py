@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from gammaforms import genus
+from gammaforms import genus, reduction
 from gammaforms.cli import run
+from gammaforms.core import Form
+from gammaforms.errors import InvariantError
 
 
 def capture(capsys, argv):
@@ -108,6 +110,14 @@ def test_fundomain_svg(capsys, tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
+def test_fundomain_svg_unwritable(capsys, tmp_path):
+    # a directory, and a file in a missing directory
+    for path in (tmp_path, tmp_path / "missing" / "region.svg"):
+        code, out, err = capture(capsys, ["fundomain", "--p", "11", "--svg", str(path)])
+        assert code == 2 and out == "", path
+        assert err.startswith("error: validation:") and "Traceback" not in err
+
+
 def test_paper_tables(capsys):
     code, out, _ = capture(capsys, ["paper-tables"])
     assert code == 0
@@ -144,6 +154,23 @@ def test_invariant_failure_exit_code(capsys, monkeypatch):
     # no witness for a represented prime contradicts the theory
     monkeypatch.setattr(genus, "find_representations", lambda q, m, n: ())
     code, out, err = capture(capsys, ["classify", "--prime", "23", "--disc", "-28", "--level", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal:") and "Traceback" not in err
+
+
+def test_reduction_witness_check(capsys, monkeypatch):
+    # a corrupted action makes the reduction witness wrong; the check must
+    # survive python -O and reach the CLI as an internal error
+    real_act = reduction.act
+
+    def corrupt(q, g):
+        out = real_act(q, g)
+        return Form(out.a, out.b, out.c + 1)
+
+    monkeypatch.setattr(reduction, "act", corrupt)
+    with pytest.raises(InvariantError):
+        reduction.reduce_sl2(Form(3, 2, 1))
+    code, out, err = capture(capsys, ["reduce", "--form", "3,2,1", "--level", "2"])
     assert code == 1 and out == ""
     assert err.startswith("error: internal:") and "Traceback" not in err
 

@@ -18,8 +18,8 @@ from gammaforms.fundomain import (
     sym_rep,
     sym_residues,
 )
-from gammaforms.reduction import enumerate_reduced, equivalent_gamma0, is_reduced_gamma0_p
-from conftest import random_form, random_gamma0
+from gammaforms.reduction import enumerate_reduced, equivalent_gamma0, is_reduced
+from conftest import is_reduced_gamma0_p, random_form, random_gamma0
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -110,6 +110,9 @@ def test_contains_interior_and_boundary():
     # Re = -1/2 boundary kept, Re = +1/2 dropped
     assert contains(5, cm_point(Form(1, 1, 1)))
     assert not contains(5, cm_point(Form(1, -1, 1)))
+    for p in (4, 3):
+        with pytest.raises(ValidationError):
+            contains(p, cm_point(Form(1, 0, 1)))
 
 
 def test_contains_corner_selection():
@@ -150,7 +153,7 @@ def test_membership_agrees_with_form_predicate(rng):
         for _ in range(120):
             d = rng.choice([-3, -4, -7, -8, -11, -15, -20, -23])
             q = random_form(rng, d)
-            assert is_reduced_gamma0_p(q, p) == contains(p, cm_point(q))
+            assert is_reduced_gamma0_p(q, p) == is_reduced(q, p)
 
 
 def test_exactly_one_reduced_form_per_class(rng):

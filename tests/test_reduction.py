@@ -8,14 +8,14 @@ from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act
 from gammaforms.errors import DiscriminantMismatch, UnsupportedLevelError, ValidationError
 from gammaforms.reduction import (
     CosetSystem,
+    _covering,
     automorphs,
     canonical_rep,
     class_key,
     coset_reps,
     enumerate_reduced,
     equivalent_gamma0,
-    gamma0_class_representatives,
-    is_reduced_gamma0_p,
+    is_reduced,
     is_reduced_gamma0_small,
     is_reduced_sl2,
     p1_label,
@@ -73,13 +73,26 @@ def test_is_reduced_gamma0_small_examples():
 
 
 def test_is_reduced_gamma0_p_examples():
-    assert is_reduced_gamma0_p(Form(1, 1, 1), 5)
+    assert is_reduced(Form(1, 1, 1), 5)
     # b = -p*c violates the arc condition at k = 1
-    assert not is_reduced_gamma0_p(Form(7, -5, 1), 5)
-    with pytest.raises(ValidationError):
-        is_reduced_gamma0_p(Form(1, 0, 1), 4)
-    with pytest.raises(ValidationError):
-        is_reduced_gamma0_p(Form(1, 0, 1), 3)
+    assert not is_reduced(Form(7, -5, 1), 5)
+    with pytest.raises(UnsupportedLevelError):
+        is_reduced(Form(1, 0, 1), 4)
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([-3, -4, -7, -8, -15, -20, -23, -56, -71]),
+    st.sampled_from([1, 2, 3, 5, 7, 11, 13]),
+    st.integers(0, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_is_reduced_iff_canonical(r, d, n, moves):
+    # a reduced form or a random one, then a few Gamma0(n) steps
+    q = r.choice(enumerate_reduced(d, n)) if r.random() < 0.5 else random_form(r, d)
+    for _ in range(moves):
+        q = act(q, random_gamma0(r, n, 1))
+    assert is_reduced(q, n) == (canonical_rep(q, n) == q), (q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +184,7 @@ def test_enumerate_matches_class_count_for_primes():
     for p in (5, 7, 11):
         for d in (-3, -4, -7, -8, -11):
             forms = enumerate_reduced(d, p)
-            assert len(forms) == len(gamma0_class_representatives(d, p))
+            assert len(forms) == len(_covering(d, p, coset_reps(p)))
 
 
 def test_count_stable_under_other_coset_systems(rng):
@@ -182,9 +195,7 @@ def test_count_stable_under_other_coset_systems(rng):
             n,
             tuple(random_gamma0(rng, n, 4) * g for g in reversed(base.reps)),
         )
-        assert len(gamma0_class_representatives(d, n, twisted)) == len(
-            enumerate_reduced(d, n)
-        )
+        assert len(_covering(d, n, twisted)) == len(enumerate_reduced(d, n))
 
 
 def test_finiteness_bound_for_prime_levels():
