@@ -16,7 +16,7 @@ from .core import (
     kronecker,
     moebius,
     moebius_rational,
-    representation_values,
+    unit_values,
 )
 from .classgroup import (
     FormClass,

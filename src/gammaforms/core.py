@@ -376,25 +376,54 @@ def moebius_rational(g: GroupElement, q: Fraction | None) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# representation values modulo an integer
+# unit values modulo the discriminant
 
 
-def representation_values(q: Form, n: int, modulus: int) -> frozenset[int]:
-    """Values q(x, y) mod `modulus` over x coprime to n and y = 0 (mod n).
+def unit_values(q: Form, n: int) -> frozenset[int]:
+    """Unit residues mod |D| of q(x, y) over x coprime to n and y = 0 (mod n).
 
-    The value only depends on (x, y) modulo `modulus` and the constraints
-    only on (x, y) modulo n, so a full residue system modulo lcm(modulus, n)
-    is exact.  These sets are invariant under Gamma0(n)-equivalence.
+    By the Chinese remainder theorem the admissible pairs (x, y) modulo
+    lcm(|D|, n) split into independent conditions at each prime, and q mod
+    p^k depends only on (x, y) mod p^k.  So the set is the CRT product of
+    its parts modulo each prime power p^k exactly dividing D.  At p:
+
+    * p does not divide a: a*q = u^2 + m*y^2 with u = ax + (b/2)y and
+      m = -D/4 (b/2 and m are read mod p^k at odd p, where 2 is a unit;
+      b is even when p = 2).  For each allowed y, u runs over every
+      residue mod p^k as x does, and over the units when p | n, where
+      p | y as well.  At odd p, m = 0 (mod p^k): the part is a^-1 times
+      the unit squares.  At p = 2, m*y^2 mod 2^k depends only on y mod 2,
+      which takes both values when n is odd and is 0 when n is even: the
+      part is the odd residues a^-1 * (u^2 + m*t) over every u mod 2^k
+      and the allowed t in {0, 1}.
+    * p divides a but not n: then p | b, so p does not divide c by
+      primitivity, and the same identity with x and y swapped gives the
+      part with c in place of a.
+    * p divides a and n: p | y makes every value = 0 (mod p), so the part,
+      and with it the whole set, is empty.
+
+    Each part costs O(p^k), so the set costs O(|D|).  These sets are
+    invariant under Gamma0(n)-equivalence.
     """
-    if modulus < 1:
-        raise ValidationError(f"modulus must be >= 1: {modulus}")
+    require_qf(q)
     validate_level(n)
-    l = modulus // math.gcd(modulus, n) * n
-    good_x = [x for x in range(l) if math.gcd(x, n) == 1]
-    values = set()
-    for y in range(0, l, n):
-        for x in good_x:
-            values.add(q(x, y) % modulus)
+    d = q.disc
+    values, modulus = {0}, 1
+    for p in prime_factors(d):
+        pk = p
+        while d % (pk * p) == 0:
+            pk *= p
+        if q.a % p:
+            lead = q.a
+        elif n % p:
+            lead = q.c
+        else:
+            return frozenset()
+        inv = pow(lead, -1, pk)
+        ts = (0, -d // 4) if p == 2 and n % 2 else (0,)
+        local = {v for v in (inv * (u * u + t) % pk for u in range(pk) for t in ts) if v % p}
+        values = {crt(r, modulus, s, pk)[0] for r in values for s in local}
+        modulus *= pk
     return frozenset(values)
 
 

@@ -9,6 +9,11 @@ admissible reduced forms into N-genera, and an odd prime p with p not
 dividing D satisfies (D/p) = 1 exactly when some reduced form of
 discriminant D N-represents it; the coset of [p] then names the genus of
 every admissible witness.
+
+The represented unit residues come from `core.unit_values`: one local set
+per prime power p^k exactly dividing D (at odd p, a or c times the unit
+squares mod p^k), glued by the Chinese remainder theorem.  A genus table
+thus costs O(|D|) per form, with no sweep over a grid of residue pairs.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from .core import (
     is_square,
     ker_chi,
     kronecker,
-    representation_values,
     require_qf,
     search_bound,
+    unit_values,
     units_mod,
     validate_discriminant,
     validate_level,
@@ -60,7 +65,9 @@ def find_representations(q: Form, m: int, n: int) -> tuple[Representation, ...]:
     """All integer solutions of q(x, y) = m, each flagged.
 
     Positive definiteness bounds the search: 4*a*m = (2ax + by)^2 - D*y^2
-    forces |y| <= sqrt(4am/|D|), and x solves a quadratic per y.
+    forces |y| <= sqrt(4am/|D|), and x solves a quadratic per y.  A range
+    of more than search_bound(10**6) values of y is refused up front with
+    SearchBoundExceeded.
     """
     if not q.is_positive_definite():
         raise ValidationError(f"form must be positive definite: {q}")
@@ -70,6 +77,12 @@ def find_representations(q: Form, m: int, n: int) -> tuple[Representation, ...]:
     d = q.disc
     out = []
     ymax = math.isqrt(4 * q.a * m // (-d))
+    # 10**6 values take under a second; classify_prime needs far fewer
+    limit = search_bound(10**6)
+    if 2 * ymax + 1 > limit:
+        raise SearchBoundExceeded(
+            f"find_representations({q}, {m}) needs {2 * ymax + 1} values of y, limit {limit}"
+        )
     for y in range(-ymax, ymax + 1):
         # a x^2 + (b y) x + (c y^2 - m) = 0
         disc_x = 4 * q.a * m + d * y * y
@@ -165,14 +178,14 @@ def genus_table(d: int, n: int) -> GenusTable:
 
     H consists of the unit residues N-represented by the principal form;
     each admissible reduced form N-represents exactly one H-coset, which is
-    checked, not assumed.
+    checked, not assumed.  Both sets come from `unit_values`, which builds
+    them prime by prime from local value sets.
     """
     validate_discriminant(d)
     validate_level(n)
     modulus = abs(d)
-    units = units_mod(d)
     ker = ker_chi(d)
-    h = representation_values(principal_form(d), n, modulus) & units
+    h = unit_values(principal_form(d), n)
     if not h <= ker:
         raise InvariantError(f"H is not inside ker(chi) for disc {d}, level {n}")
     cosets: list[frozenset[int]] = []
@@ -188,7 +201,7 @@ def genus_table(d: int, n: int) -> GenusTable:
     for f in class_reps(d, n):
         if math.gcd(f.a, n) != 1:
             continue
-        values = representation_values(f, n, modulus) & units
+        values = unit_values(f, n)
         matches = [i for i, coset in enumerate(cosets) if values == coset]
         if len(matches) != 1:
             raise InvariantError(
@@ -231,9 +244,10 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
         return PrimeClassification(p, d, n, chi, None, None, None)
     table = genus_table(d, n)
     idx = table.coset_of_residue(p)
-    pools = [table.genus_forms(idx), class_reps(d, n)]
+    # the fallback pool is built only when the genus holds no witness
+    pools = (lambda: table.genus_forms(idx), lambda: class_reps(d, n))
     for pool in pools:
-        for f in pool:
+        for f in pool():
             good = [r for r in find_representations(f, p, n) if r.admissible]
             if good:
                 return PrimeClassification(

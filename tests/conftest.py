@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from gammaforms import fundomain
-from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act, is_prime
+from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act, is_prime, validate_level
 from gammaforms.errors import ValidationError
 from gammaforms.reduction import enumerate_reduced
 
@@ -74,6 +75,25 @@ def is_reduced_gamma0_p(q: Form, p: int) -> bool:
             if b * p == (1 - 2 * k) * a:
                 return False
     return True
+
+
+def representation_values(q: Form, n: int, modulus: int) -> frozenset[int]:
+    """Values q(x, y) mod `modulus` over x coprime to n and y = 0 (mod n).
+
+    The value only depends on (x, y) modulo `modulus` and the constraints
+    only on (x, y) modulo n, so a full residue system modulo lcm(modulus, n)
+    is exact.  These sets are invariant under Gamma0(n)-equivalence.
+    """
+    if modulus < 1:
+        raise ValidationError(f"modulus must be >= 1: {modulus}")
+    validate_level(n)
+    l = modulus // math.gcd(modulus, n) * n
+    good_x = [x for x in range(l) if math.gcd(x, n) == 1]
+    values = set()
+    for y in range(0, l, n):
+        for x in good_x:
+            values.add(q(x, y) % modulus)
+    return frozenset(values)
 
 
 @pytest.fixture

@@ -101,6 +101,15 @@ def test_represent(capsys):
     assert "1,4 proper=true admissible=true" in out
 
 
+def test_represent_search_bound(capsys, monkeypatch):
+    # about 2e12 values of y: refused up front instead of looping
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    argv = ["represent", "--form", "1,0,1", "--value", str(10**24), "--level", "1"]
+    code, out, err = capture(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: search-bound:")
+
+
 def test_fundomain_svg(capsys, tmp_path):
     svg_path = tmp_path / "region.svg"
     code, out, _ = capture(capsys, ["fundomain", "--p", "5", "--svg", str(svg_path)])

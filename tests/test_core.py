@@ -19,11 +19,13 @@ from gammaforms.core import (
     kronecker,
     moebius,
     moebius_rational,
-    representation_values,
+    unit_values,
     units_mod,
 )
+from gammaforms.classgroup import principal_form
 from gammaforms.errors import ValidationError
-from conftest import random_form, random_gamma0, random_sl2
+from gammaforms.reduction import class_reps
+from conftest import random_form, random_gamma0, random_sl2, representation_values
 
 import random
 
@@ -174,7 +176,7 @@ def test_chi_well_defined_on_units():
 
 
 # ---------------------------------------------------------------------------
-# representation values
+# unit values and the residue-grid oracle
 
 
 def test_representation_values_reference():
@@ -194,3 +196,19 @@ def test_representation_values_gamma0_invariant(rng):
             assert representation_values(q, n, modulus) == representation_values(
                 q2, n, modulus
             )
+        assert unit_values(q, n) == unit_values(q2, n)
+
+
+# every discriminant down to -60 at small levels, then large 2-parts;
+# the non-admissible class_reps give the cases p | gcd(a, N)
+UNIT_VALUE_GRID = [
+    (d, n) for d in range(-3, -61, -1) if d % 4 in (0, 1) for n in (1, 2, 3, 4, 5, 6)
+] + [(d, n) for d in (-64, -128, -256) for n in (1, 2, 4, 8)]
+
+
+def test_unit_values_match_grid():
+    for d, n in UNIT_VALUE_GRID:
+        units = units_mod(d)
+        for f in (*class_reps(d, n), principal_form(d)):
+            want = representation_values(f, n, -d) & units
+            assert unit_values(f, n) == want, (d, n, f)

@@ -246,3 +246,22 @@ def test_witness_genus_matches_prime_coset(rng):
             for w in witnesses:
                 if math.gcd(w.a, n) == 1:
                     assert coset_by_form[w] == idx, (d, n, p, w)
+
+
+def test_genus_tables_past_a_thousand():
+    # out of reach of the residue grid: (-420, 11) alone took 71 s with it
+    for d, n in [(-420, 11), (-1155, 2), (-3315, 2), (-4004, 1)]:
+        table = genus_table(d, n)
+        assert table.h_subgroup == principal_genus_congruences(d, n), (d, n)
+        assert len(table.cosets) > 1
+        assert sum(len(c) for c in table.cosets) == len(table.ker_chi), (d, n)
+        assert frozenset().union(*table.cosets) == table.ker_chi, (d, n)
+        for p in [p for p in range(3, 500) if is_prime(p) and d % p]:
+            c = classify_prime(p, d, n)
+            assert c.represented == (kronecker(d, p) == 1), (d, n, p)
+            if not c.represented:
+                continue
+            r = c.representation
+            assert c.witness(r.x, r.y) == p and r.admissible, (d, n, p)
+            if math.gcd(c.witness.a, n) == 1:
+                assert table.coset_of_form(c.witness) == table.coset_of_residue(p), (d, n, p)

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gammaforms
@@ -17,3 +18,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracles_stay_in_tests():
+    # the brute-force algorithms survive only as test oracles (tests/conftest.py)
+    modules = [gammaforms] + [
+        importlib.import_module(f"gammaforms.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if not path.stem.startswith("__")
+    ]
+    for module in modules:
+        for name in ("representation_values", "is_reduced_gamma0_p"):
+            assert not hasattr(module, name), f"{module.__name__} exports {name}"
