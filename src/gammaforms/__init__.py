@@ -73,7 +73,6 @@ from .ideals import (
     whole_order_ideal,
 )
 from .reduction import (
-    CosetSystem,
     ReductionResult,
     automorphs,
     canonical_rep,

@@ -181,13 +181,6 @@ class FormClassGroup:
             k += 1
         return k
 
-    def index_of(self, q: Form) -> int:
-        rep = canonical_rep(q, self.N)
-        for i, cl in enumerate(self.elements):
-            if cl.rep == rep:
-                return i
-        raise ValidationError(f"{q} does not define a class in C({self.D}, Gamma0({self.N}))")
-
 
 def compose_classes(q1: Form, q2: Form, n: int) -> Form:
     """Composition at class level: prepare q2, compose, canonicalize."""

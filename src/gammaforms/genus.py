@@ -128,7 +128,7 @@ def form_from_representation(q: Form, r: Representation, n: int) -> Form:
     return out
 
 
-def exists_representing_form(d: int, m: int, n: int) -> Form | None:
+def exists_representing_form(d: int, m: int) -> Form | None:
     """A primitive form m*x^2 + b*xy + c*y^2 of discriminant d, when d is a
     quadratic residue modulo the odd integer m; None otherwise."""
     validate_discriminant(d)

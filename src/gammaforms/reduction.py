@@ -9,13 +9,20 @@ fundomain.contains.  There the reduced forms, found by a complete
 coefficient sweep, replace the translates once their keys are checked to be
 exactly the keys of the translate covering.
 
-The sweep bounds come from the membership conditions themselves:
+The sweep rests on one bound.  A reduced form at a supported level n has
+|b| <= a and |b| <= n*c: at level 1 from |b| <= a <= c, at levels 2 and 3
+by the predicate itself, at p >= 5 from |Re(tau)| <= 1/2 and the circles
+at +-1/p.  It also has 3*b^2 <= -n^2*D:
 
-* level 1:       |b| <= a <= c          gives a <= sqrt(-D/3),
-* levels 2, 3:   |b| <= a, |b| <= p*c   gives a*c <= -D/(4-p),
+* level 1:       b^2 <= a*c, so 3*b^2 <= 4*a*c - b^2 = -D,
+* levels 2, 3:   b^2 <= n*a*c, so (4 - n)*b^2 <= -n*D,
 * level p >= 5:  either Im(tau) >= sqrt(3)/(2p) (corner height), so
-                 a <= p*sqrt(-D/3), or |b| <= a/p and |b| <= p*c, so
-                 a*c <= -D/3.  Hence a <= max(p*sqrt(-D/3), -D/3).
+                 |b| <= a <= p*sqrt(-D/3), or |b| <= a/p and |b| <= p*c,
+                 so b^2 <= a*c as at level 1.
+
+So the sweep runs over b with 3*b^2 <= -n^2*D and b = D (mod 2), and over
+the divisor pairs (s, a*c/s) of a*c = (b^2 - D)/4 with |b|/n <= s <=
+sqrt(a*c), s being min(a, c).
 """
 
 from __future__ import annotations
@@ -35,12 +42,19 @@ from .core import (
     is_prime,
     prime_factors,
     require_qf,
+    search_bound,
     translation,
     validate_discriminant,
     validate_level,
     xgcd,
 )
-from .errors import DiscriminantMismatch, InvariantError, UnsupportedLevelError, ValidationError
+from .errors import (
+    DiscriminantMismatch,
+    InvariantError,
+    SearchBoundExceeded,
+    UnsupportedLevelError,
+    ValidationError,
+)
 
 SUPPORTED_SMALL = (1, 2, 3)
 
@@ -131,25 +145,6 @@ def is_reduced(q: Form, n: int) -> bool:
 # coset representatives of Gamma0(N) in SL2(Z)
 
 
-@dataclass(frozen=True)
-class CosetSystem:
-    """Right-coset representatives Gamma0(N)\\SL2(Z), indexed by the
-    projective line over Z/N via the bottom row (c : d)."""
-
-    n: int
-    reps: tuple[GroupElement, ...]
-
-    def label_of(self, g: GroupElement) -> tuple[int, int]:
-        return p1_label(self.n, g.c, g.d)
-
-    def index_of(self, g: GroupElement) -> int:
-        label = self.label_of(g)
-        for i, rep in enumerate(self.reps):
-            if self.label_of(rep) == label:
-                return i
-        raise ValidationError(f"matrix {g} matches no coset at level {self.n}")
-
-
 def p1_label(n: int, c: int, d: int) -> tuple[int, int]:
     """Canonical label of (c : d) on P^1(Z/N): the lexicographically least
     unit multiple.  Requires gcd(c, d, n) = 1.  With g = gcd(c, N) the least
@@ -178,8 +173,9 @@ def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
 
 
 @lru_cache(maxsize=None)
-def coset_reps(n: int) -> CosetSystem:
-    """A complete duplicate-free right-coset system for Gamma0(n); every
+def coset_reps(n: int) -> tuple[GroupElement, ...]:
+    """Right-coset representatives Gamma0(n)\\SL2(Z), complete and
+    duplicate-free, one per point (c : d) of P^1(Z/n) as bottom row; every
     label starts with a divisor of n (n standing for 0)."""
     validate_level(n)
     labels = sorted(
@@ -197,7 +193,7 @@ def coset_reps(n: int) -> CosetSystem:
         expected = expected // p * (p + 1)
     if len(reps) != expected:
         raise InvariantError(f"coset count {len(reps)} != index {expected} at level {n}")
-    return CosetSystem(n, reps)
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +276,33 @@ def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
 
 def _sweep(d: int, n: int) -> list[Form]:
     """All Gamma0(n)-reduced forms of discriminant d, n a supported level,
-    sorted by (a, b, c)."""
-    if n == 1:
-        a_max = math.isqrt(-d // 3)
-    elif n in (2, 3):
-        a_max = -d // (4 - n)
-    else:
-        a_max = max(math.isqrt(n * n * (-d) // 3), -d // 3)
-    forms = []
-    for a in range(1, max(a_max, 1) + 1):
-        start = -a if (-a - d) % 2 == 0 else -a + 1
-        for b in range(start, a + 1, 2):
-            num = b * b - d
-            if num % (4 * a) != 0:
-                continue
-            f = Form(a, b, num // (4 * a))
-            if f.is_primitive() and is_reduced(f, n):
-                forms.append(f)
-    return forms
+    sorted by (a, b, c).  The number of divisor trials is known before the
+    loop; above search_bound(10**8) the sweep raises SearchBoundExceeded."""
+    b_max = math.isqrt(-n * n * d // 3)
+    trials = (b_max + 1) * (math.isqrt((b_max * b_max - d) // 4) + 1)
+    limit = search_bound(10**8)
+    if trials > limit:
+        raise SearchBoundExceeded(
+            f"sweep of disc {d} at level {n} needs {trials} divisor trials, limit {limit}"
+        )
+    forms = set()
+    for b in range(-b_max + (b_max - d) % 2, b_max + 1, 2):
+        ac = (b * b - d) // 4
+        for s in range(max(1, -(-abs(b) // n)), math.isqrt(ac) + 1):
+            if ac % s == 0:
+                for f in (Form(s, b, ac // s), Form(ac // s, b, s)):
+                    if f.is_primitive() and is_reduced(f, n):
+                        forms.add(f)
+    return sorted(forms)
 
 
-def _covering(d: int, n: int, system: CosetSystem) -> dict:
+def _covering(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
     """Class key -> least coset translate act(R, g^(-1)) in that class, over
-    the SL2(Z)-reduced forms R of discriminant d and g in system.  These
+    the SL2(Z)-reduced forms R of discriminant d and g in reps.  These
     translates meet every class."""
     table: dict = {}
     for r in _sweep(d, 1):
-        for g in system.reps:
+        for g in reps:
             t = act(r, g.inverse())
             key = _key(r, g, n)
             table[key] = min(t, table.get(key, t))

@@ -6,7 +6,7 @@ import pytest
 from gammaforms import fundomain
 from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act, is_prime, validate_level
 from gammaforms.errors import ValidationError
-from gammaforms.reduction import enumerate_reduced
+from gammaforms.reduction import enumerate_reduced, is_reduced
 
 T_INV = T.inverse()
 
@@ -94,6 +94,32 @@ def representation_values(q: Form, n: int, modulus: int) -> frozenset[int]:
         for x in good_x:
             values.add(q(x, y) % modulus)
     return frozenset(values)
+
+
+def sweep_per_a(d: int, n: int) -> list[Form]:
+    """All Gamma0(n)-reduced forms of discriminant d, n a supported level,
+    sorted by (a, b, c).
+
+    The per-a sweep with a separate bound on a at each kind of level; the
+    oracle for reduction._sweep, which runs over b and divisor pairs.
+    """
+    if n == 1:
+        a_max = math.isqrt(-d // 3)
+    elif n in (2, 3):
+        a_max = -d // (4 - n)
+    else:
+        a_max = max(math.isqrt(n * n * (-d) // 3), -d // 3)
+    forms = []
+    for a in range(1, max(a_max, 1) + 1):
+        start = -a if (-a - d) % 2 == 0 else -a + 1
+        for b in range(start, a + 1, 2):
+            num = b * b - d
+            if num % (4 * a) != 0:
+                continue
+            f = Form(a, b, num // (4 * a))
+            if f.is_primitive() and is_reduced(f, n):
+                forms.append(f)
+    return forms
 
 
 @pytest.fixture

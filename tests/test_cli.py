@@ -110,6 +110,15 @@ def test_represent_search_bound(capsys, monkeypatch):
     assert err.startswith("error: search-bound:")
 
 
+def test_enumerate_sweep_bound(capsys, monkeypatch):
+    # about 3e11 and 2e8 divisor trials: refused before the sweep starts
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    for disc, level in (("-1000000000000", "1"), ("-10000000", "11")):
+        code, out, err = capture(capsys, ["enumerate", "--disc", disc, "--level", level])
+        assert code == 4 and out == ""
+        assert err.startswith("error: search-bound:")
+
+
 def test_fundomain_svg(capsys, tmp_path):
     svg_path = tmp_path / "region.svg"
     code, out, _ = capture(capsys, ["fundomain", "--p", "5", "--svg", str(svg_path)])

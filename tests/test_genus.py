@@ -76,14 +76,14 @@ def test_form_from_representation():
 
 
 def test_exists_representing_form():
-    f = exists_representing_form(-28, 23, 2)
+    f = exists_representing_form(-28, 23)
     assert f is not None and f.a == 23 and f.disc == -28 and f.is_primitive()
-    assert exists_representing_form(-28, 3, 2) is None
-    assert exists_representing_form(-4, 5, 1) == Form(5, 4, 1)
+    assert exists_representing_form(-28, 3) is None
+    assert exists_representing_form(-4, 5) == Form(5, 4, 1)
     with pytest.raises(ValidationError):
-        exists_representing_form(-28, 4, 2)
+        exists_representing_form(-28, 4)
     with pytest.raises(ValidationError):
-        exists_representing_form(-28, 7, 2)
+        exists_representing_form(-28, 7)
 
 
 def test_genus_table_disc28():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act
 from gammaforms.errors import DiscriminantMismatch, UnsupportedLevelError, ValidationError
 from gammaforms.reduction import (
-    CosetSystem,
     _covering,
+    _sweep,
     automorphs,
     canonical_rep,
     class_key,
@@ -21,7 +21,7 @@ from gammaforms.reduction import (
     p1_label,
     reduce_sl2,
 )
-from conftest import random_form, random_gamma0, random_sl2
+from conftest import random_form, random_gamma0, random_sl2, sweep_per_a
 
 
 def test_reduce_sl2_examples():
@@ -100,23 +100,23 @@ def test_is_reduced_iff_canonical(r, d, n, moves):
 
 
 def test_coset_counts():
-    assert len(coset_reps(1).reps) == 1
-    assert len(coset_reps(5).reps) == 6
-    assert len(coset_reps(6).reps) == 12
-    assert len(coset_reps(12).reps) == 24
+    assert len(coset_reps(1)) == 1
+    assert len(coset_reps(5)) == 6
+    assert len(coset_reps(6)) == 12
+    assert len(coset_reps(12)) == 24
 
 
 def test_coset_reps_are_distinct_and_complete(rng):
     for n in (2, 3, 5, 6, 7, 10):
-        system = coset_reps(n)
-        labels = {system.label_of(g) for g in system.reps}
-        assert len(labels) == len(system.reps)
+        reps = coset_reps(n)
+        by_label = {p1_label(n, g.c, g.d): g for g in reps}
+        assert len(by_label) == len(reps)
         # a random matrix lands in exactly one coset
         for _ in range(20):
             g = random_sl2(rng)
-            i = system.index_of(g)
+            rep = by_label[p1_label(n, g.c, g.d)]
             # gamma = g * rep^-1 must then be in Gamma0(n)
-            gamma = g * system.reps[i].inverse()
+            gamma = g * rep.inverse()
             assert gamma.in_gamma0(n)
 
 
@@ -148,8 +148,7 @@ def test_p1_label_and_cosets_match_unit_loop():
                     label = _p1_label_unit_loop(n, c, d)
                     assert p1_label(n, c, d) == label, (n, c, d)
                     labels.add(label)
-        system = coset_reps(n)
-        assert sorted(system.label_of(g) for g in system.reps) == sorted(labels), n
+        assert sorted(p1_label(n, g.c, g.d) for g in coset_reps(n)) == sorted(labels), n
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +186,24 @@ def test_enumerate_matches_class_count_for_primes():
             assert len(forms) == len(_covering(d, p, coset_reps(p)))
 
 
+def test_sweep_matches_per_a_oracle():
+    # the b-and-divisor sweep against the per-a sweep it replaced
+    levels = (1, 2, 3, 5, 7, 11, 13)
+    cases = [(d, n) for d in range(-3, -301, -1) if d % 4 in (0, 1) for n in levels]
+    cases += [(d, n) for d in (-2999, -3000) for n in (2, 3, 11)]
+    for d, n in cases:
+        forms = sweep_per_a(d, n)
+        assert _sweep(d, n) == forms, (d, n)
+        # the facts the sweep rests on: its bound on b and the start of its divisor loop
+        for f in forms:
+            assert 3 * f.b * f.b <= -n * n * d and abs(f.b) <= f.a and abs(f.b) <= n * f.c, (f, n)
+
+
 def test_count_stable_under_other_coset_systems(rng):
     # the number of classes does not depend on the chosen coset system
     for d, n in [(-4, 2), (-8, 2), (-3, 5), (-7, 3)]:
         base = coset_reps(n)
-        twisted = CosetSystem(
-            n,
-            tuple(random_gamma0(rng, n, 4) * g for g in reversed(base.reps)),
-        )
+        twisted = tuple(random_gamma0(rng, n, 4) * g for g in reversed(base))
         assert len(_covering(d, n, twisted)) == len(enumerate_reduced(d, n))
 
 

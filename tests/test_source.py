@@ -28,5 +28,5 @@ def test_oracles_stay_in_tests():
         if not path.stem.startswith("__")
     ]
     for module in modules:
-        for name in ("representation_values", "is_reduced_gamma0_p"):
+        for name in ("representation_values", "is_reduced_gamma0_p", "sweep_per_a"):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
