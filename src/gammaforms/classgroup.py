@@ -12,6 +12,17 @@ for the unique B modulo 2aa' and returns (aa', B, (B^2 - D)/(4aa')).
 Coprimality of the leading coefficient to N is a class invariant: a runs
 through values Q(x, y) with x invertible modulo N and y = 0 (mod N), so
 its gcd with N is preserved.
+
+class_group builds the group from generators and relations (Cohen, A
+Course in Computational Algebraic Number Theory, 2.4.3; Buchmann and
+Schmidt, Math. Comp. 74, 2005).  Each new generator is the least class not
+yet reached; composing its powers until one falls into the subgroup so far
+gives its relative order and one relation, and multiplying that subgroup
+by the powers names every new class by an exponent vector.  That is about
+one composition per class.  The invariant factors are the Smith normal
+form of the relation matrix, and the Cayley table, inverses, powers and
+element orders follow from the exponent vectors by integer arithmetic, the
+table only when it is first read.
 """
 
 from __future__ import annotations
@@ -70,14 +81,14 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
             f"no Gamma0({n})-translate of {q} has leading coefficient coprime to {m}"
         )
     limit = search_bound(4 * m * n * abs(q.disc))
-    s = 1
-    while s <= limit:
-        for x in range(-s, s + 1):
-            ys = {-s, s} if abs(x) < s else set(range(-s, s + 1))
-            for y in sorted(ys):
-                if y % n != 0 or math.gcd(x, y) != 1:
-                    continue
-                if math.gcd(q(x, y), m) != 1:
+    for s in range(1, limit + 1):
+        # the shell max(|x|, |y|) = s, x ascending and then y ascending,
+        # visiting only the y divisible by n: all of them on the sides
+        # x = -s and x = s, and y = -s, s in between when n | s
+        side = range(-(s // n) * n, s + 1, n)
+        for x in range(-s, s + 1) if s % n == 0 else (-s, s):
+            for y in side if abs(x) == s else (-s, s):
+                if math.gcd(x, y) != 1 or math.gcd(q(x, y), m) != 1:
                     continue
                 _, u, v = xgcd(x, y)
                 gamma = GroupElement(x, -v, y, u)
@@ -85,7 +96,6 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
                 if out.a != q(x, y):
                     raise InvariantError(f"{gamma} carries {q} to {out}, not to a = {q(x, y)}")
                 return out
-        s += 1
     raise SearchBoundExceeded(
         f"prepare_coprime({q}, m={m}, n={n}) exceeded max(|x|,|y|) <= {limit}"
     )
@@ -133,53 +143,72 @@ def dirichlet_compose(q1: Form, q2: Form, n: int) -> Form:
 @dataclass(frozen=True)
 class FormClass:
     rep: Form
-    D: int
-    N: int
 
 
 @dataclass(frozen=True)
 class FormClassGroup:
+    """C(D, Gamma0(N)) on generators and relations.
+
+    Generator k has relative order orders[k]: g_k^orders[k] is the element
+    with exponent vector relations[k], which involves only g_0, ..., g_(k-1).
+    Element i is g_0^e_0 ... g_(r-1)^e_(r-1) with vectors[i] = (e_0, ...)
+    and 0 <= e_k < orders[k].  The group law on indices follows from the
+    vectors by integer arithmetic; nothing here composes forms.
+    """
+
     D: int
     N: int
     elements: tuple[FormClass, ...]
-    cayley: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
+    orders: tuple[int, ...]
+    relations: tuple[tuple[int, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @cached_property
+    def _position(self) -> dict[tuple[int, ...], int]:
+        return {v: i for i, v in enumerate(self.vectors)}
+
+    def _element(self, vec) -> int:
+        """Index of the element with exponent vector vec (any integers):
+        carry each exponent above its relative order down through that
+        generator's relation, from the last generator to the first."""
+        v = list(vec)
+        for k in reversed(range(len(v))):
+            carry, v[k] = divmod(v[k], self.orders[k])
+            for j, e in enumerate(self.relations[k]):
+                v[j] += carry * e
+        return self._position[tuple(v)]
+
+    @cached_property
     def identity_index(self) -> int:
-        for i in range(self.order):
-            if all(self.cayley[i][j] == j for j in range(self.order)):
-                return i
-        raise InvariantError("Cayley table has no identity")
+        return self._position[(0,) * len(self.orders)]
+
+    @cached_property
+    def cayley(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(self.op(i, j) for j in range(self.order)) for i in range(self.order)
+        )
 
     def op(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
+        return self._element(a + b for a, b in zip(self.vectors[i], self.vectors[j]))
 
     def inverse_of(self, i: int) -> int:
-        e = self.identity_index
-        for j in range(self.order):
-            if self.cayley[i][j] == e:
-                return j
-        raise InvariantError(f"element {i} has no inverse")
+        return self._element(-e for e in self.vectors[i])
 
     def power(self, i: int, k: int) -> int:
-        out = self.identity_index
-        for _ in range(k):
-            out = self.cayley[out][i]
-        return out
+        return self._element(k * e for e in self.vectors[i])
 
     def element_order(self, i: int) -> int:
-        e = self.identity_index
-        x = i
-        k = 1
-        while x != e:
-            x = self.cayley[x][i]
-            k += 1
-        return k
+        # the image of x in <g_0, ..., g_k> / <g_0, ..., g_(k-1)> has order t
+        x, out = i, 1
+        for k in reversed(range(len(self.orders))):
+            t = self.orders[k] // math.gcd(self.vectors[x][k], self.orders[k])
+            x, out = self.power(x, t), out * t
+        return out
 
 
 def compose_classes(q1: Form, q2: Form, n: int) -> Form:
@@ -190,27 +219,64 @@ def compose_classes(q1: Form, q2: Form, n: int) -> Form:
 
 @lru_cache(maxsize=None)
 def class_group(d: int, n: int) -> FormClassGroup:
-    """The full group: elements, Cayley table, invariant factors."""
+    """The group C(d, Gamma0(n)), grown one generator at a time.
+
+    The next generator g is the least class rep not yet reached.  Its
+    powers g, g^2, ... are composed until one, g^m, lies in the subgroup H
+    reached so far: m is the relative order of g, and the exponent vector
+    of g^m is its relation.  Then H grows to H, Hg, ..., Hg^(m-1), one
+    composition per new class, so the group costs about h compositions in
+    all instead of the h^2/2 of a composed Cayley table.  The invariant
+    factors are the Smith normal form of the relation matrix; the Cayley
+    table is derived from the exponent vectors when first read.
+    """
     validate_discriminant(d)
     validate_level(n)
     reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
     index = {f: i for i, f in enumerate(reps)}
-    size = len(reps)
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            out = compose_classes(reps[i], reps[j], n)
-            if out not in index:
-                raise InvariantError(f"composition left the class list: {out}")
-            table[i][j] = table[j][i] = index[out]
-    group = FormClassGroup(
+
+    def compose(i: int, j: int) -> int:
+        out = compose_classes(reps[i], reps[j], n)
+        if out not in index:
+            raise InvariantError(f"composition left the class list: {out}")
+        return index[out]
+
+    e = index.get(canonical_rep(principal_form(d), n))
+    if e is None:
+        raise InvariantError(f"the principal class of disc {d} is not in the class list")
+    vectors = {e: ()}
+    orders: list[int] = []
+    relations: list[tuple[int, ...]] = []
+    for g in range(len(reps)):
+        if g in vectors:
+            continue
+        powers = [g]
+        while powers[-1] not in vectors:
+            if len(powers) > len(reps):
+                raise InvariantError(f"no power of {reps[g]} lies in the subgroup")
+            powers.append(compose(powers[-1], g))
+        relations.append(vectors[powers[-1]])
+        orders.append(len(powers))
+        vectors = {x: v + (0,) for x, v in vectors.items()}
+        subgroup = list(vectors.items())
+        for j, p in enumerate(powers[:-1], start=1):
+            for h, v in subgroup:
+                x = p if h == e else compose(h, p)
+                if x in vectors:
+                    raise InvariantError(f"cosets of the subgroup overlap at {reps[x]}")
+                vectors[x] = v[:-1] + (j,)
+    factors = _smith_factors(orders, relations)
+    if math.prod(factors) != len(reps):
+        raise InvariantError(f"invariant factors {factors} do not multiply to {len(reps)}")
+    return FormClassGroup(
         d,
         n,
-        tuple(FormClass(f, d, n) for f in reps),
-        tuple(tuple(row) for row in table),
-        _invariant_factors(tuple(tuple(row) for row in table)),
+        tuple(FormClass(f) for f in reps),
+        factors,
+        tuple(orders),
+        tuple(relations),
+        tuple(vectors[i] for i in range(len(reps))),
     )
-    return group
 
 
 def oracle_pairs(d: int, n: int) -> int:
@@ -228,68 +294,49 @@ def oracle_pairs(d: int, n: int) -> int:
     return group.order**2
 
 
-def _invariant_factors(cayley: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of a finite abelian group given by
-    its Cayley table, recovered from the counts of q^j-torsion elements."""
-    size = len(cayley)
-    if size == 1:
-        return ()
-    identity = next(
-        i for i in range(size) if all(cayley[i][j] == j for j in range(size))
-    )
+def _smith_factors(orders: list[int], relations: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (those above 1) of the group with
+    generators g_k and relations g_k^orders[k] = prod_j g_j^relations[k][j].
 
-    def power(i: int, k: int) -> int:
-        out = identity
-        base = i
-        while k:
-            if k & 1:
-                out = cayley[out][base]
-            base = cayley[base][base]
-            k >>= 1
-        return out
-
-    factors_by_prime: dict[int, list[int]] = {}
-    remaining = size
-    q = 2
-    while remaining > 1:
-        if remaining % q == 0:
-            e = 0
-            while remaining % q == 0:
-                remaining //= q
-                e += 1
-            # counts of elements killed by q^j determine the partition
-            prev_log = 0
-            col_heights = []
-            for j in range(1, e + 1):
-                cnt = sum(1 for i in range(size) if power(i, q**j) == identity)
-                log = 0
-                while q**log < cnt:
-                    log += 1
-                col_heights.append(log - prev_log)
-                prev_log = log
-            # conjugate partition: number of parts >= j is col_heights[j-1]
-            parts = []
-            for i in range(col_heights[0]):
-                part = sum(1 for h in col_heights if h > i)
-                parts.append(part)
-            factors_by_prime[q] = sorted(parts, reverse=True)
-        q += 1 if q == 2 else 2
-
-    width = max(len(v) for v in factors_by_prime.values())
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, parts in factors_by_prime.items():
-            if i < len(parts):
-                f *= p ** parts[i]
-        factors.append(f)
-    factors.sort()
-    total = 1
-    for f in factors:
-        total *= f
-    if total != size:
-        raise InvariantError(f"invariant factors {factors} do not multiply to {size}")
-    return tuple(factors)
+    The relation matrix, row k = orders[k] e_k - relations[k], is brought
+    to Smith normal form by unimodular row and column operations (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4.3): the least
+    nonzero entry of the remaining block is moved to the pivot and its row
+    and column are cleared by division with remainder until only the pivot
+    is left.  Its diagonal, made a divisor chain by gcd/lcm, is the answer.
+    """
+    size = len(orders)
+    a = [
+        [-e for e in rel] + [orders[k]] + [0] * (size - k - 1)
+        for k, rel in enumerate(relations)
+    ]
+    for t in range(size):
+        while True:
+            _, i, j = min(
+                (abs(a[i][j]), i, j)
+                for i in range(t, size)
+                for j in range(t, size)
+                if a[i][j]
+            )
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            pivot = a[t][t]
+            for i in range(t + 1, size):
+                q = a[i][t] // pivot
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, size):
+                q = a[t][j] // pivot
+                for row in a:
+                    row[j] -= q * row[t]
+            if not any(a[i][t] for i in range(t + 1, size)) and not any(a[t][t + 1 :]):
+                break
+    diagonal = [abs(a[t][t]) for t in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            g = math.gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    return tuple(x for x in diagonal if x > 1)
 
 
 def verify_iso_with_scaled(d: int, n: int) -> tuple[bool, dict]:

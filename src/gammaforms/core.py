@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import SearchBoundExceeded, ValidationError
 
 # ---------------------------------------------------------------------------
 # small number theory helpers
@@ -50,18 +50,48 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     return x, l
 
 
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+)  # fmt: skip
+# The least n that is a strong probable prime to each of the first 13 prime
+# bases and yet composite (Sorenson and Webster, 2015).
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < MILLER_RABIN_LIMIT, about 3.3e24.
+
+    Trial division by the primes below 100 decides every n < 101^2; above
+    that, the strong probable-prime test (Miller-Rabin) to the bases 2, 3,
+    ..., 41 is exact below the limit.  Larger n with no prime factor below
+    100 raise SearchBoundExceeded.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    if n < 101 * 101:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= MILLER_RABIN_LIMIT:
+        raise SearchBoundExceeded(
+            f"no deterministic primality test for {n} >= {MILLER_RABIN_LIMIT}"
+        )
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _SMALL_PRIMES[:13]:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -176,8 +176,19 @@ def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
 def coset_reps(n: int) -> tuple[GroupElement, ...]:
     """Right-coset representatives Gamma0(n)\\SL2(Z), complete and
     duplicate-free, one per point (c : d) of P^1(Z/n) as bottom row; every
-    label starts with a divisor of n (n standing for 0)."""
+    label starts with a divisor of n (n standing for 0).
+
+    The scan costs about n^2 steps, so an index psi(n) above 1500 is
+    refused before it starts (coset_reps(1499) takes about a second).
+    """
     validate_level(n)
+    limit = search_bound(1500)
+    index = n  # psi(n) >= n: a level above the limit is refused unfactored
+    if n <= limit:
+        for p in prime_factors(n):
+            index = index // p * (p + 1)
+    if index > limit:
+        raise SearchBoundExceeded(f"level {n} has more than {limit} cosets")
     labels = sorted(
         {
             p1_label(n, c, d)
@@ -188,11 +199,8 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
         }
     )
     reps = tuple(_lift_to_sl2(n, c, d) for c, d in labels)
-    expected = n
-    for p in prime_factors(n):
-        expected = expected // p * (p + 1)
-    if len(reps) != expected:
-        raise InvariantError(f"coset count {len(reps)} != index {expected} at level {n}")
+    if len(reps) != index:
+        raise InvariantError(f"coset count {len(reps)} != index {index} at level {n}")
     return reps
 
 
@@ -358,5 +366,8 @@ def canonical_rep(q: Form, n: int) -> Form:
     SL2(Z) reduction that stays in the class.  Same output for every input
     in the class.
     """
-    key = class_key(q, n)
-    return _class_table(q.disc, n)[key]
+    res = reduce_sl2(q)
+    # the table first: at a level with too many cosets it refuses before a
+    # label costs O(n) steps
+    table = _class_table(q.disc, n)
+    return table[_key(res.reduced, res.transform, n)]

@@ -4,9 +4,22 @@ import random
 import pytest
 
 from gammaforms import fundomain
-from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act, is_prime, validate_level
-from gammaforms.errors import ValidationError
-from gammaforms.reduction import enumerate_reduced, is_reduced
+from gammaforms.classgroup import compose_classes
+from gammaforms.core import (
+    Form,
+    GroupElement,
+    IDENTITY,
+    S,
+    T,
+    act,
+    is_prime,
+    require_qf,
+    search_bound,
+    validate_level,
+    xgcd,
+)
+from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
+from gammaforms.reduction import class_reps, enumerate_reduced, is_reduced
 
 T_INV = T.inverse()
 
@@ -32,6 +45,23 @@ def random_form(rng: random.Random, d: int, max_len: int = 8):
     SL2(Z)-class and at a random spot inside it."""
     base = rng.choice(enumerate_reduced(d, 1))
     return act(base, random_sl2(rng, max_len))
+
+
+def is_prime_trial_division(n: int) -> bool:
+    """Primality by trial division up to sqrt(n); the oracle for
+    core.is_prime, which tests with Miller-Rabin above 101^2."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def is_reduced_gamma0_p(q: Form, p: int) -> bool:
@@ -120,6 +150,132 @@ def sweep_per_a(d: int, n: int) -> list[Form]:
             if f.is_primitive() and is_reduced(f, n):
                 forms.append(f)
     return forms
+
+
+def torsion_invariant_factors(cayley: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of a finite abelian group given by
+    its Cayley table, recovered from the counts of q^j-torsion elements.
+
+    The oracle for the Smith normal form that classgroup.class_group reads
+    the factors from.
+    """
+    size = len(cayley)
+    if size == 1:
+        return ()
+    identity = next(
+        i for i in range(size) if all(cayley[i][j] == j for j in range(size))
+    )
+
+    def power(i: int, k: int) -> int:
+        out = identity
+        base = i
+        while k:
+            if k & 1:
+                out = cayley[out][base]
+            base = cayley[base][base]
+            k >>= 1
+        return out
+
+    factors_by_prime: dict[int, list[int]] = {}
+    remaining = size
+    q = 2
+    while remaining > 1:
+        if remaining % q == 0:
+            e = 0
+            while remaining % q == 0:
+                remaining //= q
+                e += 1
+            # counts of elements killed by q^j determine the partition
+            prev_log = 0
+            col_heights = []
+            for j in range(1, e + 1):
+                cnt = sum(1 for i in range(size) if power(i, q**j) == identity)
+                log = 0
+                while q**log < cnt:
+                    log += 1
+                col_heights.append(log - prev_log)
+                prev_log = log
+            # conjugate partition: number of parts >= j is col_heights[j-1]
+            parts = []
+            for i in range(col_heights[0]):
+                part = sum(1 for h in col_heights if h > i)
+                parts.append(part)
+            factors_by_prime[q] = sorted(parts, reverse=True)
+        q += 1 if q == 2 else 2
+
+    width = max(len(v) for v in factors_by_prime.values())
+    factors = []
+    for i in range(width):
+        f = 1
+        for p, parts in factors_by_prime.items():
+            if i < len(parts):
+                f *= p ** parts[i]
+        factors.append(f)
+    factors.sort()
+    total = 1
+    for f in factors:
+        total *= f
+    if total != size:
+        raise InvariantError(f"invariant factors {factors} do not multiply to {size}")
+    return tuple(factors)
+
+
+def composed_cayley(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of C(d, Gamma0(n)) with every pair of classes
+    composed, indexed like class_group(d, n).elements; the oracle for the
+    table class_group derives from exponent vectors."""
+    reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
+    index = {f: i for i, f in enumerate(reps)}
+    size = len(reps)
+    table = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            table[i][j] = table[j][i] = index[compose_classes(reps[i], reps[j], n)]
+    return tuple(tuple(row) for row in table)
+
+
+def prepare_coprime_sorted_shells(q: Form, m: int, n: int) -> Form:
+    """A Gamma0(n)-equivalent form whose leading coefficient is coprime to m.
+
+    Searches pairs (x, y) with gcd(x, y) = 1 and y = 0 (mod n) by growing
+    max(|x|, |y|) and completes the first hit to a matrix in Gamma0(n) as
+    its first column.  Solvable whenever no prime dividing both m and n
+    divides q(1, 0).
+
+    Builds each shell as a sorted set and filters y = 0 (mod n); the oracle
+    for classgroup.prepare_coprime, which visits only those y.
+    """
+    require_qf(q)
+    if m == 0:
+        raise ValidationError("m must be nonzero")
+    m = abs(m)
+    if math.gcd(q.a, m) == 1:
+        return q
+    g_mn = math.gcd(m, n)
+    if g_mn > 1 and math.gcd(q.a, g_mn) > 1:
+        raise ValidationError(
+            f"no Gamma0({n})-translate of {q} has leading coefficient coprime to {m}"
+        )
+    limit = search_bound(4 * m * n * abs(q.disc))
+    s = 1
+    while s <= limit:
+        for x in range(-s, s + 1):
+            ys = {-s, s} if abs(x) < s else set(range(-s, s + 1))
+            for y in sorted(ys):
+                if y % n != 0 or math.gcd(x, y) != 1:
+                    continue
+                if math.gcd(q(x, y), m) != 1:
+                    continue
+                _, u, v = xgcd(x, y)
+                gamma = GroupElement(x, -v, y, u)
+                out = act(q, gamma)
+                if out.a != q(x, y):
+                    raise InvariantError(f"{gamma} carries {q} to {out}, not to a = {q(x, y)}")
+                return out
+        s += 1
+    raise SearchBoundExceeded(
+        f"prepare_coprime({q}, m={m}, n={n}) exceeded max(|x|,|y|) <= {limit}"
+    )
 
 
 @pytest.fixture

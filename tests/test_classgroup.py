@@ -17,12 +17,19 @@ from gammaforms.core import Form, act
 from gammaforms.errors import (
     CompositionError,
     DiscriminantMismatch,
+    GammaFormsError,
     InvariantError,
     SearchBoundExceeded,
     ValidationError,
 )
-from gammaforms.reduction import canonical_rep, equivalent_gamma0
-from conftest import random_form, random_gamma0
+from gammaforms.reduction import canonical_rep, class_reps, equivalent_gamma0
+from conftest import (
+    composed_cayley,
+    prepare_coprime_sorted_shells,
+    random_form,
+    random_gamma0,
+    torsion_invariant_factors,
+)
 
 GRID = [
     (d, n)
@@ -70,6 +77,25 @@ def test_prepare_coprime_safety_bound(monkeypatch):
     assert prepare_coprime(Form(3, 3, 1), 15, 5).a % 15 != 0
 
 
+def _outcome(prepare, q, m, n):
+    try:
+        return prepare(q, m, n)
+    except GammaFormsError as exc:
+        return type(exc), str(exc)
+
+
+def test_prepare_coprime_matches_sorted_shells():
+    # every class rep, admissible or not, so the refusals are compared too
+    for d in range(-3, -201, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15):
+            for q in class_reps(d, n):
+                for m in (2, 3, 6, 10, 30, q.a * n):
+                    expected = _outcome(prepare_coprime_sorted_shells, q, m, n)
+                    assert _outcome(prepare_coprime, q, m, n) == expected, (q, m, n)
+
+
 def test_dirichlet_compose_b_normalization():
     # gcd(a, a') = 1: B is the least nonnegative solution mod 2aa'
     q = dirichlet_compose(Form(3, 2, 1), Form(11, -16, 6), 2)
@@ -110,6 +136,33 @@ def test_class_group_reference_orders():
     assert class_group(-3, 5).invariant_factors == (2,)
     # noncyclic example: four ambiguous classes
     assert class_group(-84, 1).invariant_factors == (2, 2)
+
+
+def test_derived_table_matches_composed_table():
+    # the table from exponent vectors against every pair composed, and the
+    # Smith normal form against the torsion counts of that composed table
+    for d in range(-3, -301, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for n in (1, 2, 3, 4, 5, 6, 7, 10, 12):
+            g = class_group(d, n)
+            table = composed_cayley(d, n)
+            assert g.cayley == table, (d, n)
+            assert g.invariant_factors == torsion_invariant_factors(table), (d, n)
+            e = g.identity_index
+            for i in range(g.order):
+                assert table[i][g.inverse_of(i)] == e, (d, n, i)
+                x, k = i, 1
+                while x != e:
+                    x, k = table[x][i], k + 1
+                assert g.element_order(i) == k, (d, n, i)
+
+
+def test_composition_leaving_the_class_list(monkeypatch):
+    class_group.cache_clear()
+    monkeypatch.setattr(classgroup, "compose_classes", lambda q1, q2, n: Form(1, 1, 1000))
+    with pytest.raises(InvariantError, match="left the class list"):
+        class_group(-47, 1)
 
 
 def test_group_axioms_and_commutativity():

@@ -119,6 +119,20 @@ def test_enumerate_sweep_bound(capsys, monkeypatch):
         assert err.startswith("error: search-bound:")
 
 
+def test_search_bound_before_the_work(capsys, monkeypatch):
+    # psi(N) > 10^9 cosets, and a prime the trial division would take
+    # about 5e8 steps to confirm: all refused without the work
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    for argv in (
+        ["reduce", "--form", "1,1,6", "--level", "1000000007"],
+        ["reduce", "--form", "1,1,6", "--level", "1000000000000000003"],
+        ["classify", "--prime", "1000000000000000003", "--disc", "-23", "--level", "1"],
+    ):
+        code, out, err = capture(capsys, argv)
+        assert code == 4 and out == "", argv
+        assert err.startswith("error: search-bound:"), argv
+
+
 def test_fundomain_svg(capsys, tmp_path):
     svg_path = tmp_path / "region.svg"
     code, out, _ = capture(capsys, ["fundomain", "--p", "5", "--svg", str(svg_path)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaforms.core import (
+    MILLER_RABIN_LIMIT,
     CmPoint,
     Form,
     GammaLevel,
@@ -15,6 +16,7 @@ from gammaforms.core import (
     act,
     cm_point,
     form_from_cm,
+    is_prime,
     ker_chi,
     kronecker,
     moebius,
@@ -23,9 +25,15 @@ from gammaforms.core import (
     units_mod,
 )
 from gammaforms.classgroup import principal_form
-from gammaforms.errors import ValidationError
+from gammaforms.errors import SearchBoundExceeded, ValidationError
 from gammaforms.reduction import class_reps
-from conftest import random_form, random_gamma0, random_sl2, representation_values
+from conftest import (
+    is_prime_trial_division,
+    random_form,
+    random_gamma0,
+    random_sl2,
+    representation_values,
+)
 
 import random
 
@@ -212,3 +220,22 @@ def test_unit_values_match_grid():
         for f in (*class_reps(d, n), principal_form(d)):
             want = representation_values(f, n, -d) & units
             assert unit_values(f, n) == want, (d, n, f)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == [
+        n for n in range(-5, 10**5) if is_prime_trial_division(n)
+    ]
+
+
+def test_is_prime_large():
+    # strong pseudoprimes to base 2, to bases 2..7 and to bases 2..23
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    for n in (10**9 + 7, 2**61 - 1, 10**18 + 3, 9973, 10007, 1000003):
+        assert is_prime(n)
+    assert not is_prime(1000003 * 1000033)
+    assert not is_prime(10**30)  # a small factor decides it above the limit too
+    # a strong pseudoprime to all 13 bases: no exact answer, so a refusal
+    with pytest.raises(SearchBoundExceeded):
+        is_prime(MILLER_RABIN_LIMIT)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act
-from gammaforms.errors import DiscriminantMismatch, UnsupportedLevelError, ValidationError
+from gammaforms.errors import (
+    DiscriminantMismatch,
+    SearchBoundExceeded,
+    UnsupportedLevelError,
+    ValidationError,
+)
 from gammaforms.reduction import (
     _covering,
     _sweep,
@@ -149,6 +154,18 @@ def test_p1_label_and_cosets_match_unit_loop():
                     assert p1_label(n, c, d) == label, (n, c, d)
                     labels.add(label)
         assert sorted(p1_label(n, g.c, g.d) for g in coset_reps(n)) == sorted(labels), n
+
+
+def test_coset_reps_bound(monkeypatch):
+    # psi(6) = 12; the bound is checked before the scan, and before
+    # factoring a level that already exceeds it
+    coset_reps.cache_clear()
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "11")
+    for n in (6, 10**30):
+        with pytest.raises(SearchBoundExceeded, match="more than 11 cosets"):
+            coset_reps(n)
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "12")
+    assert len(coset_reps(6)) == 12
 
 
 # ---------------------------------------------------------------------------

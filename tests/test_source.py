@@ -28,5 +28,13 @@ def test_oracles_stay_in_tests():
         if not path.stem.startswith("__")
     ]
     for module in modules:
-        for name in ("representation_values", "is_reduced_gamma0_p", "sweep_per_a"):
+        for name in (
+            "representation_values",
+            "is_reduced_gamma0_p",
+            "sweep_per_a",
+            "torsion_invariant_factors",
+            "composed_cayley",
+            "prepare_coprime_sorted_shells",
+            "is_prime_trial_division",
+        ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
