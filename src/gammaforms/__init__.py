@@ -7,7 +7,6 @@ Gamma0(p) at primes p >= 5."""
 from .core import (
     CmPoint,
     Form,
-    GammaLevel,
     GroupElement,
     act,
     cm_point,

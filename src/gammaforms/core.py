@@ -222,23 +222,6 @@ T = GroupElement(1, 1, 0, 1)
 S = GroupElement(0, -1, 1, 0)
 
 
-def translation(s: int) -> GroupElement:
-    return GroupElement(1, s, 0, 1)
-
-
-@dataclass(frozen=True)
-class GammaLevel:
-    """The congruence subgroup Gamma0(N): lower-left entry divisible by N."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        validate_level(self.n)
-
-    def contains(self, g: GroupElement) -> bool:
-        return g.in_gamma0(self.n)
-
-
 # ---------------------------------------------------------------------------
 # forms
 

@@ -28,6 +28,7 @@ sqrt(a*c), s being min(a, c).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,15 +36,12 @@ from . import fundomain
 from .core import (
     Form,
     GroupElement,
-    IDENTITY,
-    S,
     act,
     cm_point,
     is_prime,
     prime_factors,
     require_qf,
     search_bound,
-    translation,
     validate_discriminant,
     validate_level,
     xgcd,
@@ -88,25 +86,28 @@ def reduce_sl2(q: Form) -> ReductionResult:
     with act(q, g) equal to it."""
     require_qf(q)
     a, b, c = q.a, q.b, q.c
-    g = IDENTITY
+    # the witness (ga, gb; gc, gd), multiplied on the right by each step
+    ga, gb, gc, gd = 1, 0, 0, 1
     while True:
         if not (-a < b <= a):
-            # translate b into (-a, a]
+            # translate b into (-a, a]: times (1, s; 0, 1)
             s = (a - b) // (2 * a)
-            g = g * translation(s)
+            gb, gd = gb + ga * s, gd + gc * s
             b, c = b + 2 * a * s, a * s * s + b * s + c
         if a > c:
-            g = g * S
+            # times S = (0, -1; 1, 0)
+            ga, gb, gc, gd = gb, -ga, gd, -gc
             a, b, c = c, -b, a
             continue
         if b == -a:
-            g = g * translation(1)
+            gb, gd = gb + ga, gd + gc
             b = a
         elif a == c and b < 0:
-            g = g * S
+            ga, gb, gc, gd = gb, -ga, gd, -gc
             b = -b
         break
     reduced = Form(a, b, c)
+    g = GroupElement(ga, gb, gc, gd)
     if act(q, g) != reduced:
         raise InvariantError(f"witness {g} does not carry {q} to {reduced}")
     return ReductionResult(reduced, g)
@@ -145,18 +146,26 @@ def is_reduced(q: Form, n: int) -> bool:
 # coset representatives of Gamma0(N) in SL2(Z)
 
 
+def _units_taking(n: int, c: int, g: int) -> list[int]:
+    """The units u mod n with u*c = g (mod n), g = gcd(c, n): those with
+    u = (c/g)^(-1) (mod n/g).  With c = g, the units fixing g."""
+    m = n // g
+    return [u for u in range(pow(c // g, -1, m), n, m) if math.gcd(u, n) == 1]
+
+
 def p1_label(n: int, c: int, d: int) -> tuple[int, int]:
     """Canonical label of (c : d) on P^1(Z/N): the lexicographically least
     unit multiple.  Requires gcd(c, d, n) = 1.  With g = gcd(c, N) the least
-    first entry is g (0 if g = N), reached by the units u = (c/g)^(-1) mod N/g."""
+    first entry is g (0 if g = N), reached by the units taking c to g."""
     c %= n
     d %= n
     g = math.gcd(c, n)
     if math.gcd(g, d) != 1:
         raise ValidationError(f"({c} : {d}) is not a point of P^1(Z/{n})")
-    m = n // g
-    u0 = pow(c // g, -1, m) if m > 1 else 0
-    return min((u * c % n, u * d % n) for u in range(u0, n, m) if math.gcd(u, n) == 1)
+    if g == n:
+        # c = 0 and d is a unit, which d^(-1) takes to 1
+        return 0, 1 % n
+    return g, min(u * d % n for u in _units_taking(n, c, g))
 
 
 def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
@@ -178,8 +187,9 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
     duplicate-free, one per point (c : d) of P^1(Z/n) as bottom row; every
     label starts with a divisor of n (n standing for 0).
 
-    The scan costs about n^2 steps, so an index psi(n) above 1500 is
-    refused before it starts (coset_reps(1499) takes about a second).
+    The labels come from one walk over the orbits of each divisor row, about
+    sigma_0(n)*n steps; the class covering over them costs h(D)*psi(n) form
+    translates, so an index psi(n) above 1500 is refused before the walk.
     """
     validate_level(n)
     limit = search_bound(1500)
@@ -189,15 +199,21 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
             index = index // p * (p + 1)
     if index > limit:
         raise SearchBoundExceeded(f"level {n} has more than {limit} cosets")
-    labels = sorted(
-        {
-            p1_label(n, c, d)
-            for c in range(1, n + 1)
-            if n % c == 0
-            for d in range(n)
-            if math.gcd(c, d) == 1
-        }
-    )
+    labels = []
+    for c in range(1, n + 1):
+        if n % c:
+            continue
+        # the points (c : d) fall into orbits under the units fixing c, and
+        # p1_label names each orbit by c mod n and its least member
+        units = _units_taking(n, c, c)
+        seen = bytearray(n)
+        for d in range(n):
+            if not seen[d] and math.gcd(c, d) == 1:
+                orbit = [u * d % n for u in units]
+                for e in orbit:
+                    seen[e] = 1
+                labels.append((c % n, min(orbit)))
+    labels.sort()
     reps = tuple(_lift_to_sl2(n, c, d) for c, d in labels)
     if len(reps) != index:
         raise InvariantError(f"coset count {len(reps)} != index {index} at level {n}")
@@ -265,9 +281,17 @@ def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
 # class keys and the class table
 
 
-def _key(r: Form, delta: GroupElement, n: int) -> tuple[Form, tuple[int, int]]:
-    """The class key of every form q with act(q, delta) = r, r reduced."""
-    return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in automorphs(r)))
+def _key(
+    r: Form,
+    delta: GroupElement,
+    auts: tuple[GroupElement, ...],
+    label: Callable[[int, int], tuple[int, int]],
+) -> tuple[Form, tuple[int, int]]:
+    """The class key of every form q with act(q, delta) = r, r reduced with
+    proper automorphs auts: r and the least label(c, d) over the bottom rows
+    (c, d) of delta*u, u in auts, label naming points of P^1(Z/n)."""
+    dc, dd = delta.c, delta.d
+    return r, min(label(dc * u.a + dd * u.c, dc * u.b + dd * u.d) for u in auts)
 
 
 def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
@@ -279,7 +303,8 @@ def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
     """
     validate_level(n)
     res = reduce_sl2(q)
-    return _key(res.reduced, res.transform, n)
+    r = res.reduced
+    return _key(r, res.transform, automorphs(r), lambda c, d: p1_label(n, c, d))
 
 
 def _sweep(d: int, n: int) -> list[Form]:
@@ -307,12 +332,22 @@ def _sweep(d: int, n: int) -> list[Form]:
 def _covering(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
     """Class key -> least coset translate act(R, g^(-1)) in that class, over
     the SL2(Z)-reduced forms R of discriminant d and g in reps.  These
-    translates meet every class."""
+    translates meet every class.  Each bottom row mod n is labelled once."""
+    labels: dict = {}
+
+    def label(c: int, e: int) -> tuple[int, int]:
+        row = c % n, e % n
+        if row not in labels:
+            labels[row] = p1_label(n, *row)
+        return labels[row]
+
+    inverses = [(g, g.inverse()) for g in reps]
     table: dict = {}
     for r in _sweep(d, 1):
-        for g in reps:
-            t = act(r, g.inverse())
-            key = _key(r, g, n)
+        auts = automorphs(r)
+        for g, g_inv in inverses:
+            t = act(r, g_inv)
+            key = _key(r, g, auts, label)
             table[key] = min(t, table.get(key, t))
     return table
 
@@ -370,4 +405,5 @@ def canonical_rep(q: Form, n: int) -> Form:
     # the table first: at a level with too many cosets it refuses before a
     # label costs O(n) steps
     table = _class_table(q.disc, n)
-    return table[_key(res.reduced, res.transform, n)]
+    r = res.reduced
+    return table[_key(r, res.transform, automorphs(r), lambda c, d: p1_label(n, c, d))]

@@ -19,7 +19,17 @@ from gammaforms.core import (
     xgcd,
 )
 from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
-from gammaforms.reduction import class_reps, enumerate_reduced, is_reduced
+from gammaforms.reduction import (
+    _lift_to_sl2,
+    _sweep,
+    automorphs,
+    class_reps,
+    enumerate_reduced,
+    is_reduced,
+    level_supported,
+    p1_label,
+    reduce_sl2,
+)
 
 T_INV = T.inverse()
 
@@ -150,6 +160,59 @@ def sweep_per_a(d: int, n: int) -> list[Form]:
             if f.is_primitive() and is_reduced(f, n):
                 forms.append(f)
     return forms
+
+
+def coset_reps_by_scan(n: int) -> tuple[GroupElement, ...]:
+    """Coset representatives of Gamma0(n) in SL2(Z), one per label, found by
+    labelling every point (c : d) with c a divisor of n; the oracle for
+    reduction.coset_reps, which walks each orbit once."""
+    labels = sorted(
+        {
+            p1_label(n, c, d)
+            for c in range(1, n + 1)
+            if n % c == 0
+            for d in range(n)
+            if math.gcd(c, d) == 1
+        }
+    )
+    return tuple(_lift_to_sl2(n, c, d) for c, d in labels)
+
+
+def key_per_pair(r: Form, delta: GroupElement, n: int) -> tuple:
+    """The class key of every form q with act(q, delta) = r, r reduced, with
+    the automorphs of r and the label of each product delta*u computed for
+    this one pair; the oracle for reduction._key."""
+    return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in automorphs(r)))
+
+
+def covering_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
+    """Class key -> least coset translate act(R, g^(-1)), over the SL2(Z)-
+    reduced forms R of discriminant d and g in reps, with every key and
+    inverse computed for its own pair (R, g); the oracle for
+    reduction._covering."""
+    table: dict = {}
+    for r in _sweep(d, 1):
+        for g in reps:
+            t = act(r, g.inverse())
+            key = key_per_pair(r, g, n)
+            table[key] = min(t, table.get(key, t))
+    return table
+
+
+def class_table_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
+    """Class key -> canonical form, from the per-pair covering over reps and,
+    at supported levels, the per-a sweep; the oracle for
+    reduction._class_table when reps is coset_reps_by_scan(n)."""
+    table = covering_per_pair(d, n, reps)
+    if not level_supported(n):
+        return table
+    reduced = {}
+    for f in sweep_per_a(d, n):
+        res = reduce_sl2(f)
+        reduced[key_per_pair(res.reduced, res.transform, n)] = f
+    if reduced.keys() != table.keys():
+        raise InvariantError(f"reduced forms do not match the covering of disc {d}, level {n}")
+    return reduced
 
 
 def torsion_invariant_factors(cayley: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

@@ -8,7 +8,6 @@ from gammaforms.core import (
     MILLER_RABIN_LIMIT,
     CmPoint,
     Form,
-    GammaLevel,
     GroupElement,
     IDENTITY,
     S,
@@ -54,14 +53,6 @@ def test_group_element_validates_det():
         GroupElement(1, 0, 0, 2)
     assert (T * S).as_tuple() == (1, -1, 1, 0)
     assert S.inverse() * S == IDENTITY
-
-
-def test_gamma_level():
-    lvl = GammaLevel(2)
-    assert lvl.contains(GroupElement(1, 0, 2, 1))
-    assert not lvl.contains(S)
-    with pytest.raises(ValidationError):
-        GammaLevel(0)
 
 
 def test_form_basics():

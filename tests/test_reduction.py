@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammaforms import reduction
 from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act
 from gammaforms.errors import (
     DiscriminantMismatch,
@@ -12,6 +13,7 @@ from gammaforms.errors import (
     ValidationError,
 )
 from gammaforms.reduction import (
+    _class_table,
     _covering,
     _sweep,
     automorphs,
@@ -26,7 +28,15 @@ from gammaforms.reduction import (
     p1_label,
     reduce_sl2,
 )
-from conftest import random_form, random_gamma0, random_sl2, sweep_per_a
+from conftest import (
+    class_table_per_pair,
+    coset_reps_by_scan,
+    covering_per_pair,
+    random_form,
+    random_gamma0,
+    random_sl2,
+    sweep_per_a,
+)
 
 
 def test_reduce_sl2_examples():
@@ -156,6 +166,19 @@ def test_p1_label_and_cosets_match_unit_loop():
         assert sorted(p1_label(n, g.c, g.d) for g in coset_reps(n)) == sorted(labels), n
 
 
+def test_p1_label_zero_row_is_immediate():
+    # c = 0 (mod n) labels as (0, 1) without a loop over the n units
+    n = 10**9 + 7
+    assert p1_label(n, 0, 5) == (0, 1)
+    assert class_key(Form(1, 1, 6), n) == (Form(1, 1, 6), (0, 1))
+
+
+def test_coset_reps_match_scan():
+    # the orbit walk against the scan that labels every point
+    for n in [*range(1, 401), 1009, 1499]:
+        assert coset_reps(n) == coset_reps_by_scan(n), n
+
+
 def test_coset_reps_bound(monkeypatch):
     # psi(6) = 12; the bound is checked before the scan, and before
     # factoring a level that already exceeds it
@@ -222,6 +245,34 @@ def test_count_stable_under_other_coset_systems(rng):
         base = coset_reps(n)
         twisted = tuple(random_gamma0(rng, n, 4) * g for g in reversed(base))
         assert len(_covering(d, n, twisted)) == len(enumerate_reduced(d, n))
+        assert _covering(d, n, twisted) == covering_per_pair(d, n, twisted)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 11, 12, 30, 122, 150])
+def test_class_table_matches_per_pair_oracle(n):
+    reps = coset_reps_by_scan(n)
+    for d in range(-3, -701, -1):
+        if d % 4 in (0, 1):
+            assert _class_table(d, n) == class_table_per_pair(d, n, reps), (d, n)
+
+
+def test_class_table_work_counts(monkeypatch):
+    # one automorph list per reduced form and one label per bottom row mod n,
+    # not one per (reduced form, coset) pair; coset_reps is warm
+    d, n = -2999, 150
+    psi = len(coset_reps(n))
+    h = len(_sweep(d, 1))
+    calls = dict.fromkeys(("p1_label", "automorphs"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(reduction, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(reduction, name, counted)
+    _class_table.__wrapped__(d, n)
+    assert calls["automorphs"] <= h, (calls, h)
+    assert calls["p1_label"] <= 2 * psi, (calls, psi)
 
 
 def test_finiteness_bound_for_prime_levels():

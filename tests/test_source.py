@@ -36,5 +36,9 @@ def test_oracles_stay_in_tests():
             "composed_cayley",
             "prepare_coprime_sorted_shells",
             "is_prime_trial_division",
+            "coset_reps_by_scan",
+            "key_per_pair",
+            "covering_per_pair",
+            "class_table_per_pair",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
