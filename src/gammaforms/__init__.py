@@ -55,7 +55,6 @@ from .genus import (
     Representation,
     brahmagupta_check,
     classify_prime,
-    coprime_value,
     exists_representing_form,
     find_representations,
     form_from_representation,

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import CmPoint, GroupElement, is_prime
-from .errors import ValidationError
+from .core import CmPoint, GroupElement, is_prime, search_bound
+from .errors import SearchBoundExceeded, ValidationError
 
 
 def _require_p(p: int) -> None:
@@ -84,7 +84,13 @@ class EllipticData:
 
 @lru_cache(maxsize=None)
 def elliptic_data(p: int) -> EllipticData:
+    """E2 and E3 of Gamma0(p).  Every region query passes through here, so
+    a p with more than search_bound(10**5) boundary arcs is refused here,
+    once per p, before the O(p) work."""
     _require_p(p)
+    limit = search_bound(10**5)
+    if p - 1 > limit:
+        raise SearchBoundExceeded(f"Gamma0({p}) has {p - 1} boundary arcs, limit {limit}")
     s = sym_residues(p)
     e2 = tuple(k for k in s if (k * k + 1) % p == 0)
     e3 = tuple(k for k in s if (k * k - k + 1) % p == 0)
@@ -120,7 +126,6 @@ def contains(p: int, t: CmPoint) -> bool:
     (in)equalities; for instance |t - k/p| >= 1/p reads
     (n*p - k*m)^2 - D*p^2 >= m^2.
     """
-    _require_p(p)
     data = elliptic_data(p)
     n, m, d = t.numB, t.den, t.D
 
@@ -183,7 +188,7 @@ class Boundary:
 
 def r_gamma0p_boundary(p: int) -> Boundary:
     """Arcs (center k/p, radius 1/p for k in S_p) and lines Re = +-1/2."""
-    _require_p(p)
+    elliptic_data(p)  # validates p and bounds the number of arcs
     arcs = tuple(BoundaryArc(k, Fraction(k, p), Fraction(1, p)) for k in sym_residues(p))
     return Boundary(p, arcs, (Fraction(-1, 2), Fraction(1, 2)))
 

@@ -10,20 +10,21 @@ dividing D satisfies (D/p) = 1 exactly when some reduced form of
 discriminant D N-represents it; the coset of [p] then names the genus of
 every admissible witness.
 
-The represented unit residues come from `core.unit_values`: one local set
-per prime power p^k exactly dividing D (at odd p, a or c times the unit
-squares mod p^k), glued by the Chinese remainder theorem.  A genus table
-thus costs O(|D|) per form, with no sweep over a grid of residue pairs.
+H comes from `core.unit_values`: one local set per prime power p^k
+exactly dividing D (at odd p, the unit squares mod p^k), glued by the
+Chinese remainder theorem, in O(|D|) once per table.  The genus of a form
+is then named by a single N-represented value coprime to D, looked up in
+a residue -> coset index; no form's full value set is built.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .classgroup import principal_form
+from .classgroup import prepare_coprime, principal_form
 from .core import (
     Form,
     GroupElement,
@@ -154,13 +155,14 @@ class GenusTable:
     h_subgroup: frozenset[int]
     cosets: tuple[frozenset[int], ...]
     assignment: tuple[tuple[Form, int], ...]
+    # residue mod |D| -> number of its coset, for every residue in ker(chi)
+    coset_index: dict[int, int] = field(repr=False, compare=False)
 
     def coset_of_residue(self, m: int) -> int:
-        r = m % abs(self.D)
-        for i, coset in enumerate(self.cosets):
-            if r in coset:
-                return i
-        raise ValidationError(f"{m} mod {abs(self.D)} lies in no coset of H")
+        try:
+            return self.coset_index[m % abs(self.D)]
+        except KeyError:
+            raise ValidationError(f"{m} mod {abs(self.D)} lies in no coset of H") from None
 
     def coset_of_form(self, q: Form) -> int:
         for f, i in self.assignment:
@@ -176,39 +178,47 @@ class GenusTable:
 def genus_table(d: int, n: int) -> GenusTable:
     """ker(chi), H, its cosets, and the genus of every admissible form.
 
-    H consists of the unit residues N-represented by the principal form;
-    each admissible reduced form N-represents exactly one H-coset, which is
-    checked, not assumed.  Both sets come from `unit_values`, which builds
-    them prime by prime from local value sets.
+    H consists of the unit residues N-represented by the principal form,
+    built once by `unit_values`; its cosets are checked to partition
+    ker(chi).  Each admissible form N-represents exactly one H-coset, so
+    one properly N-represented value coprime to D, found by
+    `prepare_coprime`, names its genus; that value is checked to lie in
+    ker(chi).  |D| above search_bound(2**20) is refused before any residue
+    is walked.
     """
     validate_discriminant(d)
     validate_level(n)
     modulus = abs(d)
+    limit = search_bound(2**20)
+    if modulus > limit:
+        raise SearchBoundExceeded(
+            f"genus table of disc {d} walks {modulus} residues, limit {limit}"
+        )
     ker = ker_chi(d)
     h = unit_values(principal_form(d), n)
     if not h <= ker:
         raise InvariantError(f"H is not inside ker(chi) for disc {d}, level {n}")
     cosets: list[frozenset[int]] = []
-    remaining = set(ker)
-    while remaining:
-        m = min(remaining)
+    index: dict[int, int] = {}
+    for m in sorted(ker):
+        if m in index:
+            continue
         coset = frozenset(m * x % modulus for x in h)
-        if not coset <= remaining:
+        if m not in coset or not coset <= ker or not index.keys().isdisjoint(coset):
             raise InvariantError(f"H-cosets do not partition ker(chi) for disc {d}")
+        index.update(dict.fromkeys(coset, len(cosets)))
         cosets.append(coset)
-        remaining -= coset
     assignment = []
     for f in class_reps(d, n):
         if math.gcd(f.a, n) != 1:
             continue
-        values = unit_values(f, n)
-        matches = [i for i, coset in enumerate(cosets) if values == coset]
-        if len(matches) != 1:
+        v = prepare_coprime(f, d, n).a % modulus
+        if v not in index:
             raise InvariantError(
-                f"values of {f} are not exactly one H-coset (disc {d}, level {n})"
+                f"{f} N-represents {v} mod {modulus}, outside ker(chi) (disc {d}, level {n})"
             )
-        assignment.append((f, matches[0]))
-    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment))
+        assignment.append((f, index[v]))
+    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index)
 
 
 @dataclass(frozen=True)
@@ -267,36 +277,9 @@ def principal_genus_congruences(d: int, n: int) -> frozenset[int]:
     validate_level(n)
     modulus = abs(d)
     l = modulus // math.gcd(modulus, n) * n
-    vals = set()
-    if d % 4 == 0:
-        m = -d // 4
-        for x in range(l):
-            if math.gcd(x, n) != 1:
-                continue
-            vals.add(x * x % modulus)
-            if n % 2 == 1:
-                vals.add((x * x + m) % modulus)
-    else:
-        for x in range(l):
-            if math.gcd(x, n) != 1:
-                continue
-            vals.add(x * x % modulus)
+    shifts = (0, -d // 4) if d % 4 == 0 and n % 2 == 1 else (0,)
+    vals = {(x * x + t) % modulus for x in range(l) if math.gcd(x, n) == 1 for t in shifts}
     return frozenset(vals) & units_mod(d)
-
-
-def coprime_value(q: Form, n_target: int, n: int) -> tuple[int, Representation]:
-    """Smallest properly N-represented value coprime to n_target * N."""
-    require_qf(q)
-    if math.gcd(q.a, n) != 1:
-        raise ValidationError(f"gcd(a, N) must be 1: {q}, N = {n}")
-    limit = search_bound(4 * max(abs(n_target), 1) * n * abs(q.disc))
-    for m in range(1, limit + 1):
-        if math.gcd(m, n_target * n) != 1:
-            continue
-        good = [r for r in find_representations(q, m, n) if r.proper and r.admissible]
-        if good:
-            return m, good[0]
-    raise SearchBoundExceeded(f"coprime_value({q}, {n_target}, {n}) exceeded m <= {limit}")
 
 
 # ---------------------------------------------------------------------------

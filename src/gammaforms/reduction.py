@@ -401,9 +401,8 @@ def canonical_rep(q: Form, n: int) -> Form:
     SL2(Z) reduction that stays in the class.  Same output for every input
     in the class.
     """
-    res = reduce_sl2(q)
+    require_qf(q)
     # the table first: at a level with too many cosets it refuses before a
-    # label costs O(n) steps
+    # label costs O(gcd(c, n)) steps
     table = _class_table(q.disc, n)
-    r = res.reduced
-    return table[_key(r, res.transform, automorphs(r), lambda c, d: p1_label(n, c, d))]
+    return table[class_key(q, n)]

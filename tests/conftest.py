@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gammaforms import fundomain
-from gammaforms.classgroup import compose_classes
+from gammaforms.classgroup import compose_classes, principal_form
 from gammaforms.core import (
     Form,
     GroupElement,
@@ -13,12 +13,16 @@ from gammaforms.core import (
     T,
     act,
     is_prime,
+    ker_chi,
     require_qf,
     search_bound,
+    unit_values,
+    validate_discriminant,
     validate_level,
     xgcd,
 )
 from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
+from gammaforms.genus import GenusTable, Representation, find_representations
 from gammaforms.reduction import (
     _lift_to_sl2,
     _sweep,
@@ -339,6 +343,62 @@ def prepare_coprime_sorted_shells(q: Form, m: int, n: int) -> Form:
     raise SearchBoundExceeded(
         f"prepare_coprime({q}, m={m}, n={n}) exceeded max(|x|,|y|) <= {limit}"
     )
+
+
+def genus_table_by_value_sets(d: int, n: int) -> GenusTable:
+    """ker(chi), H, its cosets, and the genus of every admissible form.
+
+    Each coset is split off the residues of ker(chi) not yet covered, and
+    each admissible form's whole set of N-represented unit residues is
+    compared with every coset; the oracle for genus.genus_table, which
+    names a form's genus by one represented value.
+    """
+    validate_discriminant(d)
+    validate_level(n)
+    modulus = abs(d)
+    ker = ker_chi(d)
+    h = unit_values(principal_form(d), n)
+    if not h <= ker:
+        raise InvariantError(f"H is not inside ker(chi) for disc {d}, level {n}")
+    cosets: list[frozenset[int]] = []
+    remaining = set(ker)
+    while remaining:
+        m = min(remaining)
+        coset = frozenset(m * x % modulus for x in h)
+        if not coset <= remaining:
+            raise InvariantError(f"H-cosets do not partition ker(chi) for disc {d}")
+        cosets.append(coset)
+        remaining -= coset
+    assignment = []
+    for f in class_reps(d, n):
+        if math.gcd(f.a, n) != 1:
+            continue
+        values = unit_values(f, n)
+        matches = [i for i, coset in enumerate(cosets) if values == coset]
+        if len(matches) != 1:
+            raise InvariantError(
+                f"values of {f} are not exactly one H-coset (disc {d}, level {n})"
+            )
+        assignment.append((f, matches[0]))
+    index = {r: i for i, coset in enumerate(cosets) for r in coset}
+    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index)
+
+
+def coprime_value(q: Form, n_target: int, n: int) -> tuple[int, Representation]:
+    """Smallest properly N-represented value coprime to n_target * N, found
+    by trying m = 1, 2, ... with find_representations; the oracle for the
+    represented value genus.genus_table takes from classgroup.prepare_coprime."""
+    require_qf(q)
+    if math.gcd(q.a, n) != 1:
+        raise ValidationError(f"gcd(a, N) must be 1: {q}, N = {n}")
+    limit = search_bound(4 * max(abs(n_target), 1) * n * abs(q.disc))
+    for m in range(1, limit + 1):
+        if math.gcd(m, n_target * n) != 1:
+            continue
+        good = [r for r in find_representations(q, m, n) if r.proper and r.admissible]
+        if good:
+            return m, good[0]
+    raise SearchBoundExceeded(f"coprime_value({q}, {n_target}, {n}) exceeded m <= {limit}")
 
 
 @pytest.fixture

@@ -120,13 +120,17 @@ def test_enumerate_sweep_bound(capsys, monkeypatch):
 
 
 def test_search_bound_before_the_work(capsys, monkeypatch):
-    # psi(N) > 10^9 cosets, and a prime the trial division would take
-    # about 5e8 steps to confirm: all refused without the work
+    # psi(N) > 10^9 cosets, a prime the trial division would take about
+    # 5e8 steps to confirm, genus tables walking 10^12 residues, and a
+    # region with 10^6 arcs: all refused without the work
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
     for argv in (
         ["reduce", "--form", "1,1,6", "--level", "1000000007"],
         ["reduce", "--form", "1,1,6", "--level", "1000000000000000003"],
         ["classify", "--prime", "1000000000000000003", "--disc", "-23", "--level", "1"],
+        ["genus", "--disc", "-1000000000000", "--level", "1"],
+        ["classify", "--prime", "5", "--disc", "-999999999999", "--level", "1"],
+        ["fundomain", "--p", "1000003"],
     ):
         code, out, err = capture(capsys, argv)
         assert code == 4 and out == "", argv

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gammaforms.core import CmPoint, Form, act, cm_point, kronecker, moebius, moebius_rational
-from gammaforms.errors import ValidationError
+from gammaforms.errors import SearchBoundExceeded, ValidationError
 from gammaforms.fundomain import (
     boundary_json_dict,
     boundary_svg,
@@ -189,3 +189,17 @@ def test_boundary_description():
     assert inventory["arcs"][0] == {"k": -2, "center": "-2/5", "radius": "1/5"}
     svg = boundary_svg(11)
     assert svg.startswith("<svg") and svg.count("<path") == 10
+
+
+def test_arc_bound(monkeypatch):
+    # one check in elliptic_data bounds the boundary and the membership test
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "10")
+    elliptic_data.cache_clear()
+    try:
+        assert len(r_gamma0p_boundary(11).arcs) == 10
+        with pytest.raises(SearchBoundExceeded, match="12 boundary arcs"):
+            r_gamma0p_boundary(13)
+        with pytest.raises(SearchBoundExceeded, match="12 boundary arcs"):
+            contains(13, cm_point(Form(1, 1, 1)))
+    finally:
+        elliptic_data.cache_clear()

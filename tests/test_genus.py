@@ -3,14 +3,14 @@ import random
 
 import pytest
 
+from gammaforms import genus
 from gammaforms.classgroup import principal_form
 from gammaforms.core import Form, act, is_prime, kronecker, units_mod
-from gammaforms.errors import SearchBoundExceeded, ValidationError
+from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
 from gammaforms.genus import (
     Representation,
     brahmagupta_check,
     classify_prime,
-    coprime_value,
     exists_representing_form,
     find_representations,
     form_from_representation,
@@ -20,7 +20,7 @@ from gammaforms.genus import (
 )
 from gammaforms.ideals import ideal_norm
 from gammaforms.reduction import enumerate_reduced, equivalent_gamma0
-from conftest import random_form, random_gamma0
+from conftest import coprime_value, genus_table_by_value_sets, random_form, random_gamma0
 
 
 def test_find_representations_examples():
@@ -94,12 +94,79 @@ def test_genus_table_disc28():
     assert t.coset_of_form(Form(1, 0, 7)) == 0
     assert t.coset_of_form(Form(7, 0, 1)) == 1
     assert t.genus_forms(0) == (Form(1, 0, 7),)
+    assert [t.coset_of_residue(m) for m in (37, 9, -5, 23)] == [0, 0, 1, 1]
+    for m in (3, 7, 14):  # a non-residue, a non-unit, and one not coprime to D
+        with pytest.raises(ValidationError):
+            t.coset_of_residue(m)
 
 
 def test_genus_table_disc4():
     t = genus_table(-4, 1)
     assert t.ker_chi == frozenset({1}) and t.h_subgroup == frozenset({1})
     assert len(t.cosets) == 1
+
+
+def test_genus_table_matches_value_set_oracle():
+    # each form's genus from one represented value against the comparison
+    # of its whole value set with every coset, on 1,393 tables
+    for n in (1, 2, 3, 4, 5, 6, 12):
+        for d in [d for d in range(-3, -400, -1) if d % 4 in (0, 1)]:
+            table, oracle = genus_table(d, n), genus_table_by_value_sets(d, n)
+            assert table == oracle, (d, n)
+            assert table.coset_index == oracle.coset_index, (d, n)
+
+
+def test_genus_table_disc65536():
+    # 3.4 s when every form built its value set; one value per form now
+    table = genus_table(-65536, 1)
+    assert len(table.cosets) == 2 and len(table.assignment) == 64
+    assert sorted(len(table.genus_forms(i)) for i in (0, 1)) == [32, 32]
+    assert table.coset_of_form(principal_form(-65536)) == 0
+
+
+def test_unit_values_once_per_genus_table(monkeypatch):
+    # the library builds a value set for H only, never for a form
+    calls = []
+    unit_values = genus.unit_values
+
+    def counting(q, n):
+        calls.append(q)
+        return unit_values(q, n)
+
+    monkeypatch.setattr(genus, "unit_values", counting)
+    for d, n in [(-28, 2), (-420, 1), (-1155, 2), (-3315, 3)]:
+        calls.clear()
+        table = genus.genus_table.__wrapped__(d, n)
+        assert len(table.assignment) > 1
+        assert calls == [principal_form(d)], (d, n)
+
+
+def test_genus_value_outside_ker_chi(monkeypatch):
+    # 3 is a non-residue of -28: a form whose value lands there breaks the
+    # genus theorem and is reported, not assigned
+    monkeypatch.setattr(genus, "prepare_coprime", lambda q, m, n: Form(3, 2, 5))
+    with pytest.raises(InvariantError, match="outside ker"):
+        genus.genus_table.__wrapped__(-28, 2)
+
+
+def test_cosets_must_partition_ker_chi(monkeypatch):
+    # ker(chi) of -28 is {1, 9, 25} + {11, 15, 23}: an H missing 1 leaves
+    # 1 uncovered, and one holding 11 gives overlapping translates
+    for h in ({9, 25}, {1, 9, 11, 25}):
+        monkeypatch.setattr(genus, "unit_values", lambda q, n, h=h: frozenset(h))
+        with pytest.raises(InvariantError, match="partition"):
+            genus.genus_table.__wrapped__(-28, 2)
+
+
+def test_coprime_value_names_the_genus():
+    # the least properly N-represented value coprime to D lies in the
+    # coset the table assigns, for every admissible form
+    for n in (1, 2, 3, 5, 6):
+        for d in [d for d in range(-3, -200, -1) if d % 4 in (0, 1)]:
+            table = genus_table(d, n)
+            for f, i in table.assignment:
+                m, _ = coprime_value(f, d, n)
+                assert table.coset_of_residue(m) == i, (d, n, f)
 
 
 def test_h_subgroup_closed_under_multiplication():

@@ -40,5 +40,7 @@ def test_oracles_stay_in_tests():
             "key_per_pair",
             "covering_per_pair",
             "class_table_per_pair",
+            "genus_table_by_value_sets",
+            "coprime_value",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
