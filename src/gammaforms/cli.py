@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 1 table mismatch or internal error, 2 validation error,
 3 unsupported level, 4 safety-bound diagnostic.
+
+``run(argv)`` may be called repeatedly in one process: it builds its parser
+on first use and reuses it, since parsing leaves no state on the parser.
+``build_parser()`` returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -347,9 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchBoundExceeded as exc:

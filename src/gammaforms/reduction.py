@@ -224,21 +224,25 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
 # proper automorphisms and equivalence testing
 
 
+# -I and I, the whole stabilizer when D < -4, in the order of as_tuple
+_PLUS_MINUS_I = (GroupElement(-1, 0, 0, -1), GroupElement(1, 0, 0, 1))
+
+
 def automorphs(q: Form) -> tuple[GroupElement, ...]:
-    """The stabilizer of q under the right action (proper automorphisms).
+    """The stabilizer of q under the right action (proper automorphisms),
+    sorted by as_tuple.
 
     Solutions (t, u) of t^2 - D*u^2 = 4 give the matrices
     ((t - b*u)/2, -c*u; a*u, (t + b*u)/2); there are 6 for D = -3,
-    4 for D = -4 and 2 otherwise.
+    4 for D = -4 and 2 otherwise, when u = 0 is the only choice.
     """
     require_qf(q)
     d = q.disc
+    if d < -4:
+        return _PLUS_MINUS_I
     out = []
-    umax = math.isqrt(4 // (-d)) if -d <= 4 else 0
-    for u in range(-umax, umax + 1):
+    for u in (-1, 0, 1):  # u^2 <= 4/|D| = 1
         rhs = 4 + d * u * u
-        if rhs < 0:
-            continue
         t = math.isqrt(rhs)
         if t * t != rhs:
             continue

@@ -182,6 +182,26 @@ def coset_reps_by_scan(n: int) -> tuple[GroupElement, ...]:
     return tuple(_lift_to_sl2(n, c, d) for c, d in labels)
 
 
+def automorphs_by_search(q: Form) -> tuple[GroupElement, ...]:
+    """The proper automorphs of q from every solution (t, u) of
+    t^2 - D*u^2 = 4, sorted by as_tuple; the oracle for reduction.automorphs,
+    which returns a fixed pair when D < -4."""
+    require_qf(q)
+    d = q.disc
+    out = []
+    umax = math.isqrt(4 // (-d)) if -d <= 4 else 0
+    for u in range(-umax, umax + 1):
+        rhs = 4 + d * u * u
+        if rhs < 0:
+            continue
+        t = math.isqrt(rhs)
+        if t * t != rhs:
+            continue
+        for tt in ({t, -t} if t else {0}):
+            out.append(GroupElement((tt - q.b * u) // 2, -q.c * u, q.a * u, (tt + q.b * u) // 2))
+    return tuple(sorted(set(out), key=lambda g: g.as_tuple()))
+
+
 def key_per_pair(r: Form, delta: GroupElement, n: int) -> tuple:
     """The class key of every form q with act(q, delta) = r, r reduced, with
     the automorphs of r and the label of each product delta*u computed for

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from gammaforms import genus, reduction
+from gammaforms import cli, genus, reduction
 from gammaforms.cli import run
 from gammaforms.core import Form
 from gammaforms.errors import InvariantError
@@ -211,6 +212,100 @@ def test_reduction_witness_check(capsys, monkeypatch):
     assert err.startswith("error: internal:") and "Traceback" not in err
 
 
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv), argparse rejections included."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _run_fresh(argv):
+    """run(argv) with a parser built for this one call, as when run built
+    its parser on every call."""
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        return run(argv)
+
+
+# (argv, GAMMA_FORMS_MAX_SEARCH or None, make find_representations fail)
+_SCRIPT = (
+    (["reduce", "--form", "3,2,1", "--level", "2"], None, False),
+    (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None, False),
+    (["enumerate", "--disc", "-8", "--level", "2", "--format", "tsv"], None, False),
+    (["enumerate", "--disc", "-8", "--level", "2"], None, False),
+    (["equiv", "--form1", "1,0,1", "--form2", "2,2,1", "--level", "1", "--json"], None, False),
+    (["equiv", "--form1", "1,0,1", "--form2", "2,2,1", "--level", "2"], None, False),
+    (["represent", "--form", "7,0,1", "--value", "23", "--level", "2", "--format", "tsv"], None, False),
+    (["represent", "--form", "7,0,1", "--value", "23", "--level", "2"], None, False),
+    (["reduce", "--form", "1,1,6"], None, False),
+    (["reduce", "--form", "1,1,6", "--level", "6", "--json"], None, False),
+    (["classgroup", "--disc", "-23", "--level", "2", "--table"], None, False),
+    (["classgroup", "--disc", "-23", "--level", "2", "--format", "xml"], None, False),
+    (["classgroup", "--disc", "-23", "--level", "2"], None, False),
+    (["verify-iso", "--disc", "-8", "--level", "2", "--oracle", "--json"], None, False),
+    (["verify-iso", "--disc", "-8", "--level", "2"], None, False),
+    (["genus", "--disc", "-28", "--level", "2", "--json"], None, False),
+    (["genus", "--disc", "-28", "--level", "2"], None, False),
+    (["classify", "--prime", "3", "--disc", "-28", "--level", "2", "--format", "text"], None, False),
+    (["classify", "--prime", "3", "--disc", "-28", "--level", "2"], None, False),
+    (["fundomain", "--p", "7"], None, False),
+    (["paper-tables", "--table", "rf-disc7-level2"], None, False),
+    (["paper-tables", "--table", "no-such-table"], None, False),
+    (["enumerate", "--disc", "-5", "--level", "2"], None, False),
+    (["enumerate", "--disc", "-4", "--level", "6"], None, False),
+    (["nonsense"], None, False),
+    (["reduce", "--help"], None, False),
+    (["classgroup", "--disc", "-3", "--level", "5"], "1", False),
+    (["classgroup", "--disc", "-3", "--level", "5"], None, False),
+    (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None, True),
+    (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "--disc", "-8"], None, False),
+)
+
+
+def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
+    # every subcommand and format, a default after an explicit format,
+    # rejections by argparse and by the library, then valid calls
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    codes = set()
+    for argv, bound, fail in _SCRIPT:
+        with monkeypatch.context() as m:
+            if bound is not None:
+                m.setenv("GAMMA_FORMS_MAX_SEARCH", bound)
+            if fail:
+                m.setattr(genus, "find_representations", lambda q, v, n: ())
+            reused = _outcome(capsys, run, argv)
+            fresh = _outcome(capsys, _run_fresh, argv)
+        assert reused == fresh, argv
+        codes.add(reused[0])
+    assert codes == {0, 1, 2, 3, 4}
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (
+        ["reduce", "--form", "3,2,1", "--level", "2"],
+        ["equiv", "--form1", "1,0,1", "--form2", "2,2,1", "--level", "2", "--json"],
+        ["represent", "--form", "7,0,1", "--value", "23", "--level", "2"],
+        ["classify", "--prime", "23", "--disc", "-28", "--level", "2"],
+        ["enumerate", "--disc", "-5", "--level", "2"],
+        ["genus", "--disc", "-28", "--level", "2", "--format", "tsv"],
+    ):
+        _outcome(capsys, run, argv)
+    assert len(built) == 1
+    assert real() is not real()
+
+
 def _run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("GAMMA_FORMS_MAX_SEARCH", None)
@@ -245,3 +340,16 @@ def test_output_is_deterministic():
         b = _run_cli(args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+def test_fresh_process_matches_in_process(capsys, monkeypatch):
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    for argv in (
+        ["reduce", "--form", "3,2,1", "--level", "2"],
+        ["classify", "--prime", "23", "--disc", "-28", "--level", "2"],
+        ["reduce", "--form", "3,2,1"],
+    ):
+        code, out, _ = _outcome(capsys, run, argv)
+        proc = _run_cli(argv)
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+    assert code == 2

@@ -29,6 +29,7 @@ from gammaforms.reduction import (
     reduce_sl2,
 )
 from conftest import (
+    automorphs_by_search,
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
@@ -296,6 +297,14 @@ def test_automorph_sizes():
     assert len(automorphs(Form(1, 0, 1))) == 4
     assert len(automorphs(Form(1, 0, 2))) == 2
     assert len(automorphs(Form(2, 2, 3))) == 2  # disc -20
+
+
+def test_automorphs_match_search():
+    # the fixed pair (-I, I) below D = -4, in the same order as the search
+    for d in range(-400, -2):
+        if d % 4 in (0, 1):
+            for r in enumerate_reduced(d, 1):
+                assert automorphs(r) == automorphs_by_search(r), r
 
 
 def test_automorphs_fix_form_and_match_word_ball():

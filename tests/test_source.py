@@ -42,5 +42,6 @@ def test_oracles_stay_in_tests():
             "class_table_per_pair",
             "genus_table_by_value_sets",
             "coprime_value",
+            "automorphs_by_search",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
