@@ -282,8 +282,13 @@ def class_group(d: int, n: int) -> FormClassGroup:
 def oracle_pairs(d: int, n: int) -> int:
     """Check Dirichlet composition against the lattice product of ideals on
     every ordered pair of classes of C(d, Gamma0(n)); returns the number of
-    pairs checked."""
+    pairs checked.  Refuses more than 10^6 pairs before the first one."""
     group = class_group(d, n)
+    limit = search_bound(10**6)
+    if group.order**2 > limit:
+        raise SearchBoundExceeded(
+            f"oracle_pairs({d}, {n}) needs {group.order**2} pairs, above {limit}"
+        )
     for i, left in enumerate(group.elements):
         q1 = left.rep
         for j, right in enumerate(group.elements):

@@ -14,6 +14,11 @@ Multiplication expands the four pairwise products of basis vectors with
 the minimal polynomial of delta and re-normalizes; no composition formula
 is involved anywhere, which is what makes this an independent check of the
 form-level group law.
+
+The ideal of a form comes in closed form from one xgcd: its lattice
+Z*(a, 0) + Z*(k, 1) has the HNF ((g, t mod a/g), (0, a/g)) for
+xgcd(a, k) = (g, s, t).  Integral lattices stay on plain integers:
+Fraction arithmetic happens only when a scale differs from 1.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .core import Form, require_qf, validate_discriminant, xgcd
 from .errors import InvariantError, ValidationError
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,8 @@ class OIdeal:
     scale: Fraction
 
     @classmethod
-    def make(cls, order: QuadOrder, rows: list[tuple[int, int]], scale: Fraction = Fraction(1)) -> "OIdeal":
-        if scale <= 0:
+    def make(cls, order: QuadOrder, rows: list[tuple[int, int]], scale: Fraction = _ONE) -> "OIdeal":
+        if scale != 1 and scale <= 0:
             raise ValidationError("scale must be positive")
         mat = hnf_rows(rows)
         content = math.gcd(math.gcd(mat[0][0], mat[0][1]), mat[1][1])
@@ -108,7 +115,8 @@ class OIdeal:
                 (mat[0][0] // content, mat[0][1] // content),
                 (0, mat[1][1] // content),
             )
-        return cls(order, mat, scale * content)
+            scale = scale * content
+        return cls(order, mat, scale)
 
     @property
     def det(self) -> int:
@@ -116,6 +124,8 @@ class OIdeal:
 
     def norm(self) -> Fraction:
         """Module index in O, scaled: det(H) * scale^2."""
+        if self.scale == 1:
+            return Fraction(self.det)
         return self.scale * self.scale * self.det
 
     def basis(self) -> list[tuple[int, int]]:
@@ -151,21 +161,27 @@ class OIdeal:
 
 
 def whole_order_ideal(d: int) -> OIdeal:
-    return OIdeal(QuadOrder(d), ((1, 0), (0, 1)), Fraction(1))
+    return OIdeal(QuadOrder(d), ((1, 0), (0, 1)), _ONE)
 
 
 def ideal_from_form(q: Form) -> OIdeal:
     """The integral ideal Z*a + Z*(-b + sqrt(D))/2 of norm a.
 
-    In the (1, delta) basis the second generator is delta - (b + D)/2.
+    In the (1, delta) basis the second generator is delta - (b + D)/2 =
+    (k, 1).  With xgcd(a, k) = (g, s, t) the lattice has the HNF
+    ((g, t mod a/g), (0, a/g)), of content 1 since s*(a/g) + t*(k/g) = 1.
     """
     require_qf(q)
     d = q.disc
-    rows = [(q.a, 0), (-(q.b + d) // 2, 1)]
-    ideal = OIdeal.make(QuadOrder(d), rows)
-    if ideal.norm() != q.a:
-        raise InvariantError(f"ideal {ideal} of {q} has norm {ideal.norm()}, not {q.a}")
-    return ideal
+    a = q.a
+    g, _, t = xgcd(a, -(q.b + d) // 2)
+    h11 = a // g
+    h01 = t % h11
+    if math.gcd(g, h01, h11) != 1 or g * h11 != a:
+        raise InvariantError(
+            f"lattice (({g}, {h01}), (0, {h11})) of {q} is not primitive of norm {a}"
+        )
+    return OIdeal(QuadOrder(d), ((g, h01), (0, h11)), _ONE)
 
 
 def ideal_mul(i: OIdeal, j: OIdeal) -> OIdeal:
@@ -173,7 +189,13 @@ def ideal_mul(i: OIdeal, j: OIdeal) -> OIdeal:
     if i.order != j.order:
         raise ValidationError("ideals live in different orders")
     rows = [i.order.mul(u, v) for u in i.basis() for v in j.basis()]
-    return OIdeal.make(i.order, rows, i.scale * j.scale)
+    if i.scale == 1:
+        scale = j.scale
+    elif j.scale == 1:
+        scale = i.scale
+    else:
+        scale = i.scale * j.scale
+    return OIdeal.make(i.order, rows, scale)
 
 
 def ideal_norm(i: OIdeal) -> Fraction:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gammaforms import fundomain
+from gammaforms import classgroup, fundomain
 from gammaforms.classgroup import compose_classes, principal_form
 from gammaforms.core import (
     Form,
@@ -23,10 +23,12 @@ from gammaforms.core import (
 )
 from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
 from gammaforms.genus import GenusTable, Representation, find_representations
+from gammaforms.ideals import OIdeal, QuadOrder
 from gammaforms.reduction import (
     _lift_to_sl2,
     _sweep,
     automorphs,
+    canonical_rep,
     class_reps,
     enumerate_reduced,
     is_reduced,
@@ -419,6 +421,40 @@ def coprime_value(q: Form, n_target: int, n: int) -> tuple[int, Representation]:
         if good:
             return m, good[0]
     raise SearchBoundExceeded(f"coprime_value({q}, {n_target}, {n}) exceeded m <= {limit}")
+
+
+def ideal_from_form_by_hnf(q: Form) -> OIdeal:
+    """The ideal Z*a + Z*(-b + sqrt(D))/2 reduced by hnf_rows through
+    OIdeal.make, with its norm checked in Fraction arithmetic; the oracle
+    for the closed-form ideals.ideal_from_form."""
+    require_qf(q)
+    d = q.disc
+    rows = [(q.a, 0), (-(q.b + d) // 2, 1)]
+    ideal = OIdeal.make(QuadOrder(d), rows)
+    if ideal.norm() != q.a:
+        raise InvariantError(f"ideal {ideal} of {q} has norm {ideal.norm()}, not {q.a}")
+    return ideal
+
+
+def compose_one_pair_wrongly(monkeypatch, d: int, n: int) -> None:
+    """Patch classgroup.dirichlet_compose so that the oracle's pair
+    (0, 1) of class_group(d, n) lands in the inverse of its true class;
+    the group is built first, so only the oracle sees the wrong class."""
+    group = classgroup.class_group(d, n)
+    q1 = group.elements[0].rep
+    q2 = classgroup.prepare_coprime(group.elements[1].rep, q1.a * n, n)
+    true_compose = classgroup.dirichlet_compose
+    right = true_compose(q1, q2, n)
+    wrong = Form(right.a, -right.b, right.c)
+    if canonical_rep(wrong, n) == canonical_rep(right, n):
+        raise ValueError(f"class {right} of disc {d}, level {n} is its own inverse")
+
+    def patched(f1: Form, f2: Form, level: int) -> Form:
+        if (f1, f2, level) == (q1, q2, n):
+            return wrong
+        return true_compose(f1, f2, level)
+
+    monkeypatch.setattr(classgroup, "dirichlet_compose", patched)
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from gammaforms.errors import (
 )
 from gammaforms.reduction import canonical_rep, class_reps, equivalent_gamma0
 from conftest import (
+    compose_one_pair_wrongly,
     composed_cayley,
     prepare_coprime_sorted_shells,
     random_form,
@@ -233,4 +234,9 @@ def test_oracle_pairs_detects_wrong_composition(monkeypatch):
     # the patched law, which returns the class of the left factor
     monkeypatch.setattr(classgroup, "dirichlet_compose", lambda q1, q2, n: q1)
     with pytest.raises(InvariantError, match="oracle mismatch"):
+        oracle_pairs(-23, 2)
+    # one pair sent to the wrong class is enough
+    monkeypatch.undo()
+    compose_one_pair_wrongly(monkeypatch, -23, 2)
+    with pytest.raises(InvariantError, match="oracle mismatch at classes 0, 1"):
         oracle_pairs(-23, 2)

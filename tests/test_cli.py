@@ -10,6 +10,7 @@ from gammaforms import cli, genus, reduction
 from gammaforms.cli import run
 from gammaforms.core import Form
 from gammaforms.errors import InvariantError
+from conftest import compose_one_pair_wrongly
 
 
 def capture(capsys, argv):
@@ -61,6 +62,13 @@ def test_verify_iso_oracle(capsys):
     code, out, _ = capture(capsys, ["verify-iso", "--disc", "-23", "--level", "2", "--oracle"])
     assert code == 0
     assert "oracle: ok (9 pairs)" in out
+
+
+def test_verify_iso_oracle_catches_a_wrong_class(capsys, monkeypatch):
+    compose_one_pair_wrongly(monkeypatch, -23, 2)
+    code, out, err = capture(capsys, ["verify-iso", "--disc", "-23", "--level", "2", "--oracle"])
+    assert code == 1 and out == ""
+    assert "oracle mismatch at classes 0, 1" in err
 
 
 def test_reduce_and_equiv(capsys):
@@ -122,8 +130,9 @@ def test_enumerate_sweep_bound(capsys, monkeypatch):
 
 def test_search_bound_before_the_work(capsys, monkeypatch):
     # psi(N) > 10^9 cosets, a prime the trial division would take about
-    # 5e8 steps to confirm, genus tables walking 10^12 residues, and a
-    # region with 10^6 arcs: all refused without the work
+    # 5e8 steps to confirm, genus tables walking 10^12 residues, a region
+    # with 10^6 arcs and an oracle over 1032^2 class pairs: all refused
+    # without the work
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
     for argv in (
         ["reduce", "--form", "1,1,6", "--level", "1000000007"],
@@ -132,6 +141,7 @@ def test_search_bound_before_the_work(capsys, monkeypatch):
         ["genus", "--disc", "-1000000000000", "--level", "1"],
         ["classify", "--prime", "5", "--disc", "-999999999999", "--level", "1"],
         ["fundomain", "--p", "1000003"],
+        ["verify-iso", "--disc", "-4000004", "--level", "1", "--oracle"],
     ):
         code, out, err = capture(capsys, argv)
         assert code == 4 and out == "", argv

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gammaforms.classgroup import class_group, dirichlet_compose, prepare_coprime
-from gammaforms.core import Form
+from gammaforms.core import Form, act
 from gammaforms.errors import ValidationError
 from gammaforms.ideals import (
     OIdeal,
@@ -16,7 +16,8 @@ from gammaforms.ideals import (
     ideal_norm,
     whole_order_ideal,
 )
-from conftest import random_form
+from gammaforms.reduction import class_reps, enumerate_reduced
+from conftest import ideal_from_form_by_hnf, random_form, random_sl2
 
 
 def test_quad_order_arithmetic():
@@ -125,3 +126,57 @@ def test_content_is_normalized_into_scale():
     i = OIdeal.make(o, [(6, 0), (0, 6), (2, 4)])
     assert math.gcd(math.gcd(i.mat[0][0], i.mat[0][1]), i.mat[1][1]) == 1
     assert i.scale == 2
+
+
+def _same_as_hnf_oracle(q: Form) -> bool:
+    fast, slow = ideal_from_form(q), ideal_from_form_by_hnf(q)
+    return (fast.order, fast.mat, fast.scale) == (slow.order, slow.mat, slow.scale)
+
+
+def test_closed_form_matches_hnf_on_reduced_forms(rng):
+    # every SL2(Z)-reduced form with -1500 < D <= -3, and two random
+    # SL2(Z)-translates of each
+    for d in range(-3, -1500, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for f in enumerate_reduced(d, 1):
+            for q in (f, act(f, random_sl2(rng)), act(f, random_sl2(rng))):
+                assert _same_as_hnf_oracle(q), q
+
+
+def test_closed_form_matches_hnf_on_class_reps():
+    for n in (2, 3, 5, 6, 12):
+        for d in range(-3, -301, -1):
+            if d % 4 in (0, 1):
+                for q in class_reps(d, n):
+                    assert _same_as_hnf_oracle(q), (q, n)
+
+
+def test_scaled_paths_keep_their_values():
+    # the values below were those of the all-Fraction arithmetic
+    i = ideal_from_form(Form(2, 0, 1))
+    assert type(i.scale) is Fraction and type(i.norm()) is Fraction and i.norm() == 2
+    half = i.scaled(Fraction(1, 2))
+    product = ideal_mul(half, ideal_from_form(Form(3, 2, 1)))
+    assert (product.mat, product.scale, product.norm()) == (
+        ((6, 0), (0, 1)), Fraction(1, 2), Fraction(3, 2)
+    )
+    assert ideal_mul(ideal_from_form(Form(3, 2, 1)), half) == product
+    product = ideal_mul(half, half.scaled(3))
+    assert (product.mat, product.scale, product.norm()) == (
+        ((1, 0), (0, 1)), Fraction(3, 2), Fraction(9, 4)
+    )
+    k = ideal_from_form(Form(6, 5, 2))
+    assert k.conjugate() == OIdeal(QuadOrder(-23), ((2, 1), (0, 3)), Fraction(1))
+    product = ideal_mul(k, k.conjugate())
+    assert (product.mat, product.scale, product.norm()) == (
+        ((1, 0), (0, 1)), Fraction(6), Fraction(36)
+    )
+    assert type(product.norm()) is Fraction
+    m = OIdeal.make(QuadOrder(-4), [(4, 2), (0, 6)])
+    assert (m.mat, m.scale, m.norm()) == (((2, 1), (0, 3)), Fraction(2), Fraction(24))
+    m = OIdeal.make(QuadOrder(-4), [(4, 2), (0, 6)], Fraction(1, 3))
+    assert (m.mat, m.scale, m.norm()) == (((2, 1), (0, 3)), Fraction(2, 3), Fraction(8, 3))
+    for scale in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
+        with pytest.raises(ValidationError):
+            OIdeal.make(QuadOrder(-4), [(1, 0), (0, 1)], scale)

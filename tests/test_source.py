@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import gammaforms
@@ -43,5 +44,20 @@ def test_oracles_stay_in_tests():
             "genus_table_by_value_sets",
             "coprime_value",
             "automorphs_by_search",
+            "ideal_from_form_by_hnf",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
+
+
+def test_ideals_import_only_core_and_errors():
+    # the lattice oracle reaches no composition or reduction code
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "ideals.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            imported.update("." + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + node.module)
+    package = {name for name in imported if name.split(".")[0] not in sys.stdlib_module_names}
+    assert package == {".core", ".errors"}
