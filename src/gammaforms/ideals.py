@@ -17,8 +17,8 @@ form-level group law.
 
 The ideal of a form comes in closed form from one xgcd: its lattice
 Z*(a, 0) + Z*(k, 1) has the HNF ((g, t mod a/g), (0, a/g)) for
-xgcd(a, k) = (g, s, t).  Integral lattices stay on plain integers:
-Fraction arithmetic happens only when a scale differs from 1.
+xgcd(a, k) = (g, s, t), with no Fraction arithmetic; products multiply
+scales only when one differs from 1.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class OIdeal:
 
     @classmethod
     def make(cls, order: QuadOrder, rows: list[tuple[int, int]], scale: Fraction = _ONE) -> "OIdeal":
-        if scale != 1 and scale <= 0:
+        if scale <= 0:
             raise ValidationError("scale must be positive")
         mat = hnf_rows(rows)
         content = math.gcd(math.gcd(mat[0][0], mat[0][1]), mat[1][1])
@@ -124,8 +124,6 @@ class OIdeal:
 
     def norm(self) -> Fraction:
         """Module index in O, scaled: det(H) * scale^2."""
-        if self.scale == 1:
-            return Fraction(self.det)
         return self.scale * self.scale * self.det
 
     def basis(self) -> list[tuple[int, int]]:
@@ -174,14 +172,20 @@ def ideal_from_form(q: Form) -> OIdeal:
     require_qf(q)
     d = q.disc
     a = q.a
-    g, _, t = xgcd(a, -(q.b + d) // 2)
+    k = -(q.b + d) // 2
+    g, _, t = xgcd(a, k)
     h11 = a // g
-    h01 = t % h11
-    if math.gcd(g, h01, h11) != 1 or g * h11 != a:
-        raise InvariantError(
-            f"lattice (({g}, {h01}), (0, {h11})) of {q} is not primitive of norm {a}"
-        )
-    return OIdeal(QuadOrder(d), ((g, h01), (0, h11)), _ONE)
+    order = QuadOrder(d)
+    ideal = OIdeal(order, ((g, t % h11), (0, h11)), _ONE)
+    # N(k + delta) = ac leaves k only -(b + D)/2 or (b - D)/2; holding both
+    # generators at determinant a makes the HNF exactly their lattice.
+    if (
+        k * (k + d) + order.delta_norm != a * q.c
+        or ideal.det != a
+        or not (ideal.contains_vec((a, 0)) and ideal.contains_vec((k, 1)))
+    ):
+        raise InvariantError(f"lattice {ideal.mat} of {q} is not Z*({a}, 0) + Z*({k}, 1)")
+    return ideal
 
 
 def ideal_mul(i: OIdeal, j: OIdeal) -> OIdeal:

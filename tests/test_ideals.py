@@ -6,7 +6,8 @@ import pytest
 
 from gammaforms.classgroup import class_group, dirichlet_compose, prepare_coprime
 from gammaforms.core import Form, act
-from gammaforms.errors import ValidationError
+from gammaforms.errors import InvariantError, ValidationError
+from gammaforms import ideals
 from gammaforms.ideals import (
     OIdeal,
     QuadOrder,
@@ -150,6 +151,17 @@ def test_closed_form_matches_hnf_on_class_reps():
             if d % 4 in (0, 1):
                 for q in class_reps(d, n):
                     assert _same_as_hnf_oracle(q), (q, n)
+
+
+@pytest.mark.parametrize("bad_t", [lambda t: t + 1, lambda t: -t])
+def test_closed_form_check_catches_a_wrong_t(monkeypatch, bad_t):
+    # (3, 1, 1): k = 5, xgcd(3, 5) = (1, 2, -1), so a/g = 3 and t mod 3 matters
+    q = Form(3, 1, 1)
+    assert ideal_from_form(q).mat == ((1, 2), (0, 3))
+    xgcd = ideals.xgcd
+    monkeypatch.setattr(ideals, "xgcd", lambda x, y: (lambda g, s, t: (g, s, bad_t(t)))(*xgcd(x, y)))
+    with pytest.raises(InvariantError):
+        ideal_from_form(q)
 
 
 def test_scaled_paths_keep_their_values():
