@@ -29,18 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .core import (
     Form,
-    GroupElement,
-    act,
+    act_by_column,
+    checked_cache,
     crt,
     require_qf,
     search_bound,
     validate_discriminant,
-    validate_level,
-    xgcd,
 )
 from .errors import (
     CompositionError,
@@ -50,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .ideals import ideal_from_form, ideal_mul
-from .reduction import canonical_rep, class_reps
+from .reduction import canonical_rep, check_table_bounds, class_reps
 
 
 def principal_form(d: int) -> Form:
@@ -88,14 +86,8 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
         side = range(-(s // n) * n, s + 1, n)
         for x in range(-s, s + 1) if s % n == 0 else (-s, s):
             for y in side if abs(x) == s else (-s, s):
-                if math.gcd(x, y) != 1 or math.gcd(q(x, y), m) != 1:
-                    continue
-                _, u, v = xgcd(x, y)
-                gamma = GroupElement(x, -v, y, u)
-                out = act(q, gamma)
-                if out.a != q(x, y):
-                    raise InvariantError(f"{gamma} carries {q} to {out}, not to a = {q(x, y)}")
-                return out
+                if math.gcd(x, y) == 1 and math.gcd(q(x, y), m) == 1:
+                    return act_by_column(q, x, y)
     raise SearchBoundExceeded(
         f"prepare_coprime({q}, m={m}, n={n}) exceeded max(|x|,|y|) <= {limit}"
     )
@@ -217,7 +209,7 @@ def compose_classes(q1: Form, q2: Form, n: int) -> Form:
     return canonical_rep(dirichlet_compose(q1, q2p, n), n)
 
 
-@lru_cache(maxsize=None)
+@checked_cache(check_table_bounds)
 def class_group(d: int, n: int) -> FormClassGroup:
     """The group C(d, Gamma0(n)), grown one generator at a time.
 
@@ -230,8 +222,6 @@ def class_group(d: int, n: int) -> FormClassGroup:
     factors are the Smith normal form of the relation matrix; the Cayley
     table is derived from the exponent vectors when first read.
     """
-    validate_discriminant(d)
-    validate_level(n)
     reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
     index = {f: i for i, f in enumerate(reps)}
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
-from .errors import SearchBoundExceeded, ValidationError
+from .errors import InvariantError, SearchBoundExceeded, ValidationError
 
 # ---------------------------------------------------------------------------
 # small number theory helpers
@@ -118,15 +119,34 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+_SEARCH_ENV = "GAMMA_FORMS_MAX_SEARCH"
+
+
 def search_bound(default: int) -> int:
     """Safety limit for bounded searches; GAMMA_FORMS_MAX_SEARCH overrides."""
-    env = os.environ.get("GAMMA_FORMS_MAX_SEARCH")
+    env = os.environ.get(_SEARCH_ENV)
     if env is not None:
         try:
             return int(env)
         except ValueError as exc:
             raise ValidationError(f"GAMMA_FORMS_MAX_SEARCH is not an integer: {env!r}") from exc
     return default
+
+
+def checked_cache(check: Callable[..., None]) -> Callable:
+    """lru_cache that runs check(*args) before every lookup, hit or miss.
+    check reads only its arguments and search_bound, so a passed check is
+    remembered for each value of GAMMA_FORMS_MAX_SEARCH."""
+
+    def decorate(fn: Callable) -> Callable:
+        cached = lru_cache(maxsize=None)(fn)
+        passed = lru_cache(maxsize=None)(lambda env, *args: check(*args))
+        call = wraps(fn)(lambda *args: passed(os.environ.get(_SEARCH_ENV), *args) or cached(*args))
+        call.cache_clear = lambda: cached.cache_clear() or passed.cache_clear()
+        call.cache_info = cached.cache_info
+        return call
+
+    return decorate
 
 
 def kronecker(d: int, m: int) -> int:
@@ -290,6 +310,17 @@ def act(q: Form, g: GroupElement) -> Form:
     c2 = q(g.b, g.d)
     b2 = 2 * q.a * g.a * g.b + q.b * (g.a * g.d + g.b * g.c) + 2 * q.c * g.c * g.d
     return Form(a2, b2, c2)
+
+
+def act_by_column(q: Form, x: int, y: int) -> Form:
+    """act(q, g) for g in SL2(Z) with first column (x, y), coprime: the
+    translate of q with leading coefficient q(x, y), in Gamma0(n) if n | y."""
+    _, u, v = xgcd(x, y)
+    gamma = GroupElement(x, -v, y, u)
+    out = act(q, gamma)
+    if out.a != q(x, y):
+        raise InvariantError(f"{gamma} carries {q} to {out}, not to a = {q(x, y)}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def contains(p: int, t: CmPoint) -> bool:
 
     With t = (n + sqrt(D))/m the seven defining conditions become integer
     (in)equalities; for instance |t - k/p| >= 1/p reads
-    (n*p - k*m)^2 - D*p^2 >= m^2.
+    (n*p - k*m)^2 - D*p^2 >= m^2.  Only the two circles at k/p next to
+    Re(t), |k - p*Re(t)| < 1, can hold t or pass through it.
     """
     data = elliptic_data(p)
     n, m, d = t.numB, t.den, t.D
@@ -136,16 +137,16 @@ def contains(p: int, t: CmPoint) -> bool:
     if 2 * abs(n) == m and n > 0:
         return False
 
-    on_arc = []
-    for k in sym_residues(p):
+    below = n * p // m
+    for k in (below, below + 1):
+        if k == 0 or 2 * abs(k) >= p:
+            continue  # not in S_p
         lhs = (n * p - k * m) ** 2 - d * p * p
         rhs = m * m
         if lhs < rhs:  # (2) strictly inside a circle
             return False
-        if lhs == rhs:
-            on_arc.append(k)
-
-    for k in on_arc:
+        if lhs > rhs:
+            continue
         # (4) the circle at 1/p is discarded entirely
         if k == 1:
             return False
@@ -158,13 +159,12 @@ def contains(p: int, t: CmPoint) -> bool:
             if 2 * n * p > (2 * data.k2(k) + 1) * m:
                 return False
 
-    # (7) corner points: keep only the orbit minimum (E3 corners stay)
-    if 4 * (-d) * p * p == 3 * m * m:
-        for k in sym_residues(p):
-            if k == 1 or k in data.e3 or k == data.k3(k):
-                continue
-            if 2 * n * p == (2 * k - 1) * m:
-                return False
+    # (7) corner points: keep only the orbit minimum (E3 corners stay);
+    # the corner (2k - 1)/(2p) has k = (2np + m)/(2m)
+    if 4 * (-d) * p * p == 3 * m * m and (2 * n * p + m) % (2 * m) == 0:
+        k = (2 * n * p + m) // (2 * m)
+        if k not in (0, 1) and 2 * abs(k) < p and k not in data.e3 and k != data.k3(k):
+            return False
     return True
 
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .classgroup import prepare_coprime, principal_form
 from .core import (
     Form,
-    GroupElement,
-    act,
+    act_by_column,
+    checked_cache,
     is_prime,
     is_square,
     ker_chi,
@@ -39,11 +38,10 @@ from .core import (
     units_mod,
     validate_discriminant,
     validate_level,
-    xgcd,
 )
 from .errors import InvariantError, SearchBoundExceeded, ValidationError
 from .ideals import OIdeal, ideal_from_form
-from .reduction import class_reps
+from .reduction import check_table_bounds, class_reps
 
 
 @dataclass(frozen=True)
@@ -119,14 +117,9 @@ def form_from_representation(q: Form, r: Representation, n: int) -> Form:
         raise ValidationError(f"representation {r} is not proper and admissible")
     if q(r.x, r.y) != r.value:
         raise ValidationError(f"{r} does not represent {r.value} under {q}")
-    _, u, v = xgcd(r.x, r.y)
-    gamma = GroupElement(r.x, -v, r.y, u)
-    if not gamma.in_gamma0(n):
+    if r.y % n:
         raise ValidationError(f"completion of {r} left Gamma0({n})")
-    out = act(q, gamma)
-    if out.a != r.value:
-        raise InvariantError(f"{gamma} carries {q} to {out}, not to a = {r.value}")
-    return out
+    return act_by_column(q, r.x, r.y)
 
 
 def exists_representing_form(d: int, m: int) -> Form | None:
@@ -174,7 +167,7 @@ class GenusTable:
         return tuple(f for f, j in self.assignment if j == i)
 
 
-@lru_cache(maxsize=None)
+@checked_cache(check_table_bounds)
 def genus_table(d: int, n: int) -> GenusTable:
     """ker(chi), H, its cosets, and the genus of every admissible form.
 
@@ -186,8 +179,6 @@ def genus_table(d: int, n: int) -> GenusTable:
     ker(chi).  |D| above search_bound(2**20) is refused before any residue
     is walked.
     """
-    validate_discriminant(d)
-    validate_level(n)
     modulus = abs(d)
     limit = search_bound(2**20)
     if modulus > limit:

@@ -1,28 +1,23 @@
 """Reduction of positive-definite forms to canonical class representatives.
 
 ``class_key`` names each Gamma0(N)-class by a hashable value, and one cached
-table per (D, N) maps every key to the canonical form of its class: the
-least coset translate of an SL2(Z)-reduced form at arbitrary levels.
-Levels 1, 2, 3 and primes p >= 5 have an explicit reduced-form predicate:
-the CM point lies in a chosen fundamental region, at p >= 5 the region of
-fundomain.contains.  There the reduced forms, found by a complete
-coefficient sweep, replace the translates once their keys are checked to be
-exactly the keys of the translate covering.
+table per (D, N) maps every key to the canonical form of its class.  The
+keys come from a covering of the classes by coset translates of the
+SL2(Z)-reduced forms; at arbitrary levels the least translate in a class
+is its canonical form.  At levels 2, 3 and primes p >= 5 it is the form
+whose CM point tau lies in a fundamental region (``is_reduced``), and each
+class's translate is walked there (Ford, Automorphic Functions, ch. III).
+Translate b into (-a, a].  While q(k, n) < a for one of the two k next to
+n*Re(tau) coprime to n, tau lies inside the circle of radius 1/n at k/n:
+move by the Gamma0(n) matrix with first column (k, n).  The new a is
+q(k, n), so each move lowers a > 0 and the walk ends.  Of the end point's
+images with the same a under the side pairings, exactly one is reduced.
 
-The sweep rests on one bound.  A reduced form at a supported level n has
-|b| <= a and |b| <= n*c: at level 1 from |b| <= a <= c, at levels 2 and 3
-by the predicate itself, at p >= 5 from |Re(tau)| <= 1/2 and the circles
-at +-1/p.  It also has 3*b^2 <= -n^2*D:
-
-* level 1:       b^2 <= a*c, so 3*b^2 <= 4*a*c - b^2 = -D,
-* levels 2, 3:   b^2 <= n*a*c, so (4 - n)*b^2 <= -n*D,
-* level p >= 5:  either Im(tau) >= sqrt(3)/(2p) (corner height), so
-                 |b| <= a <= p*sqrt(-D/3), or |b| <= a/p and |b| <= p*c,
-                 so b^2 <= a*c as at level 1.
-
-So the sweep runs over b with 3*b^2 <= -n^2*D and b = D (mod 2), and over
-the divisor pairs (s, a*c/s) of a*c = (b^2 - D)/4 with |b|/n <= s <=
-sqrt(a*c), s being min(a, c).
+The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
+-D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
+divisors of a*c = (b^2 - D)/4 from |b| to sqrt(a*c).  Its divisor trials
+and the index psi(N) are functions of (D, N) alone, bounded by
+``check_table_bounds`` before any cached table is read.
 """
 
 from __future__ import annotations
@@ -37,6 +32,8 @@ from .core import (
     Form,
     GroupElement,
     act,
+    act_by_column,
+    checked_cache,
     cm_point,
     is_prime,
     prime_factors,
@@ -181,6 +178,18 @@ def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
     raise ValidationError(f"cannot lift ({c} : {d}) mod {n} to SL2(Z)")
 
 
+def _coset_index(n: int) -> int:
+    """psi(n) = [SL2(Z) : Gamma0(n)], refused above search_bound(1500)."""
+    limit = search_bound(1500)
+    index = n  # psi(n) >= n: a level above the limit is refused unfactored
+    if n <= limit:
+        for p in prime_factors(n):
+            index = index // p * (p + 1)
+    if index > limit:
+        raise SearchBoundExceeded(f"level {n} has more than {limit} cosets")
+    return index
+
+
 @lru_cache(maxsize=None)
 def coset_reps(n: int) -> tuple[GroupElement, ...]:
     """Right-coset representatives Gamma0(n)\\SL2(Z), complete and
@@ -192,13 +201,7 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
     translates, so an index psi(n) above 1500 is refused before the walk.
     """
     validate_level(n)
-    limit = search_bound(1500)
-    index = n  # psi(n) >= n: a level above the limit is refused unfactored
-    if n <= limit:
-        for p in prime_factors(n):
-            index = index // p * (p + 1)
-    if index > limit:
-        raise SearchBoundExceeded(f"level {n} has more than {limit} cosets")
+    index = _coset_index(n)
     labels = []
     for c in range(1, n + 1):
         if n % c:
@@ -311,26 +314,31 @@ def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
     return _key(r, res.transform, automorphs(r), lambda c, d: p1_label(n, c, d))
 
 
-def _sweep(d: int, n: int) -> list[Form]:
-    """All Gamma0(n)-reduced forms of discriminant d, n a supported level,
-    sorted by (a, b, c).  The number of divisor trials is known before the
-    loop; above search_bound(10**8) the sweep raises SearchBoundExceeded."""
-    b_max = math.isqrt(-n * n * d // 3)
-    trials = (b_max + 1) * (math.isqrt((b_max * b_max - d) // 4) + 1)
-    limit = search_bound(10**8)
-    if trials > limit:
-        raise SearchBoundExceeded(
-            f"sweep of disc {d} at level {n} needs {trials} divisor trials, limit {limit}"
-        )
+def _sweep(d: int) -> list[Form]:
+    """All SL2(Z)-reduced forms of discriminant d, sorted by (a, b, c)."""
+    b_max = math.isqrt(-d // 3)
     forms = set()
     for b in range(-b_max + (b_max - d) % 2, b_max + 1, 2):
         ac = (b * b - d) // 4
-        for s in range(max(1, -(-abs(b) // n)), math.isqrt(ac) + 1):
+        for s in range(max(1, abs(b)), math.isqrt(ac) + 1):
             if ac % s == 0:
                 for f in (Form(s, b, ac // s), Form(ac // s, b, s)):
-                    if f.is_primitive() and is_reduced(f, n):
+                    if f.is_primitive() and is_reduced_sl2(f):
                         forms.add(f)
     return sorted(forms)
+
+
+def check_table_bounds(d: int, n: int) -> None:
+    """Validate (d, n) and refuse its class table when psi(n) or the
+    divisor trials of _sweep(d) exceed their bounds."""
+    validate_discriminant(d)
+    validate_level(n)
+    _coset_index(n)
+    b_max = math.isqrt(-d // 3)
+    trials = (b_max + 1) * (math.isqrt((b_max * b_max - d) // 4) + 1)
+    limit = search_bound(10**8)
+    if trials > limit:
+        raise SearchBoundExceeded(f"disc {d} needs {trials} divisor trials, limit {limit}")
 
 
 def _covering(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
@@ -347,7 +355,7 @@ def _covering(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
 
     inverses = [(g, g.inverse()) for g in reps]
     table: dict = {}
-    for r in _sweep(d, 1):
+    for r in _sweep(d):
         auts = automorphs(r)
         for g, g_inv in inverses:
             t = act(r, g_inv)
@@ -356,21 +364,44 @@ def _covering(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
     return table
 
 
-@lru_cache(maxsize=None)
+def _into_strip(q: Form) -> Form:
+    """The translate of q by a power of T with b in (-a, a]."""
+    s = (q.a - q.b) // (2 * q.a)
+    return Form(q.a, q.b + 2 * q.a * s, q(s, 1))
+
+
+def _walk(q: Form, n: int) -> Form:
+    """The reduced form of the Gamma0(n)-class of q, n > 1 supported.  Of
+    the circles at k/n, only the two next to Re(tau) can hold tau or pass
+    through it: a move across one that holds tau lowers a and starts over,
+    and the moves across those through tau collect the same-a images."""
+    images, todo = set(), [_into_strip(q)]
+    while todo:
+        f = todo.pop()
+        k = (-f.b * n) // (2 * f.a)
+        arcs = [j for j in (k, k + 1) if math.gcd(j, n) == 1 and f(j, n) <= f.a]
+        moves = [_into_strip(act_by_column(f, j, n)) for j in arcs]
+        if any(g.a < f.a for g in moves):
+            images, todo = set(), [min(moves)]
+        elif f not in images:
+            images.add(f)
+            todo += moves
+    reduced = [f for f in images if is_reduced(f, n)]
+    if len(reduced) != 1:
+        raise InvariantError(f"{q} has {len(reduced)} reduced images at level {n}: {reduced}")
+    return reduced[0]
+
+
+@checked_cache(check_table_bounds)
 def _class_table(d: int, n: int) -> dict:
     """Class key -> canonical form for every Gamma0(n)-class of disc d: the
-    reduced form at supported levels, checked to be one per class against
-    the independent covering, and the least coset translate otherwise."""
+    covering translate, walked into the region at supported levels n > 1."""
     table = _covering(d, n, coset_reps(n))
-    if not level_supported(n):
+    if n == 1 or not level_supported(n):
         return table
-    forms = _sweep(d, n)
-    reduced = {class_key(f, n): f for f in forms}
-    if len(reduced) != len(forms) or reduced.keys() != table.keys():
-        raise InvariantError(
-            f"{len(forms)} reduced forms with {len(reduced)} distinct keys do not "
-            f"match the {len(table)} classes of disc {d}, level {n}"
-        )
+    reduced = {key: _walk(t, n) for key, t in table.items()}
+    if len(set(reduced.values())) != len(reduced):
+        raise InvariantError(f"two classes of disc {d}, level {n} walk to one reduced form")
     return reduced
 
 
@@ -378,18 +409,12 @@ def class_reps(d: int, n: int) -> tuple[Form, ...]:
     """The canonical form of every Gamma0(n)-class of discriminant d,
     sorted by (a, b, c).  Classes with gcd(a, n) = 1 are the admissible
     ones of the class group and the genus tables."""
-    validate_discriminant(d)
-    validate_level(n)
     return tuple(sorted(_class_table(d, n).values()))
 
 
-@lru_cache(maxsize=None)
 def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
-    """All Gamma0(n)-reduced forms of discriminant d, sorted by (a, b, c).
-
-    Supported levels only.  The sweep result is verified against the
-    independent class covering: one reduced form per class, no extras.
-    """
+    """All Gamma0(n)-reduced forms of discriminant d, sorted by (a, b, c):
+    one per class, walked into the region.  Supported levels only."""
     validate_discriminant(d)
     validate_level(n)
     if not level_supported(n):

@@ -6,6 +6,7 @@ import pytest
 from gammaforms import classgroup, fundomain
 from gammaforms.classgroup import compose_classes, principal_form
 from gammaforms.core import (
+    CmPoint,
     Form,
     GroupElement,
     IDENTITY,
@@ -123,6 +124,39 @@ def is_reduced_gamma0_p(q: Form, p: int) -> bool:
     return True
 
 
+def contains_all_arcs(p: int, t: CmPoint) -> bool:
+    """Membership of t in the Gamma0(p) region with every arc k in S_p and
+    every corner tested; the oracle for fundomain.contains, which tests the
+    two arcs next to p*Re(t) and the one corner its real part names."""
+    data = fundomain.elliptic_data(p)
+    n, m, d = t.numB, t.den, t.D
+    if 2 * abs(n) > m or (2 * abs(n) == m and n > 0):
+        return False
+    on_arc = []
+    for k in fundomain.sym_residues(p):
+        lhs = (n * p - k * m) ** 2 - d * p * p
+        if lhs < m * m:
+            return False
+        if lhs == m * m:
+            on_arc.append(k)
+    for k in on_arc:
+        if k == 1:
+            return False
+        if k in data.e2:
+            if n * p > k * m:
+                return False
+        elif k != -1:
+            if 2 * n * p > (2 * data.k2(k) + 1) * m:
+                return False
+    if 4 * (-d) * p * p == 3 * m * m:
+        for k in fundomain.sym_residues(p):
+            if k == 1 or k in data.e3 or k == data.k3(k):
+                continue
+            if 2 * n * p == (2 * k - 1) * m:
+                return False
+    return True
+
+
 def representation_values(q: Form, n: int, modulus: int) -> frozenset[int]:
     """Values q(x, y) mod `modulus` over x coprime to n and y = 0 (mod n).
 
@@ -147,7 +181,8 @@ def sweep_per_a(d: int, n: int) -> list[Form]:
     sorted by (a, b, c).
 
     The per-a sweep with a separate bound on a at each kind of level; the
-    oracle for reduction._sweep, which runs over b and divisor pairs.
+    oracle for reduction._sweep at level 1, which runs over b and divisor
+    pairs, and for the walk into the region at the other levels.
     """
     if n == 1:
         a_max = math.isqrt(-d // 3)
@@ -217,7 +252,7 @@ def covering_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
     inverse computed for its own pair (R, g); the oracle for
     reduction._covering."""
     table: dict = {}
-    for r in _sweep(d, 1):
+    for r in _sweep(d):
         for g in reps:
             t = act(r, g.inverse())
             key = key_per_pair(r, g, n)

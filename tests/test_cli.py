@@ -6,9 +6,10 @@ from unittest import mock
 
 import pytest
 
-from gammaforms import cli, genus, reduction
+from gammaforms import classgroup as cg
+from gammaforms import cli, fundomain, genus, reduction
 from gammaforms.cli import run
-from gammaforms.core import Form
+from gammaforms.core import Form, cm_point
 from gammaforms.errors import InvariantError
 from conftest import compose_one_pair_wrongly
 
@@ -120,9 +121,10 @@ def test_represent_search_bound(capsys, monkeypatch):
 
 
 def test_enumerate_sweep_bound(capsys, monkeypatch):
-    # about 3e11 and 2e8 divisor trials: refused before the sweep starts
+    # about 3e11 divisor trials in the level-1 sweep every table starts
+    # from: refused before the sweep starts, at level 1 and at level 11
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
-    for disc, level in (("-1000000000000", "1"), ("-10000000", "11")):
+    for disc, level in (("-1000000000000", "1"), ("-1000000000000", "11")):
         code, out, err = capture(capsys, ["enumerate", "--disc", disc, "--level", level])
         assert code == 4 and out == ""
         assert err.startswith("error: search-bound:")
@@ -146,6 +148,16 @@ def test_search_bound_before_the_work(capsys, monkeypatch):
         code, out, err = capture(capsys, argv)
         assert code == 4 and out == "", argv
         assert err.startswith("error: search-bound:"), argv
+
+
+def test_reduce_at_a_large_prime_level(capsys, monkeypatch):
+    # the class walked into the Gamma0(499) region, where a sweep of the
+    # coefficients would take about 1.2e8 divisor trials
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    code, out, _ = capture(capsys, ["reduce", "--form", "3,1,250", "--level", "499", "--json"])
+    assert code == 0
+    rep = Form(**json.loads(out)["reduced"])
+    assert rep.disc == -2999 and fundomain.contains(499, cm_point(rep))
 
 
 def test_fundomain_svg(capsys, tmp_path):
@@ -291,6 +303,54 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
         assert reused == fresh, argv
         codes.add(reused[0])
     assert codes == {0, 1, 2, 3, 4}
+
+
+# (argv, GAMMA_FORMS_MAX_SEARCH or None): each request bounded and not;
+# at 10 only the 360 cosets of level 150 refuse (-3, 150), and at 1000
+# only the 1024 level-1 divisor trials refuse (-3000, 1)
+_BOUND_SCRIPT = (
+    (["reduce", "--form", "1,1,1", "--level", "150"], "10"),
+    (["reduce", "--form", "1,1,1", "--level", "150"], None),
+    (["classgroup", "--disc", "-3000", "--level", "1"], "1000"),
+    (["classgroup", "--disc", "-3000", "--level", "1"], None),
+    (["classgroup", "--disc", "-3", "--level", "5"], "1"),
+    (["classgroup", "--disc", "-3", "--level", "5"], None),
+    (["reduce", "--form", "3,1,1000", "--level", "150"], "1"),
+    (["reduce", "--form", "3,1,1000", "--level", "150"], None),
+    (["genus", "--disc", "-28", "--level", "2"], "1"),
+    (["genus", "--disc", "-28", "--level", "2"], None),
+    (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], "1"),
+    (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None),
+    (["enumerate", "--disc", "-23", "--level", "7"], "1"),
+    (["enumerate", "--disc", "-23", "--level", "7"], None),
+)
+
+
+def test_bounds_do_not_depend_on_the_cache(capsys, monkeypatch):
+    # from cold caches, forward each bounded request runs first and in
+    # reverse it follows the unbounded one that filled the caches: the
+    # outcomes agree, every bounded one a refusal
+    def outcomes(script):
+        for mod in (reduction, cg, genus, fundomain):
+            for obj in vars(mod).values():
+                getattr(obj, "cache_clear", lambda: None)()
+        out = {}
+        for argv, bound in script:
+            with monkeypatch.context() as m:
+                if bound is None:
+                    m.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+                else:
+                    m.setenv("GAMMA_FORMS_MAX_SEARCH", bound)
+                out[tuple(argv), bound] = _outcome(capsys, run, argv)
+        return out
+
+    forward = outcomes(_BOUND_SCRIPT)
+    assert outcomes(reversed(_BOUND_SCRIPT)) == forward
+    for (argv, bound), (code, out, err) in forward.items():
+        if bound is None:
+            assert code == 0, argv
+        else:
+            assert code == 4 and out == "" and err.startswith("error: search-bound:"), argv
 
 
 def test_parser_built_once(capsys, monkeypatch):

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from gammaforms.core import CmPoint, Form, act, cm_point, kronecker, moebius, moebius_rational
+from gammaforms.core import (
+    CmPoint,
+    Form,
+    act,
+    act_by_column,
+    cm_point,
+    kronecker,
+    moebius,
+    moebius_rational,
+)
 from gammaforms.errors import SearchBoundExceeded, ValidationError
 from gammaforms.fundomain import (
     boundary_json_dict,
@@ -18,8 +27,8 @@ from gammaforms.fundomain import (
     sym_rep,
     sym_residues,
 )
-from gammaforms.reduction import enumerate_reduced, equivalent_gamma0, is_reduced
-from conftest import is_reduced_gamma0_p, random_form, random_gamma0
+from gammaforms.reduction import _into_strip, enumerate_reduced, equivalent_gamma0, is_reduced
+from conftest import contains_all_arcs, is_reduced_gamma0_p, random_form, random_gamma0
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -146,6 +155,46 @@ def test_arc_tops():
             assert k in data.e2
             top = CmPoint(2 * k, 2 * p, -4)  # k/p + i/p, a disc -4 point
             assert contains(p, top)
+
+
+def _on_circle(p: int, k: int, u: int, v: int) -> CmPoint:
+    """The point k/p + (x + i*y)/p of the circle at k/p, with
+    x = (v^2 - u^2)/w, y = 2uv/w and w = u^2 + v^2."""
+    w = u * u + v * v
+    numb = 2 * p * w * (k * w + v * v - u * u)
+    return CmPoint(numb, 2 * p * p * w * w, -((4 * p * w * u * v) ** 2))
+
+
+def _on_line(sign: int, r: int, q: int) -> CmPoint:
+    """The point sign/2 + i*r/q of the line Re = sign/2."""
+    return CmPoint(4 * sign * q * q, 8 * q * q, -((8 * r * q) ** 2))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 101, 1009])
+def test_contains_matches_all_arcs_oracle(rng, p):
+    # arc tops, corners, points of the arcs and lines, the points with the
+    # same a as a walked form, and random points of height about 1/p
+    points = [CmPoint(2 * k * p, 2 * p * p, -4 * p * p) for k in sym_residues(p)]
+    points += [corner_cm_point(p, k) for k in (*sym_residues(p), (p + 1) // 2)]
+    for _ in range(300):
+        k = rng.randrange(-(p + 1) // 2, (p + 3) // 2)
+        points.append(_on_circle(p, k, rng.randrange(1, 30), rng.randrange(1, 30)))
+        sign = rng.choice((-1, 1))
+        points.append(_on_line(sign, rng.randrange(1, 40), rng.randrange(1, 40 * p)))
+    for d in (-3, -4, -7, -8, -15, -20) if p < 1000 else (-3, -4):
+        for f in enumerate_reduced(d, p):
+            near = -f.b * p // (2 * f.a)
+            for k in range(near - 2, near + 4):
+                if k % p and f(k, p) == f.a:
+                    points.append(cm_point(_into_strip(act_by_column(f, k, p))))
+    for _ in range(400):
+        a = rng.randrange(1, 2 * p * p)
+        b = rng.randrange(-a, a + 1)
+        c = b * b // (4 * a) + rng.randrange(0, 2 * a // (p * p) + 3)
+        if b * b < 4 * a * c:
+            points.append(cm_point(Form(a, b, c)))
+    for t in points:
+        assert contains(p, t) == contains_all_arcs(p, t), (p, t)
 
 
 def test_membership_agrees_with_form_predicate(rng):

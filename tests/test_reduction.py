@@ -8,6 +8,7 @@ from gammaforms import reduction
 from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act
 from gammaforms.errors import (
     DiscriminantMismatch,
+    InvariantError,
     SearchBoundExceeded,
     UnsupportedLevelError,
     ValidationError,
@@ -16,6 +17,7 @@ from gammaforms.reduction import (
     _class_table,
     _covering,
     _sweep,
+    _walk,
     automorphs,
     canonical_rep,
     class_key,
@@ -228,16 +230,42 @@ def test_enumerate_matches_class_count_for_primes():
 
 
 def test_sweep_matches_per_a_oracle():
-    # the b-and-divisor sweep against the per-a sweep it replaced
+    # the level-1 b-and-divisor sweep, and the walked forms at the other
+    # levels, against the per-a sweep
     levels = (1, 2, 3, 5, 7, 11, 13)
     cases = [(d, n) for d in range(-3, -301, -1) if d % 4 in (0, 1) for n in levels]
     cases += [(d, n) for d in (-2999, -3000) for n in (2, 3, 11)]
     for d, n in cases:
         forms = sweep_per_a(d, n)
-        assert _sweep(d, n) == forms, (d, n)
-        # the facts the sweep rests on: its bound on b and the start of its divisor loop
+        assert (_sweep(d) if n == 1 else list(enumerate_reduced(d, n))) == forms, (d, n)
+        # the bound on b and the divisor start of the level-1 sweep, and
+        # their analogues at level n
         for f in forms:
             assert 3 * f.b * f.b <= -n * n * d and abs(f.b) <= f.a and abs(f.b) <= n * f.c, (f, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 101])
+def test_walk_matches_per_a_oracle(rng, n):
+    # random Gamma0(n) translates of every reduced form walk back to it
+    discs = [-3, -4, -7, -8, -15, -20, -23, -47, -56, -71, -84, -127]
+    for d in discs if n < 101 else discs[:6]:
+        for f in sweep_per_a(d, n):
+            for _ in range(4):
+                q = act(f, random_gamma0(rng, n, 12))
+                assert _walk(q, n) == f, (q, n)
+                assert canonical_rep(q, n) == f, (q, n)
+
+
+def test_walk_checks(monkeypatch):
+    # a walk must end on exactly one reduced image, and two classes must
+    # not walk to one form
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "is_reduced", lambda q, n: False)
+        with pytest.raises(InvariantError, match="0 reduced images"):
+            _walk(Form(1, 1, 1), 5)
+    monkeypatch.setattr(reduction, "_walk", lambda q, n: Form(1, 1, 6))
+    with pytest.raises(InvariantError, match="walk to one reduced form"):
+        _class_table.__wrapped__(-23, 5)
 
 
 def test_count_stable_under_other_coset_systems(rng):
@@ -262,7 +290,7 @@ def test_class_table_work_counts(monkeypatch):
     # not one per (reduced form, coset) pair; coset_reps is warm
     d, n = -2999, 150
     psi = len(coset_reps(n))
-    h = len(_sweep(d, 1))
+    h = len(_sweep(d))
     calls = dict.fromkeys(("p1_label", "automorphs"), 0)
     for name in calls:
 

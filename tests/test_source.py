@@ -45,6 +45,7 @@ def test_oracles_stay_in_tests():
             "coprime_value",
             "automorphs_by_search",
             "ideal_from_form_by_hnf",
+            "contains_all_arcs",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
 
