@@ -96,6 +96,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def sqrt_mod_prime(a: int, p: int) -> int:
+    """A root r in [0, p) of r^2 = a (mod p), p an odd prime (Tonelli-Shanks,
+    Cohen 1.5.1).  A non-residue a raises ValidationError.
+
+    When p = 1 (mod 4) the method needs a non-residue z; the search tries
+    z = 2, 3, ... and refuses past search_bound(10**4) candidates (under
+    GRH the least one is below 2*log(p)^2, about 6,400 at p < 3.3e24).
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValidationError(f"{a} is not a square modulo {p}")
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    limit = search_bound(10**4)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        if z > limit:
+            raise SearchBoundExceeded(f"no non-residue modulo {p} among {limit} candidates")
+        z += 1
+    # invariant: r^2 = a*t, t^(2^(m-1)) = 1 and c has order 2^m
+    m, c, t, r = twos, pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of |n|."""
     n = abs(n)

@@ -10,9 +10,12 @@ resolved through two pieces of modular data:
   smaller center,
 * order-3 elliptic points sit at corner points (2k-1)/(2p) + i*sqrt(3)/(2p)
   for k in E3 with k^2 - k + 1 = 0 (mod p); corner orbits are the 3-cycles
-  of the map k -> <1 - k^(-1)> and keep only their minimum.
+  of the map k -> <1 - k^(-1)> and keep only their minimum.  The corner
+  between the arcs at (k-1)/p and k/p needs no rule of its own: it stays
+  exactly when neither arc's rule drops it, and that leaves the orbit
+  minima and the E3 corners (checked on every corner for p < 5000).
 
-Membership of a quadratic point is decided by seven exact conditions; a
+Membership of a quadratic point is decided by six exact conditions; a
 point tau = (n + sqrt(D))/m is compared against lines and circles via the
 integers n, m, D only.
 """
@@ -122,7 +125,7 @@ def corner_cm_point(p: int, k: int) -> CmPoint:
 def contains(p: int, t: CmPoint) -> bool:
     """Exact membership of the quadratic point t in the fundamental region.
 
-    With t = (n + sqrt(D))/m the seven defining conditions become integer
+    With t = (n + sqrt(D))/m the six defining conditions become integer
     (in)equalities; for instance |t - k/p| >= 1/p reads
     (n*p - k*m)^2 - D*p^2 >= m^2.  Only the two circles at k/p next to
     Re(t), |k - p*Re(t)| < 1, can hold t or pass through it.
@@ -158,13 +161,6 @@ def contains(p: int, t: CmPoint) -> bool:
             # (6) of a paired arc keep only the one with smaller center
             if 2 * n * p > (2 * data.k2(k) + 1) * m:
                 return False
-
-    # (7) corner points: keep only the orbit minimum (E3 corners stay);
-    # the corner (2k - 1)/(2p) has k = (2np + m)/(2m)
-    if 4 * (-d) * p * p == 3 * m * m and (2 * n * p + m) % (2 * m) == 0:
-        k = (2 * n * p + m) // (2 * m)
-        if k not in (0, 1) and 2 * abs(k) < p and k not in data.e3 and k != data.k3(k):
-            return False
     return True
 
 

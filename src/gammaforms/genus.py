@@ -15,6 +15,14 @@ exactly dividing D (at odd p, the unit squares mod p^k), glued by the
 Chinese remainder theorem, in O(|D|) once per table.  The genus of a form
 is then named by a single N-represented value coprime to D, looked up in
 a residue -> coset index; no form's full value set is built.
+
+A prime is classified without a scan.  A square root of D mod p gives
+(p, +-b, c), which represent p at (1, 0), and the map (a, b, c) ->
+(a, bN, cN^2) carries the Gamma0(N)-classes of admissible forms of
+discriminant D one-to-one to SL2(Z)-classes of discriminant D*N^2.  So one
+SL2(Z) reduction at D*N^2 names the witness's class in a dict the genus
+table keeps, and the reduction matrices give its representations of p.
+`find_representations` scans y and serves `represent` and composite m.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass, field
 from .classgroup import prepare_coprime, principal_form
 from .core import (
     Form,
+    GroupElement,
     act_by_column,
     checked_cache,
     is_prime,
@@ -34,6 +43,7 @@ from .core import (
     kronecker,
     require_qf,
     search_bound,
+    sqrt_mod_prime,
     unit_values,
     units_mod,
     validate_discriminant,
@@ -41,7 +51,15 @@ from .core import (
 )
 from .errors import InvariantError, SearchBoundExceeded, ValidationError
 from .ideals import OIdeal, ideal_from_form
-from .reduction import check_table_bounds, class_reps
+from .reduction import (
+    ReductionResult,
+    automorphs,
+    canonical_rep,
+    check_table_bounds,
+    class_reps,
+    equivalent_gamma0,
+    reduce_sl2,
+)
 
 
 @dataclass(frozen=True)
@@ -56,8 +74,13 @@ class Representation:
     admissible: bool
 
 
+def _pair_key(pair: tuple[int, int]) -> tuple:
+    x, y = pair
+    return (abs(y), abs(x), y < 0, x < 0)
+
+
 def _rep_sort_key(r: Representation) -> tuple:
-    return (abs(r.y), abs(r.x), r.y < 0, r.x < 0)
+    return _pair_key((r.x, r.y))
 
 
 def find_representations(q: Form, m: int, n: int) -> tuple[Representation, ...]:
@@ -150,6 +173,9 @@ class GenusTable:
     assignment: tuple[tuple[Form, int], ...]
     # residue mod |D| -> number of its coset, for every residue in ker(chi)
     coset_index: dict[int, int] = field(repr=False, compare=False)
+    # SL2(Z)-reduction of (a, bN, cN^2) -> (f, matrix carrying the one to the
+    # other), for every admissible form f = (a, b, c)
+    scaled_classes: dict[Form, tuple[Form, GroupElement]] = field(repr=False, compare=False)
 
     def coset_of_residue(self, m: int) -> int:
         try:
@@ -200,6 +226,7 @@ def genus_table(d: int, n: int) -> GenusTable:
         index.update(dict.fromkeys(coset, len(cosets)))
         cosets.append(coset)
     assignment = []
+    scaled: dict[Form, tuple[Form, GroupElement]] = {}
     for f in class_reps(d, n):
         if math.gcd(f.a, n) != 1:
             continue
@@ -209,7 +236,13 @@ def genus_table(d: int, n: int) -> GenusTable:
                 f"{f} N-represents {v} mod {modulus}, outside ker(chi) (disc {d}, level {n})"
             )
         assignment.append((f, index[v]))
-    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index)
+        res = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
+        if res.reduced in scaled:
+            raise InvariantError(
+                f"{scaled[res.reduced][0]} and {f} meet at disc {d * n * n} (level {n})"
+            )
+        scaled[res.reduced] = f, res.transform
+    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index, scaled)
 
 
 @dataclass(frozen=True)
@@ -227,12 +260,100 @@ class PrimeClassification:
         return self.coset is not None
 
 
+def _first_columns(
+    m: GroupElement, auts: tuple[GroupElement, ...], x: int, y: int, scale: int
+) -> list[tuple[int, int]]:
+    """The first columns of m*u*g, u in auts, g having first column (x, y),
+    with the second entry times scale."""
+    out = []
+    for u in auts:
+        ux, uy = u.a * x + u.b * y, u.c * x + u.d * y
+        out.append((m.a * ux + m.b * uy, scale * (m.c * ux + m.d * uy)))
+    return out
+
+
+def _mirror(res: ReductionResult) -> ReductionResult:
+    """The SL2(Z)-reduction of (a, -b, c) from that of (a, b, c).
+    Conjugating by diag(1, -1) negates the middle coefficients of both forms
+    and the off-diagonal of the matrix; then at most one step by T or S
+    brings a reduced form with its sign flipped back from the boundary."""
+    r, g = res.reduced, res.transform
+    a, b, c = r.a, -r.b, r.c
+    ga, gb, gc, gd = g.a, -g.b, -g.c, g.d
+    if b == -a:
+        gb, gd, b = gb + ga, gd + gc, a
+    elif a == c and b < 0:
+        ga, gb, gc, gd, b = gb, -ga, gd, -gc, -b
+    return ReductionResult(Form(a, b, c), GroupElement(ga, gb, gc, gd))
+
+
+def _scaled_witness(table: GenusTable, res: ReductionResult) -> tuple[Form, list]:
+    """The admissible class whose image at disc D*N^2 reduces as res does,
+    and the candidate representations of p by it, res being the SL2(Z)
+    reduction of (p, +-bN, cN^2)."""
+    try:
+        f, delta = table.scaled_classes[res.reduced]
+    except KeyError:
+        raise InvariantError(
+            f"{res.reduced} is the image of no admissible class (disc {table.D}, level {table.N})"
+        ) from None
+    g = res.transform  # the inverse of g has first column (g.d, -g.c)
+    return f, _first_columns(delta, automorphs(res.reduced), g.d, -g.c, table.N)
+
+
+def _level_witness(p: int, b: int, c: int, n: int) -> tuple[Form, list]:
+    """The canonical form of the class of (p, b, c), p dividing N, and the
+    candidate representations of p by it."""
+    q = Form(p, b, c)
+    f = canonical_rep(q, n)
+    g = equivalent_gamma0(f, q, n)
+    if g is None:
+        raise InvariantError(f"{q} is not Gamma0({n})-equivalent to its canonical form {f}")
+    return f, _first_columns(g, automorphs(q), 1, 0, 1)
+
+
+def _witness(table: GenusTable, p: int) -> tuple[Form, list[tuple[int, int]]]:
+    """The witness of an odd prime p with (D/p) = 1, p not dividing D, and
+    every N-admissible pair (x, y) at which it represents p."""
+    d, n = table.D, table.N
+    r = sqrt_mod_prime(d, p)
+    b = r if (r - d) % 2 == 0 else p - r
+    if (b * b - d) % (4 * p):
+        raise InvariantError(f"{b}^2 is not {d} modulo {4 * p}")
+    c = (b * b - d) // (4 * p)
+    if n % p:
+        res = reduce_sl2(Form(p, b * n, c * n * n))
+        found = [_scaled_witness(table, r) for r in (res, _mirror(res))]
+    else:
+        found = [_level_witness(p, s, c, n) for s in (b, -b)]
+    witness = min(f for f, _ in found)
+    pairs = [
+        (x, y)
+        for f, columns in found
+        if f == witness
+        for x, y in columns
+        if witness(x, y) == p and math.gcd(x, n) == 1 and y % n == 0
+    ]
+    return witness, pairs
+
+
 def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
     """Locate the coset of an odd prime p and exhibit a representing form.
 
-    For (D/p) = 1 the witness search runs over the forms of the matching
-    genus first, then over every class representative, admissible or not
-    (a witness with gcd(a, N) > 1 occurs exactly when p divides N).
+    For (D/p) = 1, one square root mod p gives b with b^2 = D (mod 4p), and
+    (p, b, c) and (p, -b, c) represent p at (1, 0).  Every N-admissible
+    representation of p by a form f is the first column of a Gamma0(N)
+    matrix carrying f to one of the two (Cox, Lemmas 2.3 and 2.5), so the
+    witness is the lesser canonical form of their classes (the first in
+    class_reps order) and the representation is the least of those first
+    columns.  When p does not divide N the classes are found at disc
+    D*N^2, where (a, b, c) -> (a, bN, cN^2) carries Gamma0(N)-classes of
+    admissible forms to SL2(Z)-classes: one reduce_sl2 of (p, bN, cN^2),
+    mirrored for -b, and one lookup per sign in the genus table, whose
+    matrices give the columns with y scaled by N.  When p divides N the
+    witness is not admissible, and canonical_rep and equivalent_gamma0 give
+    it.  No form is scanned; each candidate is checked to represent p
+    N-admissibly.
     """
     validate_discriminant(d)
     validate_level(n)
@@ -245,16 +366,12 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
         return PrimeClassification(p, d, n, chi, None, None, None)
     table = genus_table(d, n)
     idx = table.coset_of_residue(p)
-    # the fallback pool is built only when the genus holds no witness
-    pools = (lambda: table.genus_forms(idx), lambda: class_reps(d, n))
-    for pool in pools:
-        for f in pool():
-            good = [r for r in find_representations(f, p, n) if r.admissible]
-            if good:
-                return PrimeClassification(
-                    p, d, n, chi, tuple(sorted(table.cosets[idx])), f, good[0]
-                )
-    raise InvariantError(f"no reduced form of disc {d} N-represents {p} at level {n}")
+    witness, pairs = _witness(table, p)
+    if not pairs:
+        raise InvariantError(f"no reduced form of disc {d} N-represents {p} at level {n}")
+    x, y = min(pairs, key=_pair_key)
+    rep = Representation(x, y, p, n, math.gcd(x, y) == 1, True)
+    return PrimeClassification(p, d, n, chi, tuple(sorted(table.cosets[idx])), witness, rep)
 
 
 def principal_genus_congruences(d: int, n: int) -> frozenset[int]:

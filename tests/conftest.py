@@ -15,6 +15,7 @@ from gammaforms.core import (
     act,
     is_prime,
     ker_chi,
+    kronecker,
     require_qf,
     search_bound,
     unit_values,
@@ -23,7 +24,13 @@ from gammaforms.core import (
     xgcd,
 )
 from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
-from gammaforms.genus import GenusTable, Representation, find_representations
+from gammaforms.genus import (
+    GenusTable,
+    PrimeClassification,
+    Representation,
+    find_representations,
+    genus_table,
+)
 from gammaforms.ideals import OIdeal, QuadOrder
 from gammaforms.reduction import (
     _lift_to_sl2,
@@ -438,7 +445,40 @@ def genus_table_by_value_sets(d: int, n: int) -> GenusTable:
             )
         assignment.append((f, matches[0]))
     index = {r: i for i, coset in enumerate(cosets) for r in coset}
-    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index)
+    # no class map at disc D*N^2: this table is compared, never classified against
+    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index, {})
+
+
+def classify_prime_by_scan(p: int, d: int, n: int) -> PrimeClassification:
+    """Locate the coset of an odd prime p and exhibit a representing form.
+
+    For (D/p) = 1 the witness search runs over the forms of the matching
+    genus first, then over every class representative, admissible or not
+    (a witness with gcd(a, N) > 1 occurs exactly when p divides N), and
+    scans each form's values with find_representations; the oracle for
+    genus.classify_prime, which solves for the witness instead.
+    """
+    validate_discriminant(d)
+    validate_level(n)
+    if p == 2 or not is_prime(p):
+        raise ValidationError(f"p must be an odd prime: {p}")
+    if d % p == 0:
+        raise ValidationError(f"p = {p} divides D = {d}")
+    chi = kronecker(d, p)
+    if chi != 1:
+        return PrimeClassification(p, d, n, chi, None, None, None)
+    table = genus_table(d, n)
+    idx = table.coset_of_residue(p)
+    # the fallback pool is built only when the genus holds no witness
+    pools = (lambda: table.genus_forms(idx), lambda: class_reps(d, n))
+    for pool in pools:
+        for f in pool():
+            good = [r for r in find_representations(f, p, n) if r.admissible]
+            if good:
+                return PrimeClassification(
+                    p, d, n, chi, tuple(sorted(table.cosets[idx])), f, good[0]
+                )
+    raise InvariantError(f"no reduced form of disc {d} N-represents {p} at level {n}")
 
 
 def coprime_value(q: Form, n_target: int, n: int) -> tuple[int, Representation]:

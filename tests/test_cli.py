@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -131,15 +132,15 @@ def test_enumerate_sweep_bound(capsys, monkeypatch):
 
 
 def test_search_bound_before_the_work(capsys, monkeypatch):
-    # psi(N) > 10^9 cosets, a prime the trial division would take about
-    # 5e8 steps to confirm, genus tables walking 10^12 residues, a region
-    # with 10^6 arcs and an oracle over 1032^2 class pairs: all refused
-    # without the work
+    # psi(N) > 10^9 cosets, a prime above the Miller-Rabin limit with no
+    # factor below 100, genus tables walking 10^12 residues, a region with
+    # 10^6 arcs and an oracle over 1032^2 class pairs: all refused without
+    # the work
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
     for argv in (
         ["reduce", "--form", "1,1,6", "--level", "1000000007"],
         ["reduce", "--form", "1,1,6", "--level", "1000000000000000003"],
-        ["classify", "--prime", "1000000000000000003", "--disc", "-23", "--level", "1"],
+        ["classify", "--prime", "3317044064679887385962123", "--disc", "-23", "--level", "1"],
         ["genus", "--disc", "-1000000000000", "--level", "1"],
         ["classify", "--prime", "5", "--disc", "-999999999999", "--level", "1"],
         ["fundomain", "--p", "1000003"],
@@ -148,6 +149,20 @@ def test_search_bound_before_the_work(capsys, monkeypatch):
         code, out, err = capture(capsys, argv)
         assert code == 4 and out == "", argv
         assert err.startswith("error: search-bound:"), argv
+
+
+def test_classify_a_large_prime(capsys, monkeypatch):
+    # one square root mod p and one reduction: no y-range to scan
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    p = 1000000000039
+    for level in (1, 5):
+        argv = ["classify", "--prime", str(p), "--disc", "-23", "--level", str(level)]
+        code, out, _ = capture(capsys, argv)
+        assert code == 0, level
+        data = json.loads(out)
+        witness, x, y = Form.from_string(data["witness"]), data["x"], data["y"]
+        assert witness.disc == -23 and witness(x, y) == p, level
+        assert math.gcd(x, level) == 1 and y % level == 0, level
 
 
 def test_reduce_at_a_large_prime_level(capsys, monkeypatch):
@@ -210,11 +225,21 @@ def test_exit_codes(capsys):
 
 
 def test_invariant_failure_exit_code(capsys, monkeypatch):
-    # no witness for a represented prime contradicts the theory
-    monkeypatch.setattr(genus, "find_representations", lambda q, m, n: ())
-    code, out, err = capture(capsys, ["classify", "--prime", "23", "--disc", "-28", "--level", "2"])
-    assert code == 1 and out == ""
-    assert err.startswith("error: internal:") and "Traceback" not in err
+    # a wrong square root, and a map to disc D*N^2 naming the wrong class,
+    # each leave a represented prime without a witness
+    argv = ["classify", "--prime", "23", "--disc", "-28", "--level", "2"]
+    table = genus.genus_table(-28, 2)
+    (k1, (f1, g1)), (k2, (f2, g2)) = table.scaled_classes.items()
+    with monkeypatch.context() as m:
+        m.setattr(genus, "sqrt_mod_prime", lambda a, p: 1)
+        outcomes = [capture(capsys, argv)]
+    with monkeypatch.context() as m:
+        m.setitem(table.scaled_classes, k1, (f2, g1))
+        m.setitem(table.scaled_classes, k2, (f1, g2))
+        outcomes.append(capture(capsys, argv))
+    for code, out, err in outcomes:
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal:") and "Traceback" not in err
 
 
 def test_reduction_witness_check(capsys, monkeypatch):
@@ -251,7 +276,7 @@ def _run_fresh(argv):
         return run(argv)
 
 
-# (argv, GAMMA_FORMS_MAX_SEARCH or None, make find_representations fail)
+# (argv, GAMMA_FORMS_MAX_SEARCH or None, make the square root mod p wrong)
 _SCRIPT = (
     (["reduce", "--form", "3,2,1", "--level", "2"], None, False),
     (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None, False),
@@ -297,7 +322,7 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
             if bound is not None:
                 m.setenv("GAMMA_FORMS_MAX_SEARCH", bound)
             if fail:
-                m.setattr(genus, "find_representations", lambda q, v, n: ())
+                m.setattr(genus, "sqrt_mod_prime", lambda a, p: 1)
             reused = _outcome(capsys, run, argv)
             fresh = _outcome(capsys, _run_fresh, argv)
         assert reused == fresh, argv

@@ -20,6 +20,7 @@ from gammaforms.core import (
     kronecker,
     moebius,
     moebius_rational,
+    sqrt_mod_prime,
     unit_values,
     units_mod,
 )
@@ -230,3 +231,40 @@ def test_is_prime_large():
     # a strong pseudoprime to all 13 bases: no exact answer, so a refusal
     with pytest.raises(SearchBoundExceeded):
         is_prime(MILLER_RABIN_LIMIT)
+
+
+def test_sqrt_mod_prime_matches_squares():
+    # every residue mod every odd prime below 2000: a root of each square,
+    # a refusal for each non-square; 1 (mod 8) takes the longest descent
+    primes = [p for p in range(3, 2000) if is_prime(p)]
+    assert sum(p % 8 == 1 for p in primes) > 60
+    for p in primes:
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            if a in squares:
+                r = sqrt_mod_prime(a, p)
+                assert 0 <= r < p and r * r % p == a, (a, p)
+            else:
+                with pytest.raises(ValidationError):
+                    sqrt_mod_prime(a, p)
+
+
+def test_sqrt_mod_prime_large():
+    # 2^23 | p - 1 for 998244353; 10^12 + 39 and 2^61 - 1 are 3 (mod 4)
+    for p in (998244353, 7 * 2**20 + 1, 10**12 + 39, 2**61 - 1, 10**18 + 9):
+        assert is_prime(p)
+        for x in (2, 3, 12345, p - 5, 10**6 + 3):
+            r = sqrt_mod_prime(x * x, p)
+            assert r in (x % p, -x % p), (x, p)
+
+
+def test_sqrt_mod_prime_non_residue_bound(monkeypatch):
+    # 2, 3 and 4 are squares mod 73, and 5 is the least non-square: four
+    # candidates find it, three are refused; 3 (mod 4) needs no search
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "4")
+    assert sqrt_mod_prime(2, 73) ** 2 % 73 == 2
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "3")
+    with pytest.raises(SearchBoundExceeded):
+        sqrt_mod_prime(2, 73)
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "0")
+    assert sqrt_mod_prime(2, 71) ** 2 % 71 == 2

@@ -19,8 +19,14 @@ from gammaforms.genus import (
     principal_genus_congruences,
 )
 from gammaforms.ideals import ideal_norm
-from gammaforms.reduction import enumerate_reduced, equivalent_gamma0
-from conftest import coprime_value, genus_table_by_value_sets, random_form, random_gamma0
+from gammaforms.reduction import enumerate_reduced, equivalent_gamma0, reduce_sl2
+from conftest import (
+    classify_prime_by_scan,
+    coprime_value,
+    genus_table_by_value_sets,
+    random_form,
+    random_gamma0,
+)
 
 
 def test_find_representations_examples():
@@ -206,6 +212,89 @@ def test_classify_prime_dividing_level():
         assert c.represented and c.witness.a % p == 0 and r.admissible
         assert c.witness(r.x, r.y) == p
         assert math.gcd(r.x, n) == 1 and r.y % n == 0
+
+
+# D = -3 and -4 carry extra automorphs; p | N at 3 and 5
+_CLASSIFY_GRID = [
+    (d, n)
+    for d in (-3, -4, -7, -20, -23, -84, -231)
+    for n in (1, 2, 3, 4, 5, 6, 9, 10, 12)
+]
+
+
+@pytest.mark.parametrize("d", sorted({d for d, _ in _CLASSIFY_GRID}))
+def test_classify_prime_matches_scan(d):
+    # the witness solved from a square root equals the one the scan finds,
+    # with the same coset and the same least representation
+    primes = [p for p in range(3, 2000) if is_prime(p) and d % p]
+    for n in [n for e, n in _CLASSIFY_GRID if e == d]:
+        for p in primes:
+            assert classify_prime(p, d, n) == classify_prime_by_scan(p, d, n), (p, d, n)
+
+
+def test_witness_pairs_are_every_representation():
+    # the pairs solved for are all N-admissible representations of p by the
+    # witness, each once; D = -3 and -4 at N = p carry more than two
+    cases = [(d, n) for d, n in _CLASSIFY_GRID if n in (1, 5, 6)]
+    cases += [(-3, 7), (-3, 13), (-3, 14), (-4, 13), (-4, 26), (-23, 13)]
+    for d, n in cases:
+        table = genus_table(d, n)
+        for p in [p for p in range(3, 400) if is_prime(p) and d % p and kronecker(d, p) == 1]:
+            witness, pairs = genus._witness(table, p)
+            scanned = [(r.x, r.y) for r in find_representations(witness, p, n) if r.admissible]
+            assert sorted(pairs) == sorted(scanned), (p, d, n)
+
+
+def test_classify_prime_never_scans(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify_prime scanned a form")
+
+    monkeypatch.setattr(genus, "find_representations", refuse)
+    for d, n in _CLASSIFY_GRID:
+        for p in (3, 5, 7, 11, 13, 29, 10**12 + 39):
+            if d % p and kronecker(d, p) == 1:
+                c = classify_prime(p, d, n)
+                r = c.representation
+                assert c.witness(r.x, r.y) == p, (p, d, n)
+                assert math.gcd(r.x, n) == 1 and r.y % n == 0, (p, d, n)
+
+
+def test_classify_prime_wrong_root(monkeypatch):
+    # a root of the wrong square is caught before any form is built
+    monkeypatch.setattr(genus, "sqrt_mod_prime", lambda a, p: 1)
+    with pytest.raises(InvariantError, match="modulo 92"):
+        classify_prime(23, -28, 2)
+
+
+def test_classify_prime_checks_every_candidate(monkeypatch):
+    # the two admissible classes of (-28, 2) swap places in the map to disc
+    # D*N^2: no first column then represents 23 by the form it names
+    table = genus_table(-28, 2)
+    (k1, v1), (k2, v2) = table.scaled_classes.items()
+    monkeypatch.setitem(table.scaled_classes, k1, (v2[0], v1[1]))
+    monkeypatch.setitem(table.scaled_classes, k2, (v1[0], v2[1]))
+    with pytest.raises(InvariantError, match="N-represents 23"):
+        classify_prime(23, -28, 2)
+
+
+def test_scaled_classes_must_be_distinct(monkeypatch):
+    # two classes landing on one SL2(Z)-class at disc D*N^2 break the
+    # isomorphism and are reported
+    monkeypatch.setattr(genus, "reduce_sl2", lambda q: reduce_sl2(Form(1, 0, 28)))
+    with pytest.raises(InvariantError, match="meet at disc -112"):
+        genus.genus_table.__wrapped__(-28, 2)
+
+
+def test_mirror_matches_reduction(rng):
+    # (a, -b, c) reduced from the reduction of (a, b, c), boundary forms
+    # (b = a, a = c, and both at D = -3) included
+    forms = [f for d in (-3, -4, -7, -12, -15, -16, -27, -28) for f in enumerate_reduced(d, 1)]
+    forms += [random_form(rng, rng.choice((-3, -4, -23, -84, -231))) for _ in range(400)]
+    for q in forms:
+        mirrored = genus._mirror(reduce_sl2(q))
+        other = Form(q.a, -q.b, q.c)
+        assert mirrored.reduced == reduce_sl2(other).reduced, q
+        assert act(other, mirrored.transform) == mirrored.reduced, q
 
 
 def test_ker_criterion_small():

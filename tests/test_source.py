@@ -46,6 +46,7 @@ def test_oracles_stay_in_tests():
             "automorphs_by_search",
             "ideal_from_form_by_hnf",
             "contains_all_arcs",
+            "classify_prime_by_scan",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
 
