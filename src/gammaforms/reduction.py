@@ -1,23 +1,28 @@
 """Reduction of positive-definite forms to canonical class representatives.
 
-``class_key`` names each Gamma0(N)-class by a hashable value, and one cached
-table per (D, N) maps every key to the canonical form of its class.  The
-keys come from a covering of the classes by coset translates of the
-SL2(Z)-reduced forms; at arbitrary levels the least translate in a class
-is its canonical form.  At levels 2, 3 and primes p >= 5 it is the form
-whose CM point tau lies in a fundamental region (``is_reduced``), and each
-class's translate is walked there (Ford, Automorphic Functions, ch. III).
-Translate b into (-a, a].  While q(k, n) < a for one of the two k next to
-n*Re(tau) coprime to n, tau lies inside the circle of radius 1/n at k/n:
-move by the Gamma0(n) matrix with first column (k, n).  The new a is
-q(k, n), so each move lowers a > 0 and the walk ends.  Of the end point's
-images with the same a under the side pairings, exactly one is reduced.
+``class_key`` names each Gamma0(N)-class by the SL2(Z)-reduced form r of
+the class and the least P^1(Z/N) label of its coset orbit, the cosets of
+delta*u for delta carrying a form of the class to r and u in Aut(r).  The
+canonical form of a class is r at level 1.  At levels 2, 3 and primes
+p >= 5 it is the form whose CM point tau lies in a fundamental region
+(``is_reduced``), reached by a walk from any form of the class (Ford,
+Automorphic Functions, ch. III).  Translate b into (-a, a].  While q(k, n)
+< a for one of the two k next to n*Re(tau) coprime to n, tau lies inside
+the circle of radius 1/n at k/n: move by the Gamma0(n) matrix with first
+column (k, n).  The new a is q(k, n), so each move lowers a > 0 and the
+walk ends.  Of the end point's images with the same a under the side
+pairings, exactly one is reduced.  At the other levels it is the least
+coset translate of r in the class, one per label of the orbit.
+``canonical_rep`` computes these from one form; the cached class table per
+(D, N), for enumeration, maps the key of every class to its canonical form
+over a covering of the classes by all h(D)*psi(N) coset translates.
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
 divisors of a*c = (b^2 - D)/4 from |b| to sqrt(a*c).  Its divisor trials
 and the index psi(N) are functions of (D, N) alone, bounded by
-``check_table_bounds`` before any cached table is read.
+``check_table_bounds`` before any cached table is read and before
+``canonical_rep`` labels or walks a form.
 """
 
 from __future__ import annotations
@@ -166,7 +171,9 @@ def p1_label(n: int, c: int, d: int) -> tuple[int, int]:
 
 
 def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
-    """An SL2(Z) matrix whose bottom row is = (c, d) mod n."""
+    """An SL2(Z) matrix whose bottom row is = (c, d) mod n.  The rows come
+    from labels the library built, so a row that is not a point of
+    P^1(Z/n) is an internal error."""
     c %= n
     d %= n
     for t in range(4 * n + 4):
@@ -175,7 +182,7 @@ def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
             g, u, v = xgcd(d0, c)
             # u*d0 + v*c = 1  ->  det (u, -v; c, d0) = 1
             return GroupElement(u, -v, c, d0)
-    raise ValidationError(f"cannot lift ({c} : {d}) mod {n} to SL2(Z)")
+    raise InvariantError(f"cannot lift ({c} : {d}) mod {n} to SL2(Z)")
 
 
 def _coset_index(n: int) -> int:
@@ -423,15 +430,24 @@ def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
 
 
 def canonical_rep(q: Form, n: int) -> Form:
-    """A canonical Gamma0(n)-class representative of q.
+    """A canonical Gamma0(n)-class representative of q, the form that
+    class_reps lists for its class, computed from q alone.
 
-    For supported levels this is the unique reduced form of the class; for
-    general n it is the lexicographically least coset translate of the
-    SL2(Z) reduction that stays in the class.  Same output for every input
-    in the class.
+    At level 1 it is the SL2(Z) reduction r of q; at levels 2, 3 and primes
+    p >= 5, the unique reduced form of the class, reached by the walk.
+    Elsewhere it is the least coset translate of r in the class: with delta
+    carrying q to r, the cosets of the class's translates of r are those of
+    delta*u, u in Aut(r), so r is translated by the inverse lift of each of
+    their labels.  The class table's bounds are checked first, so a request
+    that class_reps refuses is refused here too.
     """
     require_qf(q)
-    # the table first: at a level with too many cosets it refuses before a
-    # label costs O(gcd(c, n)) steps
-    table = _class_table(q.disc, n)
-    return table[class_key(q, n)]
+    _class_table.check(q.disc, n)
+    if n == 1:
+        return reduce_sl2(q).reduced
+    if level_supported(n):
+        return _walk(q, n)
+    res = reduce_sl2(q)
+    r = res.reduced
+    labels = {p1_label(n, g.c, g.d) for g in (res.transform * u for u in automorphs(r))}
+    return min(act(r, _lift_to_sl2(n, *label).inverse()) for label in labels)

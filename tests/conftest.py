@@ -33,10 +33,12 @@ from gammaforms.genus import (
 )
 from gammaforms.ideals import OIdeal, QuadOrder
 from gammaforms.reduction import (
+    _class_table,
     _lift_to_sl2,
     _sweep,
     automorphs,
     canonical_rep,
+    class_key,
     class_reps,
     enumerate_reduced,
     is_reduced,
@@ -281,6 +283,14 @@ def class_table_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict
     if reduced.keys() != table.keys():
         raise InvariantError(f"reduced forms do not match the covering of disc {d}, level {n}")
     return reduced
+
+
+def canonical_rep_by_table(q: Form, n: int) -> Form:
+    """The canonical form of q's class looked up by its class key in the
+    class table of all h(D)*psi(n) coset translates; the oracle for
+    reduction.canonical_rep, which computes it from q alone."""
+    require_qf(q)
+    return _class_table(q.disc, n)[class_key(q, n)]
 
 
 def torsion_invariant_factors(cayley: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

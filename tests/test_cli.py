@@ -10,7 +10,7 @@ import pytest
 from gammaforms import classgroup as cg
 from gammaforms import cli, fundomain, genus, reduction
 from gammaforms.cli import run
-from gammaforms.core import Form, cm_point
+from gammaforms.core import Form, GroupElement, act, cm_point
 from gammaforms.errors import InvariantError
 from conftest import compose_one_pair_wrongly
 
@@ -175,6 +175,35 @@ def test_reduce_at_a_large_prime_level(capsys, monkeypatch):
     assert rep.disc == -2999 and fundomain.contains(499, cm_point(rep))
 
 
+def test_reduce_builds_no_class_table(capsys, monkeypatch):
+    # one class's canonical form comes from its own label orbit or walk,
+    # with no coset list and no covering, from cold caches
+    def refuse(*args):
+        raise AssertionError(f"class table built for {args}")
+
+    reduction._class_table.cache_clear()
+    monkeypatch.setattr(reduction, "_covering", refuse)
+    monkeypatch.setattr(reduction, "coset_reps", refuse)
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    q = Form(3, 7, 254)  # (3, 1, 250) translated by T
+    for level in (1, 5, 150, 1009):
+        rep = reduction.canonical_rep(q, level)
+        assert reduction.equivalent_gamma0(q, rep, level) is not None, level
+        code, out, _ = capture(capsys, ["reduce", "--form", str(q), "--level", str(level)])
+        assert code == 0 and out.startswith(f"reduced: {rep}\n"), level
+
+
+def test_reduce_at_a_large_level_in_a_fresh_process():
+    proc = _run_cli(["reduce", "--form", "3,1,250", "--level", "1009", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    rep = Form(**data["reduced"])
+    (a, b), (c, d) = data["transform"]
+    assert a * d - b * c == 1 and c % 1009 == 0
+    assert act(Form(3, 1, 250), GroupElement(a, b, c, d)) == rep
+    assert fundomain.contains(1009, cm_point(rep))
+
+
 def test_fundomain_svg(capsys, tmp_path):
     svg_path = tmp_path / "region.svg"
     code, out, _ = capture(capsys, ["fundomain", "--p", "5", "--svg", str(svg_path)])
@@ -331,8 +360,9 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
 
 
 # (argv, GAMMA_FORMS_MAX_SEARCH or None): each request bounded and not;
-# at 10 only the 360 cosets of level 150 refuse (-3, 150), and at 1000
-# only the 1024 level-1 divisor trials refuse (-3000, 1)
+# at 10 only the 360 cosets of level 150 refuse (-3, 150), at 1000 the
+# 1024 level-1 divisor trials refuse (-3000, 1), and the 1010 cosets of
+# level 1009 refuse a reduce that builds no cosets
 _BOUND_SCRIPT = (
     (["reduce", "--form", "1,1,1", "--level", "150"], "10"),
     (["reduce", "--form", "1,1,1", "--level", "150"], None),
@@ -348,6 +378,8 @@ _BOUND_SCRIPT = (
     (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None),
     (["enumerate", "--disc", "-23", "--level", "7"], "1"),
     (["enumerate", "--disc", "-23", "--level", "7"], None),
+    (["reduce", "--form", "3,1,250", "--level", "1009"], "1000"),
+    (["reduce", "--form", "3,1,250", "--level", "1009"], None),
 )
 
 

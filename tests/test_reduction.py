@@ -16,11 +16,13 @@ from gammaforms.errors import (
 from gammaforms.reduction import (
     _class_table,
     _covering,
+    _lift_to_sl2,
     _sweep,
     _walk,
     automorphs,
     canonical_rep,
     class_key,
+    class_reps,
     coset_reps,
     enumerate_reduced,
     equivalent_gamma0,
@@ -32,6 +34,7 @@ from gammaforms.reduction import (
 )
 from conftest import (
     automorphs_by_search,
+    canonical_rep_by_table,
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
@@ -141,6 +144,14 @@ def test_coset_reps_are_distinct_and_complete(rng):
 def test_p1_label_rejects_non_points():
     with pytest.raises(ValidationError):
         p1_label(4, 2, 2)
+
+
+def test_lift_rejects_non_points():
+    # the library lifts only labels it built, so a row with gcd(c, d, n) > 1
+    # is an internal error
+    for n, c, d in ((4, 2, 2), (6, 3, 9), (150, 10, 25)):
+        with pytest.raises(InvariantError, match="cannot lift"):
+            _lift_to_sl2(n, c, d)
 
 
 def _p1_label_unit_loop(n, c, d):
@@ -403,6 +414,21 @@ def test_canonical_rep_general_level(rng):
         base = canonical_rep(q, 4)
         translated = act(q, random_gamma0(rng, 4))
         assert canonical_rep(translated, 4) == base
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9, 12, 30, 101, 122, 150])
+def test_canonical_rep_matches_table_oracle(rng, n):
+    # every listed form is its own canonical form; SL2(Z) translates of a
+    # sample of them land in other classes, Gamma0(n) translates in theirs
+    for d in (-3, -4, -7, -20, -23, -84, -420, -2999):
+        reps = class_reps(d, n)
+        for f in reps:
+            assert canonical_rep(f, n) == f == canonical_rep_by_table(f, n), (f, n)
+        for f in rng.sample(reps, min(len(reps), 40)):
+            q = act(f, random_sl2(rng))
+            assert canonical_rep(q, n) == canonical_rep_by_table(q, n), (q, n)
+            q = act(f, random_gamma0(rng, n))
+            assert canonical_rep(q, n) == f == canonical_rep_by_table(q, n), (q, n)
 
 
 # ---------------------------------------------------------------------------

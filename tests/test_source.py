@@ -47,6 +47,7 @@ def test_oracles_stay_in_tests():
             "ideal_from_form_by_hnf",
             "contains_all_arcs",
             "classify_prime_by_scan",
+            "canonical_rep_by_table",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
 
