@@ -13,9 +13,13 @@ column (k, n).  The new a is q(k, n), so each move lowers a > 0 and the
 walk ends.  Of the end point's images with the same a under the side
 pairings, exactly one is reduced.  At the other levels it is the least
 coset translate of r in the class, one per label of the orbit.
-``canonical_rep`` computes these from one form; the cached class table per
-(D, N), for enumeration, maps the key of every class to its canonical form
-over a covering of the classes by all h(D)*psi(N) coset translates.
+``canonical_rep`` computes these from one form, walking from the least
+coset translate of its class, whose size the lifts bound.  The walk
+crosses one circle per step, so from a form near a cusp, such as q
+translated by (1, 0; n*K, 1), it would take about K steps.  The cached
+class table per (D, N), for enumeration, maps the key of every class to
+its canonical form over a covering of the classes by all h(D)*psi(N)
+coset translates.
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -433,21 +437,22 @@ def canonical_rep(q: Form, n: int) -> Form:
     """A canonical Gamma0(n)-class representative of q, the form that
     class_reps lists for its class, computed from q alone.
 
-    At level 1 it is the SL2(Z) reduction r of q; at levels 2, 3 and primes
-    p >= 5, the unique reduced form of the class, reached by the walk.
-    Elsewhere it is the least coset translate of r in the class: with delta
-    carrying q to r, the cosets of the class's translates of r are those of
-    delta*u, u in Aut(r), so r is translated by the inverse lift of each of
-    their labels.  The class table's bounds are checked first, so a request
-    that class_reps refuses is refused here too.
+    At level 1 it is the SL2(Z) reduction r of q.  Elsewhere, with delta
+    carrying q to r, the class's coset translates of r are those by the
+    inverse lifts of the labels of delta*u, u in Aut(r); the least of them
+    is the canonical form, walked into the region at levels 2, 3 and
+    primes p >= 5.  The walk starts from that translate, as in the class
+    table, so its steps are bounded by the lifts, not by the size of q.
+    The class table's bounds are checked first, so a request that
+    class_reps refuses is refused here too.
     """
     require_qf(q)
     _class_table.check(q.disc, n)
-    if n == 1:
-        return reduce_sl2(q).reduced
-    if level_supported(n):
-        return _walk(q, n)
     res = reduce_sl2(q)
     r = res.reduced
-    labels = {p1_label(n, g.c, g.d) for g in (res.transform * u for u in automorphs(r))}
-    return min(act(r, _lift_to_sl2(n, *label).inverse()) for label in labels)
+    if n == 1:
+        return r
+    dc, dd = res.transform.c, res.transform.d
+    labels = {p1_label(n, dc * u.a + dd * u.c, dc * u.b + dd * u.d) for u in automorphs(r)}
+    t = min(act(r, _lift_to_sl2(n, *label).inverse()) for label in labels)
+    return _walk(t, n) if level_supported(n) else t

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -429,6 +430,25 @@ def test_canonical_rep_matches_table_oracle(rng, n):
             assert canonical_rep(q, n) == canonical_rep_by_table(q, n), (q, n)
             q = act(f, random_gamma0(rng, n))
             assert canonical_rep(q, n) == f == canonical_rep_by_table(q, n), (q, n)
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("canonical_rep did not answer within 10 s")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_canonical_rep_near_a_cusp(n):
+    # (1, 1, 1) moved 5*10^12 circles towards the cusp 0: a walk from the
+    # form itself would cross each of them, one per step
+    q = act(Form(1, 1, 1), GroupElement(1, 0, n * 5 * 10**12, 1))
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        rep = canonical_rep(q, n)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rep == canonical_rep_by_table(q, n)
 
 
 # ---------------------------------------------------------------------------
