@@ -39,6 +39,7 @@ from .core import (
     require_qf,
     search_bound,
     validate_discriminant,
+    validate_level,
 )
 from .errors import (
     CompositionError,
@@ -68,6 +69,7 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
     divides q(1, 0).
     """
     require_qf(q)
+    validate_level(n)
     if m == 0:
         raise ValidationError("m must be nonzero")
     m = abs(m)
@@ -102,6 +104,7 @@ def dirichlet_compose(q1: Form, q2: Form, n: int) -> Form:
     """
     require_qf(q1)
     require_qf(q2)
+    validate_level(n)
     d = q1.disc
     if d != q2.disc:
         raise DiscriminantMismatch(f"disc {q1.disc} != {q2.disc}")

@@ -17,7 +17,7 @@ import sys
 
 from . import classgroup as cg
 from . import fundomain, genus, reduction
-from .core import Form
+from .core import Form, require_qf
 from .errors import (
     GammaFormsError,
     SearchBoundExceeded,
@@ -27,10 +27,7 @@ from .errors import (
 
 
 def _form_arg(s: str) -> Form:
-    f = Form.from_string(s)
-    if not f.is_qf():
-        raise ValidationError(f"form {s!r} is not primitive positive definite")
-    return f
+    return require_qf(Form.from_string(s))
 
 
 def _emit(args, text_lines, json_obj, tsv_rows=None):

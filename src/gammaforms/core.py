@@ -340,9 +340,10 @@ class Form:
         return f"{self.a},{self.b},{self.c}"
 
 
-def require_qf(q: Form) -> None:
+def require_qf(q: Form) -> Form:
     if not q.is_qf():
         raise ValidationError(f"expected a primitive positive-definite form, got {q}")
+    return q
 
 
 def act(q: Form, g: GroupElement) -> Form:

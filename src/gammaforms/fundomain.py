@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import CmPoint, GroupElement, is_prime, search_bound
+from .core import CmPoint, GroupElement, is_prime, search_bound, validate_level
 from .errors import SearchBoundExceeded, ValidationError
 
 
@@ -44,6 +44,7 @@ def sym_residues(p: int) -> tuple[int, ...]:
 
 def sym_rep(p: int, x: int) -> int:
     """The representative <x> of x in S_p (x must be coprime to p)."""
+    validate_level(p)
     if x % p == 0:
         raise ValidationError(f"{x} is divisible by {p}")
     r = x % p
@@ -52,6 +53,7 @@ def sym_rep(p: int, x: int) -> int:
 
 def sym_inverse(p: int, x: int) -> int:
     """The unique y in S_p with x*y = 1 (mod p)."""
+    validate_level(p)
     if x % p == 0:
         raise ValidationError(f"{x} has no inverse modulo {p}")
     return sym_rep(p, pow(x, -1, p))

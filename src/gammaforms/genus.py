@@ -136,6 +136,7 @@ def form_from_representation(q: Form, r: Representation, n: int) -> Form:
     matrix in Gamma0(n) and transports q.
     """
     require_qf(q)
+    validate_level(n)
     if not (r.proper and r.admissible):
         raise ValidationError(f"representation {r} is not proper and admissible")
     if q(r.x, r.y) != r.value:

@@ -3,23 +3,21 @@
 ``class_key`` names each Gamma0(N)-class by the SL2(Z)-reduced form r of
 the class and the least P^1(Z/N) label of its coset orbit, the cosets of
 delta*u for delta carrying a form of the class to r and u in Aut(r).  The
-canonical form of a class is r at level 1.  At levels 2, 3 and primes
-p >= 5 it is the form whose CM point tau lies in a fundamental region
-(``is_reduced``), reached by a walk from any form of the class (Ford,
-Automorphic Functions, ch. III).  Translate b into (-a, a].  While q(k, n)
-< a for one of the two k next to n*Re(tau) coprime to n, tau lies inside
-the circle of radius 1/n at k/n: move by the Gamma0(n) matrix with first
+canonical form of a class comes from that orbit on one path: the least
+translate of r by the inverse lifts of its labels (r itself at level 1),
+walked at levels 2, 3 and primes p >= 5 to the form whose CM point tau
+lies in a fundamental region (``is_reduced``; Ford, Automorphic
+Functions, ch. III).  Translate b into (-a, a].  While q(k, n) < a for
+one of the two k next to n*Re(tau) coprime to n, tau lies inside the
+circle of radius 1/n at k/n: move by the Gamma0(n) matrix with first
 column (k, n).  The new a is q(k, n), so each move lowers a > 0 and the
 walk ends.  Of the end point's images with the same a under the side
-pairings, exactly one is reduced.  At the other levels it is the least
-coset translate of r in the class, one per label of the orbit.
-``canonical_rep`` computes these from one form, walking from the least
-coset translate of its class, whose size the lifts bound.  The walk
-crosses one circle per step, so from a form near a cusp, such as q
-translated by (1, 0; n*K, 1), it would take about K steps.  The cached
-class table per (D, N), for enumeration, maps the key of every class to
-its canonical form over a covering of the classes by all h(D)*psi(N)
-coset translates.
+pairings, exactly one is reduced.  The walk crosses one circle per step,
+so it starts from the least translate, whose size the lifts bound: from
+a form near a cusp, such as q translated by (1, 0; n*K, 1), it would take
+about K steps.  ``canonical_rep`` takes these steps for one form's orbit;
+the cached class table per (D, N), for enumeration, takes them once for
+each class it meets among the coset translates of the reduced forms.
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -34,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import fundomain
 from .core import (
@@ -145,6 +143,7 @@ def is_reduced(q: Form, n: int) -> bool:
         return is_reduced_gamma0_small(q, n)
     if level_supported(n):
         return fundomain.contains(n, cm_point(q))
+    validate_level(n)
     raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
 
 
@@ -163,6 +162,7 @@ def p1_label(n: int, c: int, d: int) -> tuple[int, int]:
     """Canonical label of (c : d) on P^1(Z/N): the lexicographically least
     unit multiple.  Requires gcd(c, d, n) = 1.  With g = gcd(c, N) the least
     first entry is g (0 if g = N), reached by the units taking c to g."""
+    validate_level(n)
     c %= n
     d %= n
     g = math.gcd(c, n)
@@ -208,7 +208,7 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
     label starts with a divisor of n (n standing for 0).
 
     The labels come from one walk over the orbits of each divisor row, about
-    sigma_0(n)*n steps; the class covering over them costs h(D)*psi(n) form
+    sigma_0(n)*n steps; the class table over them makes h(D)*psi(n) form
     translates, so an index psi(n) above 1500 is refused before the walk.
     """
     validate_level(n)
@@ -296,20 +296,15 @@ def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
 
 
 # ---------------------------------------------------------------------------
-# class keys and the class table
+# class keys and canonical forms
 
 
-def _key(
-    r: Form,
-    delta: GroupElement,
-    auts: tuple[GroupElement, ...],
-    label: Callable[[int, int], tuple[int, int]],
-) -> tuple[Form, tuple[int, int]]:
-    """The class key of every form q with act(q, delta) = r, r reduced with
-    proper automorphs auts: r and the least label(c, d) over the bottom rows
-    (c, d) of delta*u, u in auts, label naming points of P^1(Z/n)."""
+def _orbit(delta: GroupElement, auts: tuple[GroupElement, ...], label: Callable) -> set:
+    """The labels label(c, d) over the bottom rows (c, d) of delta*u, u in
+    auts = Aut(r), r reduced: the coset orbit of each q with act(q, delta)
+    = r.  Its least label and r are the class key of q."""
     dc, dd = delta.c, delta.d
-    return r, min(label(dc * u.a + dd * u.c, dc * u.b + dd * u.d) for u in auts)
+    return {label(dc * u.a + dd * u.c, dc * u.b + dd * u.d) for u in auts}
 
 
 def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
@@ -322,7 +317,7 @@ def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
     validate_level(n)
     res = reduce_sl2(q)
     r = res.reduced
-    return _key(r, res.transform, automorphs(r), lambda c, d: p1_label(n, c, d))
+    return r, min(_orbit(res.transform, automorphs(r), partial(p1_label, n)))
 
 
 def _sweep(d: int) -> list[Form]:
@@ -350,29 +345,6 @@ def check_table_bounds(d: int, n: int) -> None:
     limit = search_bound(10**8)
     if trials > limit:
         raise SearchBoundExceeded(f"disc {d} needs {trials} divisor trials, limit {limit}")
-
-
-def _covering(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
-    """Class key -> least coset translate act(R, g^(-1)) in that class, over
-    the SL2(Z)-reduced forms R of discriminant d and g in reps.  These
-    translates meet every class.  Each bottom row mod n is labelled once."""
-    labels: dict = {}
-
-    def label(c: int, e: int) -> tuple[int, int]:
-        row = c % n, e % n
-        if row not in labels:
-            labels[row] = p1_label(n, *row)
-        return labels[row]
-
-    inverses = [(g, g.inverse()) for g in reps]
-    table: dict = {}
-    for r in _sweep(d):
-        auts = automorphs(r)
-        for g, g_inv in inverses:
-            t = act(r, g_inv)
-            key = _key(r, g, auts, label)
-            table[key] = min(t, table.get(key, t))
-    return table
 
 
 def _into_strip(q: Form) -> Form:
@@ -403,17 +375,42 @@ def _walk(q: Form, n: int) -> Form:
     return reduced[0]
 
 
+def _canonical(r: Form, orbit: set, n: int, inverse_lift: Callable) -> Form:
+    """The least translate of r by the inverse lifts of the labels in orbit,
+    walked into the region at levels 2, 3 and primes p >= 5.  The walk
+    crosses one circle per step, so it starts from that translate, whose
+    size the lifts bound, never from a given form."""
+    t = min(act(r, inverse_lift(label)) for label in orbit)
+    return _walk(t, n) if n > 1 and level_supported(n) else t
+
+
 @checked_cache(check_table_bounds)
 def _class_table(d: int, n: int) -> dict:
     """Class key -> canonical form for every Gamma0(n)-class of disc d: the
-    covering translate, walked into the region at supported levels n > 1."""
-    table = _covering(d, n, coset_reps(n))
-    if n == 1 or not level_supported(n):
-        return table
-    reduced = {key: _walk(t, n) for key, t in table.items()}
-    if len(set(reduced.values())) != len(reduced):
+    coset translates of the reduced forms r meet every class, one class per
+    orbit of the cosets under Aut(r).  Each orbit is labelled once per
+    Aut(r), each bottom row mod n once, each coset rep inverted once."""
+    labels: dict = {}
+
+    def label(c: int, e: int) -> tuple[int, int]:
+        row = c % n, e % n
+        if row not in labels:
+            labels[row] = p1_label(n, *row)
+        return labels[row]
+
+    reps = coset_reps(n)
+    inverses = {label(g.c, g.d): g.inverse() for g in reps}
+    orbits: dict = {}  # Aut(r) -> least label -> orbit; one Aut(r) below D = -4
+    table: dict = {}
+    for r in _sweep(d):
+        auts = automorphs(r)
+        if auts not in orbits:
+            orbits[auts] = {min(o): o for o in (_orbit(g, auts, label) for g in reps)}
+        for least, orbit in orbits[auts].items():
+            table[r, least] = _canonical(r, orbit, n, inverses.__getitem__)
+    if len(set(table.values())) != len(table):
         raise InvariantError(f"two classes of disc {d}, level {n} walk to one reduced form")
-    return reduced
+    return table
 
 
 def class_reps(d: int, n: int) -> tuple[Form, ...]:
@@ -437,14 +434,10 @@ def canonical_rep(q: Form, n: int) -> Form:
     """A canonical Gamma0(n)-class representative of q, the form that
     class_reps lists for its class, computed from q alone.
 
-    At level 1 it is the SL2(Z) reduction r of q.  Elsewhere, with delta
-    carrying q to r, the class's coset translates of r are those by the
-    inverse lifts of the labels of delta*u, u in Aut(r); the least of them
-    is the canonical form, walked into the region at levels 2, 3 and
-    primes p >= 5.  The walk starts from that translate, as in the class
-    table, so its steps are bounded by the lifts, not by the size of q.
-    The class table's bounds are checked first, so a request that
-    class_reps refuses is refused here too.
+    At level 1 it is the SL2(Z) reduction r of q.  Elsewhere the class
+    table's steps give it: the label orbit of delta*u, delta carrying q to
+    r and u in Aut(r), and _canonical's least translate and walk.  The
+    table's bounds are checked first, so what class_reps refuses, this does.
     """
     require_qf(q)
     _class_table.check(q.disc, n)
@@ -452,7 +445,5 @@ def canonical_rep(q: Form, n: int) -> Form:
     r = res.reduced
     if n == 1:
         return r
-    dc, dd = res.transform.c, res.transform.d
-    labels = {p1_label(n, dc * u.a + dd * u.c, dc * u.b + dd * u.d) for u in automorphs(r)}
-    t = min(act(r, _lift_to_sl2(n, *label).inverse()) for label in labels)
-    return _walk(t, n) if level_supported(n) else t
+    orbit = _orbit(res.transform, automorphs(r), partial(p1_label, n))
+    return _canonical(r, orbit, n, lambda label: _lift_to_sl2(n, *label).inverse())

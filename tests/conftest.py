@@ -251,15 +251,15 @@ def automorphs_by_search(q: Form) -> tuple[GroupElement, ...]:
 def key_per_pair(r: Form, delta: GroupElement, n: int) -> tuple:
     """The class key of every form q with act(q, delta) = r, r reduced, with
     the automorphs of r and the label of each product delta*u computed for
-    this one pair; the oracle for reduction._key."""
+    this one pair; the oracle for the label orbit of reduction.class_key."""
     return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in automorphs(r)))
 
 
 def covering_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
     """Class key -> least coset translate act(R, g^(-1)), over the SL2(Z)-
     reduced forms R of discriminant d and g in reps, with every key and
-    inverse computed for its own pair (R, g); the oracle for
-    reduction._covering."""
+    inverse computed for its own pair (R, g); its keys are the oracle for
+    those of reduction._class_table."""
     table: dict = {}
     for r in _sweep(d):
         for g in reps:

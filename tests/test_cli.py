@@ -176,13 +176,13 @@ def test_reduce_at_a_large_prime_level(capsys, monkeypatch):
 
 
 def test_reduce_builds_no_class_table(capsys, monkeypatch):
-    # one class's canonical form comes from its own label orbit or walk,
-    # with no coset list and no covering, from cold caches
+    # one class's canonical form comes from its own label orbit and walk,
+    # with no coset list and no sweep of reduced forms, from cold caches
     def refuse(*args):
         raise AssertionError(f"class table built for {args}")
 
     reduction._class_table.cache_clear()
-    monkeypatch.setattr(reduction, "_covering", refuse)
+    monkeypatch.setattr(reduction, "_sweep", refuse)
     monkeypatch.setattr(reduction, "coset_reps", refuse)
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
     q = Form(3, 7, 254)  # (3, 1, 250) translated by T

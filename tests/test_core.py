@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gammaforms as gf
 from gammaforms.core import (
     MILLER_RABIN_LIMIT,
     CmPoint,
@@ -26,7 +27,7 @@ from gammaforms.core import (
 )
 from gammaforms.classgroup import principal_form
 from gammaforms.errors import SearchBoundExceeded, ValidationError
-from gammaforms.reduction import class_reps
+from gammaforms.reduction import class_reps, p1_label
 from conftest import (
     is_prime_trial_division,
     random_form,
@@ -54,6 +55,56 @@ def test_group_element_validates_det():
         GroupElement(1, 0, 0, 2)
     assert (T * S).as_tuple() == (1, -1, 1, 0)
     assert S.inverse() * S == IDENTITY
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_every_level_is_validated(n):
+    # each public function that takes a level refuses n < 1 as input, not
+    # with a ZeroDivisionError, a search bound or a result
+    q, unit = Form(2, 1, 3), Form(1, 1, 6)  # disc -23
+    rep = gf.Representation(0, 1, 3, n, True, True)
+    calls = {
+        "unit_values": lambda: gf.unit_values(q, n),
+        "prepare_coprime": lambda: gf.prepare_coprime(q, 3, n),
+        "dirichlet_compose": lambda: gf.dirichlet_compose(unit, q, n),
+        "compose_classes": lambda: gf.compose_classes(q, q, n),
+        "class_group": lambda: gf.class_group(-23, n),
+        "oracle_pairs": lambda: gf.oracle_pairs(-23, n),
+        "verify_iso_with_scaled": lambda: gf.verify_iso_with_scaled(-23, n),
+        "find_representations": lambda: gf.find_representations(q, 3, n),
+        "form_from_representation": lambda: gf.form_from_representation(q, rep, n),
+        "ideal_of_norm_from_representation": lambda: gf.ideal_of_norm_from_representation(q, rep),
+        "genus_table": lambda: gf.genus_table(-23, n),
+        "classify_prime": lambda: gf.classify_prime(3, -23, n),
+        "principal_genus_congruences": lambda: gf.principal_genus_congruences(-23, n),
+        "brahmagupta_check": lambda: gf.brahmagupta_check(q, n),
+        "canonical_rep": lambda: gf.canonical_rep(q, n),
+        "class_key": lambda: gf.class_key(q, n),
+        "class_reps": lambda: gf.class_reps(-23, n),
+        "coset_reps": lambda: gf.coset_reps(n),
+        "enumerate_reduced": lambda: gf.enumerate_reduced(-23, n),
+        "equivalent_gamma0": lambda: gf.equivalent_gamma0(q, q, n),
+        "is_reduced": lambda: gf.is_reduced(q, n),
+        "is_reduced_gamma0_small": lambda: gf.is_reduced_gamma0_small(q, n),
+        "p1_label": lambda: p1_label(n, 1, 1),
+        "sym_residues": lambda: gf.sym_residues(n),
+        "sym_rep": lambda: gf.sym_rep(n, 1),
+        "sym_inverse": lambda: gf.sym_inverse(n, 1),
+        "gamma_k": lambda: gf.gamma_k(n, 1),
+        "elliptic_data": lambda: gf.elliptic_data(n),
+        "orbit3": lambda: gf.orbit3(n, 2),
+        "corner_cm_point": lambda: gf.corner_cm_point(n, 1),
+        "contains": lambda: gf.contains(n, cm_point(q)),
+        "r_gamma0p_boundary": lambda: gf.r_gamma0p_boundary(n),
+    }
+    accepted = []
+    for name, call in calls.items():
+        try:
+            call()
+        except ValidationError:
+            continue
+        accepted.append(name)
+    assert accepted == []
 
 
 def test_form_basics():

@@ -16,7 +16,6 @@ from gammaforms.errors import (
 )
 from gammaforms.reduction import (
     _class_table,
-    _covering,
     _lift_to_sl2,
     _sweep,
     _walk,
@@ -30,6 +29,7 @@ from gammaforms.reduction import (
     is_reduced,
     is_reduced_gamma0_small,
     is_reduced_sl2,
+    level_supported,
     p1_label,
     reduce_sl2,
 )
@@ -234,11 +234,13 @@ def test_enumerate_is_sorted_and_validates():
 
 
 def test_enumerate_matches_class_count_for_primes():
-    # |Gamma0(p)-RF(D)| agrees with the translate covering at higher levels
+    # |Gamma0(p)-RF(D)| agrees with the translate covering at higher levels,
+    # class key by class key
     for p in (5, 7, 11):
         for d in (-3, -4, -7, -8, -11):
-            forms = enumerate_reduced(d, p)
-            assert len(forms) == len(_covering(d, p, coset_reps(p)))
+            covering = covering_per_pair(d, p, coset_reps(p))
+            assert _class_table(d, p).keys() == covering.keys(), (d, p)
+            assert len(enumerate_reduced(d, p)) == len(covering), (d, p)
 
 
 def test_sweep_matches_per_a_oracle():
@@ -281,12 +283,13 @@ def test_walk_checks(monkeypatch):
 
 
 def test_count_stable_under_other_coset_systems(rng):
-    # the number of classes does not depend on the chosen coset system
+    # the classes, and so their keys, do not depend on the chosen coset system
     for d, n in [(-4, 2), (-8, 2), (-3, 5), (-7, 3)]:
         base = coset_reps(n)
         twisted = tuple(random_gamma0(rng, n, 4) * g for g in reversed(base))
-        assert len(_covering(d, n, twisted)) == len(enumerate_reduced(d, n))
-        assert _covering(d, n, twisted) == covering_per_pair(d, n, twisted)
+        covering = covering_per_pair(d, n, twisted)
+        assert covering.keys() == _class_table(d, n).keys(), (d, n)
+        assert len(covering) == len(enumerate_reduced(d, n)), (d, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 11, 12, 30, 122, 150])
@@ -299,11 +302,9 @@ def test_class_table_matches_per_pair_oracle(n):
 
 def test_class_table_work_counts(monkeypatch):
     # one automorph list per reduced form and one label per bottom row mod n,
-    # not one per (reduced form, coset) pair; coset_reps is warm
-    d, n = -2999, 150
-    psi = len(coset_reps(n))
-    h = len(_sweep(d))
-    calls = dict.fromkeys(("p1_label", "automorphs"), 0)
+    # not one per (reduced form, coset) pair; no lift, as coset_reps is warm,
+    # and one walk per class at a supported level
+    calls = dict.fromkeys(("p1_label", "automorphs", "_lift_to_sl2", "_walk"), 0)
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(reduction, name)):
@@ -311,9 +312,15 @@ def test_class_table_work_counts(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(reduction, name, counted)
-    _class_table.__wrapped__(d, n)
-    assert calls["automorphs"] <= h, (calls, h)
-    assert calls["p1_label"] <= 2 * psi, (calls, psi)
+    for d, n in ((-2999, 150), (-2999, 11)):
+        psi = len(coset_reps(n))
+        h = len(_sweep(d))
+        calls.update(dict.fromkeys(calls, 0))
+        classes = len(_class_table.__wrapped__(d, n))
+        assert calls["automorphs"] <= h, (calls, d, n, h)
+        assert calls["p1_label"] <= 2 * psi, (calls, d, n, psi)
+        assert calls["_lift_to_sl2"] == 0, (calls, d, n)
+        assert calls["_walk"] == (classes if level_supported(n) else 0), (calls, d, n, classes)
 
 
 def test_finiteness_bound_for_prime_levels():

@@ -52,15 +52,34 @@ def test_oracles_stay_in_tests():
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
 
 
-def test_ideals_import_only_core_and_errors():
-    # the lattice oracle reaches no composition or reduction code
+def _imports(path: Path) -> set[str]:
+    """The modules a source file imports; relative ones keep their dots."""
     imported = set()
-    for node in ast.walk(ast.parse((SRC / "ideals.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
             imported.update("." + alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + node.module)
+    return imported
+
+
+def test_modules_import_only_stdlib_and_the_package():
+    # the library is stdlib-only: every import names the standard library
+    # or gammaforms itself
+    for path in sorted(SRC.glob("*.py")):
+        outside = {
+            name
+            for name in _imports(path)
+            if not name.startswith(".")
+            and name.split(".")[0] not in sys.stdlib_module_names | {"gammaforms"}
+        }
+        assert outside == set(), path.name
+
+
+def test_ideals_import_only_core_and_errors():
+    # the lattice oracle reaches no composition or reduction code
+    imported = _imports(SRC / "ideals.py")
     package = {name for name in imported if name.split(".")[0] not in sys.stdlib_module_names}
     assert package == {".core", ".errors"}
