@@ -272,6 +272,7 @@ class GroupElement:
         return GroupElement(self.d, -self.b, -self.c, self.a)
 
     def in_gamma0(self, n: int) -> bool:
+        validate_level(n)
         return self.c % n == 0
 
     def __str__(self) -> str:

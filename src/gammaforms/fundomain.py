@@ -15,19 +15,21 @@ resolved through two pieces of modular data:
   exactly when neither arc's rule drops it, and that leaves the orbit
   minima and the E3 corners (checked on every corner for p < 5000).
 
-Membership of a quadratic point is decided by six exact conditions; a
-point tau = (n + sqrt(D))/m is compared against lines and circles via the
-integers n, m, D only.
+The membership conditions are written once, in form coefficients, in
+``reduction.is_reduced``: ``contains`` hands it the form whose CM point is
+the quadratic point, so every comparison is exact integer arithmetic.
+This module holds the region's data: residues, side pairings, elliptic
+points and the boundary inventory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .core import CmPoint, GroupElement, is_prime, search_bound, validate_level
+from .core import CmPoint, Form, GroupElement, checked_cache, is_prime, search_bound, validate_level
 from .errors import SearchBoundExceeded, ValidationError
+from .reduction import is_reduced, kept_arc
 
 
 def _require_p(p: int) -> None:
@@ -80,22 +82,27 @@ class EllipticData:
 
     def k2(self, k: int) -> int:
         """min{k, -k^(-1)}: which member of a paired arc is kept."""
-        return min(k, -sym_inverse(self.p, k))
+        return kept_arc(k, self.p)
 
     def k3(self, k: int) -> int:
         """Minimum of the corner orbit of k (k in S_p, k != 1)."""
         return min(orbit3(self.p, k))
 
 
-@lru_cache(maxsize=None)
-def elliptic_data(p: int) -> EllipticData:
-    """E2 and E3 of Gamma0(p).  Every region query passes through here, so
-    a p with more than search_bound(10**5) boundary arcs is refused here,
-    once per p, before the O(p) work."""
+def check_arc_bound(p: int) -> None:
+    """Validate p and refuse a region of more than search_bound(10**5)
+    boundary arcs."""
     _require_p(p)
     limit = search_bound(10**5)
     if p - 1 > limit:
         raise SearchBoundExceeded(f"Gamma0({p}) has {p - 1} boundary arcs, limit {limit}")
+
+
+@checked_cache(check_arc_bound)
+def elliptic_data(p: int) -> EllipticData:
+    """E2 and E3 of Gamma0(p).  Every region query passes through here, so
+    check_arc_bound runs before every lookup, hit or miss, and before the
+    O(p) work."""
     s = sym_residues(p)
     e2 = tuple(k for k in s if (k * k + 1) % p == 0)
     e3 = tuple(k for k in s if (k * k - k + 1) % p == 0)
@@ -127,43 +134,12 @@ def corner_cm_point(p: int, k: int) -> CmPoint:
 def contains(p: int, t: CmPoint) -> bool:
     """Exact membership of the quadratic point t in the fundamental region.
 
-    With t = (n + sqrt(D))/m the six defining conditions become integer
-    (in)equalities; for instance |t - k/p| >= 1/p reads
-    (n*p - k*m)^2 - D*p^2 >= m^2.  Only the two circles at k/p next to
-    Re(t), |k - p*Re(t)| < 1, can hold t or pass through it.
+    With t = (n + sqrt(D))/m, the form (m, -2n, (n^2 - D)/m) has CM point
+    t (its coefficients are integers for every CmPoint), and t lies in the
+    region exactly when reduction.is_reduced keeps that form at level p.
     """
-    data = elliptic_data(p)
-    n, m, d = t.numB, t.den, t.D
-
-    # (1) |Re| <= 1/2
-    if 2 * abs(n) > m:
-        return False
-    # (3) on |Re| = 1/2 keep the left edge
-    if 2 * abs(n) == m and n > 0:
-        return False
-
-    below = n * p // m
-    for k in (below, below + 1):
-        if k == 0 or 2 * abs(k) >= p:
-            continue  # not in S_p
-        lhs = (n * p - k * m) ** 2 - d * p * p
-        rhs = m * m
-        if lhs < rhs:  # (2) strictly inside a circle
-            return False
-        if lhs > rhs:
-            continue
-        # (4) the circle at 1/p is discarded entirely
-        if k == 1:
-            return False
-        if k in data.e2:
-            # (5) keep the left half of an order-2 arc
-            if n * p > k * m:
-                return False
-        elif k != -1:
-            # (6) of a paired arc keep only the one with smaller center
-            if 2 * n * p > (2 * data.k2(k) + 1) * m:
-                return False
-    return True
+    elliptic_data(p)  # validates p and bounds the number of arcs
+    return is_reduced(Form(t.den, -2 * t.numB, (t.numB**2 - t.D) // t.den), p)
 
 
 # ---------------------------------------------------------------------------

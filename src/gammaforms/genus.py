@@ -91,8 +91,7 @@ def find_representations(q: Form, m: int, n: int) -> tuple[Representation, ...]:
     of more than search_bound(10**6) values of y is refused up front with
     SearchBoundExceeded.
     """
-    if not q.is_positive_definite():
-        raise ValidationError(f"form must be positive definite: {q}")
+    require_qf(q)
     validate_level(n)
     if m < 0:
         return ()
@@ -194,7 +193,15 @@ class GenusTable:
         return tuple(f for f, j in self.assignment if j == i)
 
 
-@checked_cache(check_table_bounds)
+def check_genus_bounds(d: int, n: int) -> None:
+    """check_table_bounds, and |D| above search_bound(2**20) refused."""
+    check_table_bounds(d, n)
+    limit = search_bound(2**20)
+    if -d > limit:
+        raise SearchBoundExceeded(f"genus table of disc {d} walks {-d} residues, limit {limit}")
+
+
+@checked_cache(check_genus_bounds)
 def genus_table(d: int, n: int) -> GenusTable:
     """ker(chi), H, its cosets, and the genus of every admissible form.
 
@@ -203,15 +210,9 @@ def genus_table(d: int, n: int) -> GenusTable:
     ker(chi).  Each admissible form N-represents exactly one H-coset, so
     one properly N-represented value coprime to D, found by
     `prepare_coprime`, names its genus; that value is checked to lie in
-    ker(chi).  |D| above search_bound(2**20) is refused before any residue
-    is walked.
+    ker(chi).  check_genus_bounds runs before every lookup, hit or miss.
     """
     modulus = abs(d)
-    limit = search_bound(2**20)
-    if modulus > limit:
-        raise SearchBoundExceeded(
-            f"genus table of disc {d} walks {modulus} residues, limit {limit}"
-        )
     ker = ker_chi(d)
     h = unit_values(principal_form(d), n)
     if not h <= ker:
@@ -422,6 +423,7 @@ def brahmagupta_check(q: Form, n: int = 1, samples: int = 20, seed: int = 0) -> 
     also checked: the first square's argument stays coprime to N and
     xw - yz = 0 (mod N) whenever (a, N) = 1, (xz, N) = 1, y = w = 0 (mod N).
     """
+    require_qf(q)
     if q.b % 2 != 0:
         raise ValidationError(f"middle coefficient must be even: {q}")
     a, bh, c = q.a, q.b // 2, q.c

@@ -6,18 +6,18 @@ delta*u for delta carrying a form of the class to r and u in Aut(r).  The
 canonical form of a class comes from that orbit on one path: the least
 translate of r by the inverse lifts of its labels (r itself at level 1),
 walked at levels 2, 3 and primes p >= 5 to the form whose CM point tau
-lies in a fundamental region (``is_reduced``; Ford, Automorphic
-Functions, ch. III).  Translate b into (-a, a].  While q(k, n) < a for
-one of the two k next to n*Re(tau) coprime to n, tau lies inside the
-circle of radius 1/n at k/n: move by the Gamma0(n) matrix with first
-column (k, n).  The new a is q(k, n), so each move lowers a > 0 and the
-walk ends.  Of the end point's images with the same a under the side
-pairings, exactly one is reduced.  The walk crosses one circle per step,
-so it starts from the least translate, whose size the lifts bound: from
-a form near a cusp, such as q translated by (1, 0; n*K, 1), it would take
-about K steps.  ``canonical_rep`` takes these steps for one form's orbit;
-the cached class table per (D, N), for enumeration, takes them once for
-each class it meets among the coset translates of the reduced forms.
+lies in a fundamental region (Ford, Automorphic Functions, ch. III),
+written out once in ``is_reduced``.  Translate b into (-a, a].  While
+q(k, n) < a on a circle of ``_arcs``, tau lies inside that circle of
+radius 1/n at k/n: move by the Gamma0(n) matrix with first column (k, n).
+The new a is q(k, n), so each move lowers a > 0 and the walk ends.  Of
+the end point's images with the same a under the side pairings, exactly
+one is reduced.  The walk crosses one circle per step, so it starts from
+the least translate, whose size the lifts bound: from a form near a cusp,
+such as q translated by (1, 0; n*K, 1), it would take about K steps.
+``canonical_rep`` takes these steps for one form's orbit; the cached class
+table per (D, N) takes them once for each class it meets among the coset
+translates of the reduced forms.
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -30,18 +30,16 @@ and the index psi(N) are functions of (D, N) alone, bounded by
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
-from . import fundomain
 from .core import (
     Form,
     GroupElement,
     act,
     act_by_column,
     checked_cache,
-    cm_point,
     is_prime,
     prime_factors,
     require_qf,
@@ -58,12 +56,9 @@ from .errors import (
     ValidationError,
 )
 
-SUPPORTED_SMALL = (1, 2, 3)
-
-
 def level_supported(n: int) -> bool:
     """True when a reduced-form predicate exists for Gamma0(n)."""
-    return n in SUPPORTED_SMALL or (n >= 5 and is_prime(n))
+    return n in (1, 2, 3) or (n >= 5 and is_prime(n))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +73,8 @@ class ReductionResult:
 
 def is_reduced_sl2(q: Form) -> bool:
     a, b, c = q.a, q.b, q.c
+    if a <= 0 or b * b >= 4 * a * c:
+        raise ValidationError(f"form is not positive definite: {q}")
     if not (abs(b) <= a <= c):
         return False
     if (abs(b) == a or a == c) and b < 0:
@@ -103,10 +100,7 @@ def reduce_sl2(q: Form) -> ReductionResult:
             ga, gb, gc, gd = gb, -ga, gd, -gc
             a, b, c = c, -b, a
             continue
-        if b == -a:
-            gb, gd = gb + ga, gd + gc
-            b = a
-        elif a == c and b < 0:
+        if a == c and b < 0:
             ga, gb, gc, gd = gb, -ga, gd, -gc
             b = -b
         break
@@ -118,33 +112,55 @@ def reduce_sl2(q: Form) -> ReductionResult:
 
 
 # ---------------------------------------------------------------------------
-# reduced-form predicates for the supported levels
+# the reduced-form predicate for the supported levels
 
 
-def is_reduced_gamma0_small(q: Form, p: int) -> bool:
-    """Reduced predicate for Gamma0(2) and Gamma0(3):
-    |b| <= a, |b| <= p*c, and on the boundary b > 0."""
-    if p not in (2, 3):
-        raise ValidationError(f"level must be 2 or 3: {p}")
+def kept_arc(k: int, n: int) -> int:
+    """min(k, -<k^(-1)>), <x> the residue of x mod n nearest 0: of the
+    circles at k/n and -k^(-1)/n, which pair, the region keeps this one."""
+    if math.gcd(k, n) != 1:
+        raise ValidationError(f"{k} has no inverse modulo {n}")
+    inv = pow(k, -1, n)
+    return min(k, n - inv if inv > (n - 1) // 2 else -inv)
+
+
+def _arcs(q: Form, n: int) -> Iterator[tuple[int, int]]:
+    """(k, q(k, n) - a) for the circles of radius 1/n at k/n next to
+    n*Re(tau), 0 < 2|k| <= n, gcd(k, n) = 1: the only circles that can hold
+    tau (a gap < 0) or pass through it (a gap of 0)."""
     a, b, c = q.a, q.b, q.c
-    if abs(b) > a or abs(b) > p * c:
-        return False
-    if (abs(b) == a or abs(b) == p * c) and b <= 0:
-        return False
-    return True
+    below = -b * n // (2 * a)
+    for k in (below, below + 1):
+        if 0 < 2 * abs(k) <= n and math.gcd(k, n) == 1:
+            yield k, (a * k + b * n) * k + c * n * n - a
 
 
 def is_reduced(q: Form, n: int) -> bool:
-    """True when q is the reduced form of its Gamma0(n)-class; at primes
-    n >= 5, when its CM point lies in the region of fundomain.contains."""
+    """True when q is the reduced form of its Gamma0(n)-class, n supported.
+    At n > 1: -a < b <= a and no gap of _arcs below 0.  On the circle at
+    k/n: k = 1 drops tau, k = -1 keeps it, k^2 = -1 (mod n) keeps it when
+    n*Re(tau) <= k, any other k when 2*n*Re(tau) <= 2*kept_arc(k, n) + 1.
+    Testing k = -1 first lets n = 2 share these rules."""
     if n == 1:
         return is_reduced_sl2(q)
-    if n in (2, 3):
-        return is_reduced_gamma0_small(q, n)
-    if level_supported(n):
-        return fundomain.contains(n, cm_point(q))
-    validate_level(n)
-    raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
+    a, b = q.a, q.b
+    if a <= 0 or b * b >= 4 * a * q.c:
+        raise ValidationError(f"form is not positive definite: {q}")
+    if not level_supported(n):
+        validate_level(n)
+        raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
+    if not -a < b <= a:
+        return False
+    for k, gap in _arcs(q, n):
+        if gap < 0:
+            return False
+        if gap == 0 and k != -1:
+            if k == 1:
+                return False
+            bound = 2 * k if (k * k + 1) % n == 0 else 2 * kept_arc(k, n) + 1
+            if -b * n > bound * a:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +217,13 @@ def _coset_index(n: int) -> int:
     return index
 
 
-@lru_cache(maxsize=None)
+def check_coset_bound(n: int) -> None:
+    """Validate n and refuse its cosets when psi(n) exceeds its bound."""
+    validate_level(n)
+    _coset_index(n)
+
+
+@checked_cache(check_coset_bound)
 def coset_reps(n: int) -> tuple[GroupElement, ...]:
     """Right-coset representatives Gamma0(n)\\SL2(Z), complete and
     duplicate-free, one per point (c : d) of P^1(Z/n) as bottom row; every
@@ -209,9 +231,9 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
 
     The labels come from one walk over the orbits of each divisor row, about
     sigma_0(n)*n steps; the class table over them makes h(D)*psi(n) form
-    translates, so an index psi(n) above 1500 is refused before the walk.
+    translates, so an index psi(n) above 1500 is refused before every
+    lookup, hit or miss.
     """
-    validate_level(n)
     index = _coset_index(n)
     labels = []
     for c in range(1, n + 1):
@@ -338,8 +360,7 @@ def check_table_bounds(d: int, n: int) -> None:
     """Validate (d, n) and refuse its class table when psi(n) or the
     divisor trials of _sweep(d) exceed their bounds."""
     validate_discriminant(d)
-    validate_level(n)
-    _coset_index(n)
+    check_coset_bound(n)
     b_max = math.isqrt(-d // 3)
     trials = (b_max + 1) * (math.isqrt((b_max * b_max - d) // 4) + 1)
     limit = search_bound(10**8)
@@ -355,15 +376,13 @@ def _into_strip(q: Form) -> Form:
 
 def _walk(q: Form, n: int) -> Form:
     """The reduced form of the Gamma0(n)-class of q, n > 1 supported.  Of
-    the circles at k/n, only the two next to Re(tau) can hold tau or pass
-    through it: a move across one that holds tau lowers a and starts over,
-    and the moves across those through tau collect the same-a images."""
+    the circles at k/n, only those of _arcs can hold tau or pass through
+    it: a move across one that holds tau lowers a and starts over, and the
+    moves across those through tau collect the same-a images."""
     images, todo = set(), [_into_strip(q)]
     while todo:
         f = todo.pop()
-        k = (-f.b * n) // (2 * f.a)
-        arcs = [j for j in (k, k + 1) if math.gcd(j, n) == 1 and f(j, n) <= f.a]
-        moves = [_into_strip(act_by_column(f, j, n)) for j in arcs]
+        moves = [_into_strip(act_by_column(f, k, n)) for k, gap in _arcs(f, n) if gap <= 0]
         if any(g.a < f.a for g in moves):
             images, todo = set(), [min(moves)]
         elif f not in images:

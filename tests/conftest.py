@@ -90,11 +90,28 @@ def is_prime_trial_division(n: int) -> bool:
     return True
 
 
+def is_reduced_gamma0_small(q: Form, p: int) -> bool:
+    """Reduced predicate for Gamma0(2) and Gamma0(3):
+    |b| <= a, |b| <= p*c, and on the boundary b > 0.
+
+    The oracle for reduction.is_reduced at these levels, which applies the
+    circle and side-pairing rules it shares with the primes p >= 5."""
+    if p not in (2, 3):
+        raise ValidationError(f"level must be 2 or 3: {p}")
+    a, b, c = q.a, q.b, q.c
+    if abs(b) > a or abs(b) > p * c:
+        return False
+    if (abs(b) == a or abs(b) == p * c) and b <= 0:
+        return False
+    return True
+
+
 def is_reduced_gamma0_p(q: Form, p: int) -> bool:
     """Reduced predicate for Gamma0(p), p >= 5 prime, in form coordinates.
 
-    Exact integer transcription of the region membership conditions; the
-    oracle for fundomain.contains, which the library uses at these levels.
+    Exact integer transcription of the region membership conditions, with
+    every arc and corner tested; the oracle for reduction.is_reduced, which
+    tests the two arcs next to p*Re(tau) and has no corner rule.
     """
     if p < 5 or not is_prime(p):
         raise ValidationError(f"level must be a prime >= 5: {p}")
@@ -135,8 +152,9 @@ def is_reduced_gamma0_p(q: Form, p: int) -> bool:
 
 def contains_all_arcs(p: int, t: CmPoint) -> bool:
     """Membership of t in the Gamma0(p) region with every arc k in S_p and
-    every corner tested; the oracle for fundomain.contains, which tests the
-    two arcs next to p*Re(t) and the one corner its real part names."""
+    every corner tested; the oracle for fundomain.contains, which hands
+    the form of t to reduction.is_reduced: the two arcs next to p*Re(t)
+    and no corner rule."""
     data = fundomain.elliptic_data(p)
     n, m, d = t.numB, t.den, t.D
     if 2 * abs(n) > m or (2 * abs(n) == m and n > 0):

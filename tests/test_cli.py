@@ -361,8 +361,10 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
 
 # (argv, GAMMA_FORMS_MAX_SEARCH or None): each request bounded and not;
 # at 10 only the 360 cosets of level 150 refuse (-3, 150), at 1000 the
-# 1024 level-1 divisor trials refuse (-3000, 1), and the 1010 cosets of
-# level 1009 refuse a reduce that builds no cosets
+# 1024 level-1 divisor trials refuse (-3000, 1), the 1010 cosets of
+# level 1009 refuse a reduce that builds no cosets, at 20 only the 28
+# residues of the genus table refuse (-28, 2), and at 10 only the 12
+# boundary arcs of Gamma0(13) refuse
 _BOUND_SCRIPT = (
     (["reduce", "--form", "1,1,1", "--level", "150"], "10"),
     (["reduce", "--form", "1,1,1", "--level", "150"], None),
@@ -380,6 +382,9 @@ _BOUND_SCRIPT = (
     (["enumerate", "--disc", "-23", "--level", "7"], None),
     (["reduce", "--form", "3,1,250", "--level", "1009"], "1000"),
     (["reduce", "--form", "3,1,250", "--level", "1009"], None),
+    (["genus", "--disc", "-28", "--level", "2"], "20"),
+    (["fundomain", "--p", "13"], "10"),
+    (["fundomain", "--p", "13"], None),
 )
 
 

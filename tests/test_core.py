@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,7 +86,6 @@ def test_every_level_is_validated(n):
         "enumerate_reduced": lambda: gf.enumerate_reduced(-23, n),
         "equivalent_gamma0": lambda: gf.equivalent_gamma0(q, q, n),
         "is_reduced": lambda: gf.is_reduced(q, n),
-        "is_reduced_gamma0_small": lambda: gf.is_reduced_gamma0_small(q, n),
         "p1_label": lambda: p1_label(n, 1, 1),
         "sym_residues": lambda: gf.sym_residues(n),
         "sym_rep": lambda: gf.sym_rep(n, 1),
@@ -96,7 +96,58 @@ def test_every_level_is_validated(n):
         "corner_cm_point": lambda: gf.corner_cm_point(n, 1),
         "contains": lambda: gf.contains(n, cm_point(q)),
         "r_gamma0p_boundary": lambda: gf.r_gamma0p_boundary(n),
+        "GroupElement.in_gamma0": lambda: IDENTITY.in_gamma0(n),
     }
+    accepted = []
+    for name, call in calls.items():
+        try:
+            call()
+        except ValidationError:
+            continue
+        accepted.append(name)
+    assert accepted == []
+
+
+@pytest.mark.parametrize(
+    "q",
+    [Form(2, 2, 6), Form(1, 4, 1), Form(-2, 1, -3)],
+    ids=["non-primitive", "indefinite", "negative-definite"],
+)
+def test_every_form_is_validated(q):
+    # each public function that takes a form refuses one that is not
+    # primitive and positive definite; the predicates and cm_point need
+    # only positive definiteness (contains hands is_reduced the form of a
+    # CM point, whose content may exceed 1), and act is the group action
+    # on every integral form
+    good = Form(2, 1, 3)  # disc -23
+    rep = gf.Representation(0, 1, 3, 1, True, True)
+    calls = {
+        "unit_values": lambda: gf.unit_values(q, 1),
+        "prepare_coprime": lambda: gf.prepare_coprime(q, 3, 1),
+        "dirichlet_compose": lambda: gf.dirichlet_compose(q, good, 1),
+        "dirichlet_compose second": lambda: gf.dirichlet_compose(good, q, 1),
+        "compose_classes": lambda: gf.compose_classes(q, good, 1),
+        "compose_classes second": lambda: gf.compose_classes(good, q, 1),
+        "find_representations": lambda: gf.find_representations(q, 3, 1),
+        "form_from_representation": lambda: gf.form_from_representation(q, rep, 1),
+        "ideal_of_norm_from_representation": lambda: gf.ideal_of_norm_from_representation(q, rep),
+        "ideal_from_form": lambda: gf.ideal_from_form(q),
+        "brahmagupta_check": lambda: gf.brahmagupta_check(q, 1),
+        "reduce_sl2": lambda: gf.reduce_sl2(q),
+        "automorphs": lambda: gf.automorphs(q),
+        "canonical_rep": lambda: gf.canonical_rep(q, 2),
+        "class_key": lambda: gf.class_key(q, 2),
+        "equivalent_gamma0": lambda: gf.equivalent_gamma0(q, good, 2),
+        "equivalent_gamma0 second": lambda: gf.equivalent_gamma0(good, q, 2),
+    }
+    if not q.is_positive_definite():
+        calls.update(
+            {
+                "cm_point": lambda: cm_point(q),
+                "is_reduced_sl2": lambda: gf.is_reduced_sl2(q),
+                **{f"is_reduced {n}": partial(gf.is_reduced, q, n) for n in (1, 2, 3, 5)},
+            }
+        )
     accepted = []
     for name, call in calls.items():
         try:

@@ -27,7 +27,6 @@ from gammaforms.reduction import (
     enumerate_reduced,
     equivalent_gamma0,
     is_reduced,
-    is_reduced_gamma0_small,
     is_reduced_sl2,
     level_supported,
     p1_label,
@@ -39,6 +38,7 @@ from conftest import (
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
+    is_reduced_gamma0_small,
     random_form,
     random_gamma0,
     random_sl2,
@@ -92,6 +92,25 @@ def test_is_reduced_gamma0_small_examples():
     assert is_reduced_gamma0_small(Form(3, 2, 1), 2)
     with pytest.raises(ValidationError):
         is_reduced_gamma0_small(Form(1, 0, 1), 5)
+
+
+def test_small_levels_match_oracle():
+    # at n = 2, 3 is_reduced applies the circle and side-pairing rules of
+    # the primes; they give the answers of the oracle written for these two
+    # levels on the boundary forms, |b| = a or |b| = n*c, and on a grid
+    for n in (2, 3):
+        forms = [
+            Form(a, b, c)
+            for a in range(1, 61)
+            for c in range(1, 61)
+            for b in {a, -a, n * c, -n * c}
+        ]
+        forms += [
+            Form(a, b, c) for a in range(1, 16) for c in range(1, 16) for b in range(-45, 46)
+        ]
+        for q in forms:
+            if q.disc < 0:
+                assert is_reduced(q, n) == is_reduced_gamma0_small(q, n), (q, n)
 
 
 def test_is_reduced_gamma0_p_examples():
@@ -204,6 +223,16 @@ def test_coset_reps_bound(monkeypatch):
             coset_reps(n)
     monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "12")
     assert len(coset_reps(6)) == 12
+
+
+def test_coset_reps_bound_when_warm(monkeypatch):
+    # the bound is checked before every lookup: a level whose cosets are
+    # cached is refused under a lower bound all the same
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    assert len(coset_reps(150)) == 360
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "10")
+    with pytest.raises(SearchBoundExceeded, match="more than 10 cosets"):
+        coset_reps(150)
 
 
 # ---------------------------------------------------------------------------

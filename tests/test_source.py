@@ -32,6 +32,7 @@ def test_oracles_stay_in_tests():
         for name in (
             "representation_values",
             "is_reduced_gamma0_p",
+            "is_reduced_gamma0_small",
             "sweep_per_a",
             "torsion_invariant_factors",
             "composed_cayley",
