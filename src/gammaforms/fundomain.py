@@ -2,24 +2,24 @@
 
 The region lives between the vertical lines Re = -1/2, Re = +1/2 and above
 the p - 1 circles of radius 1/p centered at k/p for k in the symmetric
-residue system S_p = {+-1, ..., +-(p-1)/2}.  Boundary identifications are
-resolved through two pieces of modular data:
+residue system S_p = {+-1, ..., +-(p-1)/2}.  One rule closes its boundary:
+a boundary point and its images under the side pairings, all at one
+height, are one point of the quotient, and the region keeps the leftmost.
+In form coefficients that is the greatest b among the images with the
+same a, written once in ``reduction.is_reduced``.  What it keeps is
+described by two pieces of modular data:
 
 * order-2 elliptic points sit at the arc tops k/p + i/p for k in E2 with
-  k^2 = -1 (mod p); a paired arc {k, -k^(-1)} keeps the copy with the
-  smaller center,
+  k^2 = -1 (mod p), where the arc is paired with itself and keeps its left
+  half; a paired arc {k, -k^(-1)} keeps the copy with the smaller center,
 * order-3 elliptic points sit at corner points (2k-1)/(2p) + i*sqrt(3)/(2p)
   for k in E3 with k^2 - k + 1 = 0 (mod p); corner orbits are the 3-cycles
-  of the map k -> <1 - k^(-1)> and keep only their minimum.  The corner
-  between the arcs at (k-1)/p and k/p needs no rule of its own: it stays
-  exactly when neither arc's rule drops it, and that leaves the orbit
-  minima and the E3 corners (checked on every corner for p < 5000).
+  of the map k -> <1 - k^(-1)> and keep only their minimum.
 
-The membership conditions are written once, in form coefficients, in
-``reduction.is_reduced``: ``contains`` hands it the form whose CM point is
-the quadratic point, so every comparison is exact integer arithmetic.
-This module holds the region's data: residues, side pairings, elliptic
-points and the boundary inventory.
+``contains`` hands ``reduction.is_reduced`` the form whose CM point is the
+quadratic point, so every comparison is exact integer arithmetic.  This
+module holds the region's data: residues, side pairings, elliptic points
+and the boundary inventory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .core import CmPoint, Form, GroupElement, checked_cache, is_prime, search_bound, validate_level
 from .errors import SearchBoundExceeded, ValidationError
-from .reduction import is_reduced, kept_arc
+from .reduction import is_reduced
 
 
 def _require_p(p: int) -> None:
@@ -82,7 +82,7 @@ class EllipticData:
 
     def k2(self, k: int) -> int:
         """min{k, -k^(-1)}: which member of a paired arc is kept."""
-        return kept_arc(k, self.p)
+        return min(k, -sym_inverse(self.p, k))
 
     def k3(self, k: int) -> int:
         """Minimum of the corner orbit of k (k in S_p, k != 1)."""
@@ -138,7 +138,7 @@ def contains(p: int, t: CmPoint) -> bool:
     t (its coefficients are integers for every CmPoint), and t lies in the
     region exactly when reduction.is_reduced keeps that form at level p.
     """
-    elliptic_data(p)  # validates p and bounds the number of arcs
+    check_arc_bound(p)
     return is_reduced(Form(t.den, -2 * t.numB, (t.numB**2 - t.D) // t.den), p)
 
 
@@ -162,7 +162,7 @@ class Boundary:
 
 def r_gamma0p_boundary(p: int) -> Boundary:
     """Arcs (center k/p, radius 1/p for k in S_p) and lines Re = +-1/2."""
-    elliptic_data(p)  # validates p and bounds the number of arcs
+    check_arc_bound(p)
     arcs = tuple(BoundaryArc(k, Fraction(k, p), Fraction(1, p)) for k in sym_residues(p))
     return Boundary(p, arcs, (Fraction(-1, 2), Fraction(1, 2)))
 

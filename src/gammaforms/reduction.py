@@ -11,10 +11,11 @@ written out once in ``is_reduced``.  Translate b into (-a, a].  While
 q(k, n) < a on a circle of ``_arcs``, tau lies inside that circle of
 radius 1/n at k/n: move by the Gamma0(n) matrix with first column (k, n).
 The new a is q(k, n), so each move lowers a > 0 and the walk ends.  Of
-the end point's images with the same a under the side pairings, exactly
-one is reduced.  The walk crosses one circle per step, so it starts from
-the least translate, whose size the lifts bound: from a form near a cusp,
-such as q translated by (1, 0; n*K, 1), it would take about K steps.
+the end point's images with the same a under the side pairings, the
+region keeps the one with the greatest b.  The walk crosses one circle
+per step, so it starts from the least translate, whose size the lifts
+bound: from a form near a cusp, such as q translated by (1, 0; n*K, 1),
+it would take about K steps.
 ``canonical_rep`` takes these steps for one form's orbit; the cached class
 table per (D, N) takes them once for each class it meets among the coset
 translates of the reduced forms.
@@ -115,15 +116,6 @@ def reduce_sl2(q: Form) -> ReductionResult:
 # the reduced-form predicate for the supported levels
 
 
-def kept_arc(k: int, n: int) -> int:
-    """min(k, -<k^(-1)>), <x> the residue of x mod n nearest 0: of the
-    circles at k/n and -k^(-1)/n, which pair, the region keeps this one."""
-    if math.gcd(k, n) != 1:
-        raise ValidationError(f"{k} has no inverse modulo {n}")
-    inv = pow(k, -1, n)
-    return min(k, n - inv if inv > (n - 1) // 2 else -inv)
-
-
 def _arcs(q: Form, n: int) -> Iterator[tuple[int, int]]:
     """(k, q(k, n) - a) for the circles of radius 1/n at k/n next to
     n*Re(tau), 0 < 2|k| <= n, gcd(k, n) = 1: the only circles that can hold
@@ -135,12 +127,34 @@ def _arcs(q: Form, n: int) -> Iterator[tuple[int, int]]:
             yield k, (a * k + b * n) * k + c * n * n - a
 
 
+def _into_strip(q: Form) -> Form:
+    """The translate of q by a power of T with b in (-a, a]."""
+    s = (q.a - q.b) // (2 * q.a)
+    return Form(q.a, q.b + 2 * q.a * s, q(s, 1))
+
+
+def _same_a(q: Form, n: int) -> set[Form]:
+    """The forms at the least a that q reaches by moves across the circles
+    of _arcs, each put into the strip: a move across one that holds tau (a
+    gap < 0) lowers a and starts over, and those through tau (a gap of 0)
+    collect the images of a point of the region, q's own if q is in it."""
+    images, todo = set(), [q]
+    while todo:
+        f = todo.pop()
+        moves = [(gap, _into_strip(act_by_column(f, k, n))) for k, gap in _arcs(f, n) if gap <= 0]
+        if lower := [g for gap, g in moves if gap < 0]:
+            images, todo = set(), [min(lower)]
+        elif f not in images:
+            images.add(f)
+            todo += [g for _, g in moves]
+    return images
+
+
 def is_reduced(q: Form, n: int) -> bool:
     """True when q is the reduced form of its Gamma0(n)-class, n supported.
-    At n > 1: -a < b <= a and no gap of _arcs below 0.  On the circle at
-    k/n: k = 1 drops tau, k = -1 keeps it, k^2 = -1 (mod n) keeps it when
-    n*Re(tau) <= k, any other k when 2*n*Re(tau) <= 2*kept_arc(k, n) + 1.
-    Testing k = -1 first lets n = 2 share these rules."""
+    At n > 1: -a < b <= a, no gap of _arcs below 0, and q has the greatest
+    b among its images with the same a: of a point and its side-pairing
+    images on the boundary, the region keeps one."""
     if n == 1:
         return is_reduced_sl2(q)
     a, b = q.a, q.b
@@ -149,18 +163,9 @@ def is_reduced(q: Form, n: int) -> bool:
     if not level_supported(n):
         validate_level(n)
         raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
-    if not -a < b <= a:
+    if not -a < b <= a or any(gap < 0 for _, gap in _arcs(q, n)):
         return False
-    for k, gap in _arcs(q, n):
-        if gap < 0:
-            return False
-        if gap == 0 and k != -1:
-            if k == 1:
-                return False
-            bound = 2 * k if (k * k + 1) % n == 0 else 2 * kept_arc(k, n) + 1
-            if -b * n > bound * a:
-                return False
-    return True
+    return all(f.b <= b for f in _same_a(q, n))
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +373,14 @@ def check_table_bounds(d: int, n: int) -> None:
         raise SearchBoundExceeded(f"disc {d} needs {trials} divisor trials, limit {limit}")
 
 
-def _into_strip(q: Form) -> Form:
-    """The translate of q by a power of T with b in (-a, a]."""
-    s = (q.a - q.b) // (2 * q.a)
-    return Form(q.a, q.b + 2 * q.a * s, q(s, 1))
-
-
 def _walk(q: Form, n: int) -> Form:
-    """The reduced form of the Gamma0(n)-class of q, n > 1 supported.  Of
-    the circles at k/n, only those of _arcs can hold tau or pass through
-    it: a move across one that holds tau lowers a and starts over, and the
-    moves across those through tau collect the same-a images."""
-    images, todo = set(), [_into_strip(q)]
-    while todo:
-        f = todo.pop()
-        moves = [_into_strip(act_by_column(f, k, n)) for k, gap in _arcs(f, n) if gap <= 0]
-        if any(g.a < f.a for g in moves):
-            images, todo = set(), [min(moves)]
-        elif f not in images:
-            images.add(f)
-            todo += moves
-    reduced = [f for f in images if is_reduced(f, n)]
-    if len(reduced) != 1:
-        raise InvariantError(f"{q} has {len(reduced)} reduced images at level {n}: {reduced}")
-    return reduced[0]
+    """The reduced form of the Gamma0(n)-class of q, n > 1 supported: of
+    the images _same_a collects, which have no gap below 0, the one with
+    the greatest b, which must lie in the strip."""
+    r = max(_same_a(_into_strip(q), n), key=lambda g: g.b)
+    if not -r.a < r.b <= r.a:
+        raise InvariantError(f"the walk of {q} at level {n} ends outside the strip at {r}")
+    return r
 
 
 def _canonical(r: Form, orbit: set, n: int, inverse_lift: Callable) -> Form:

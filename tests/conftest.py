@@ -33,6 +33,7 @@ from gammaforms.genus import (
 )
 from gammaforms.ideals import OIdeal, QuadOrder
 from gammaforms.reduction import (
+    _arcs,
     _class_table,
     _lift_to_sl2,
     _sweep,
@@ -94,8 +95,9 @@ def is_reduced_gamma0_small(q: Form, p: int) -> bool:
     """Reduced predicate for Gamma0(2) and Gamma0(3):
     |b| <= a, |b| <= p*c, and on the boundary b > 0.
 
-    The oracle for reduction.is_reduced at these levels, which applies the
-    circle and side-pairing rules it shares with the primes p >= 5."""
+    The oracle for reduction.is_reduced at these levels, which tests the
+    circles and keeps the greatest b among the same-a images, as at the
+    primes p >= 5."""
     if p not in (2, 3):
         raise ValidationError(f"level must be 2 or 3: {p}")
     a, b, c = q.a, q.b, q.c
@@ -146,6 +148,32 @@ def is_reduced_gamma0_p(q: Form, p: int) -> bool:
             if k == 1 or k in data.e3 or k == data.k3(k):
                 continue
             if b * p == (1 - 2 * k) * a:
+                return False
+    return True
+
+
+def is_reduced_by_rules(q: Form, n: int) -> bool:
+    """Reduced predicate for Gamma0(n), n = 2, 3 or a prime p >= 5, with the
+    side-pairing tie-breaks written out: -a < b <= a, no gap of _arcs below
+    0, and on the circle at k/n k = 1 drops tau, k = -1 keeps it, k^2 = -1
+    (mod n) keeps it when n*Re(tau) <= k, any other k when 2*n*Re(tau) <=
+    2*min(k, -<k^(-1)>) + 1.  Testing k = -1 first lets n = 2 share these
+    rules.  The oracle for reduction.is_reduced, which keeps the greatest b
+    among the images with the same a."""
+    if n not in (2, 3) and (n < 5 or not is_prime(n)):
+        raise ValidationError(f"level must be 2, 3 or a prime >= 5: {n}")
+    a, b = q.a, q.b
+    if not -a < b <= a:
+        return False
+    for k, gap in _arcs(q, n):
+        if gap < 0:
+            return False
+        if gap == 0 and k != -1:
+            if k == 1:
+                return False
+            kept = min(k, -fundomain.sym_inverse(n, k))
+            bound = 2 * k if (k * k + 1) % n == 0 else 2 * kept + 1
+            if -b * n > bound * a:
                 return False
     return True
 

@@ -139,9 +139,9 @@ def test_contains_corner_selection():
 
 
 def test_corners_need_no_rule_of_their_own():
-    # contains has no corner rule: the arc rules alone keep exactly the
-    # corners the oracle's orbit-minimum rule keeps, on every corner of
-    # every prime level below 400 (13,882 corners)
+    # contains has no corner rule: keeping the greatest b among the same-a
+    # images keeps exactly the corners the oracle's orbit-minimum rule
+    # keeps, on every corner of every prime level below 400 (13,882 corners)
     for p in [p for p in range(5, 400) if is_prime(p)]:
         for k in (*sym_residues(p), (p + 1) // 2):
             t = corner_cm_point(p, k)
@@ -252,7 +252,7 @@ def test_boundary_description():
 
 
 def test_arc_bound(monkeypatch):
-    # one check in elliptic_data bounds the boundary and the membership test
+    # one check, check_arc_bound, bounds the boundary and the membership test
     monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "10")
     elliptic_data.cache_clear()
     try:
@@ -261,5 +261,22 @@ def test_arc_bound(monkeypatch):
             r_gamma0p_boundary(13)
         with pytest.raises(SearchBoundExceeded, match="12 boundary arcs"):
             contains(13, cm_point(Form(1, 1, 1)))
+    finally:
+        elliptic_data.cache_clear()
+
+
+def test_region_queries_skip_elliptic_data():
+    # contains and the boundary validate p and bound its arcs by the check
+    # alone, not by the O(p) scan that builds E2 and E3
+    elliptic_data.cache_clear()
+    try:
+        assert contains(99991, cm_point(Form(1, 1, 1)))
+        assert len(r_gamma0p_boundary(101).arcs) == 100
+        assert elliptic_data.cache_info().currsize == 0
+        for p in (3, 4):
+            with pytest.raises(ValidationError):
+                contains(p, cm_point(Form(1, 1, 1)))
+            with pytest.raises(ValidationError):
+                r_gamma0p_boundary(p)
     finally:
         elliptic_data.cache_clear()

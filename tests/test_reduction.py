@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaforms import reduction
-from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act
+from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act, act_by_column
 from gammaforms.errors import (
     DiscriminantMismatch,
     InvariantError,
@@ -16,6 +16,7 @@ from gammaforms.errors import (
 )
 from gammaforms.reduction import (
     _class_table,
+    _into_strip,
     _lift_to_sl2,
     _sweep,
     _walk,
@@ -38,6 +39,7 @@ from conftest import (
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
+    is_reduced_by_rules,
     is_reduced_gamma0_small,
     random_form,
     random_gamma0,
@@ -95,8 +97,8 @@ def test_is_reduced_gamma0_small_examples():
 
 
 def test_small_levels_match_oracle():
-    # at n = 2, 3 is_reduced applies the circle and side-pairing rules of
-    # the primes; they give the answers of the oracle written for these two
+    # at n = 2, 3 is_reduced applies the circle and greatest-b rules of the
+    # primes; they give the answers of the oracle written for these two
     # levels on the boundary forms, |b| = a or |b| = n*c, and on a grid
     for n in (2, 3):
         forms = [
@@ -111,6 +113,39 @@ def test_small_levels_match_oracle():
         for q in forms:
             if q.disc < 0:
                 assert is_reduced(q, n) == is_reduced_gamma0_small(q, n), (q, n)
+
+
+def _same_a_images(f: Form, n: int) -> set[Form]:
+    """f and the forms with its a reached by moves by the Gamma0(n) matrices
+    with first column (k, n), k within 3 of n*Re(tau), each put into the
+    strip; the boundary forms of f's class that random forms rarely hit."""
+    images, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if g not in images:
+            images.add(g)
+            near = -g.b * n // (2 * g.a)
+            todo += [
+                _into_strip(act_by_column(g, k, n))
+                for k in range(near - 2, near + 4)
+                if math.gcd(k, n) == 1 and g(k, n) == g.a
+            ]
+    return images
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 101])
+def test_is_reduced_matches_rules_oracle(n):
+    # is_reduced keeps the greatest b among the images with the same a, the
+    # oracle writes the side-pairing tie-breaks out; they agree on each class
+    # rep and its same-a images, of which the rep alone is reduced
+    for d in range(-3, -400, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for f in class_reps(d, n):
+            images = _same_a_images(f, n)
+            assert [g for g in images if is_reduced(g, n)] == [f], (f, n)
+            for q in images:
+                assert is_reduced(q, n) == is_reduced_by_rules(q, n), (q, n)
 
 
 def test_is_reduced_gamma0_p_examples():
@@ -300,11 +335,11 @@ def test_walk_matches_per_a_oracle(rng, n):
 
 
 def test_walk_checks(monkeypatch):
-    # a walk must end on exactly one reduced image, and two classes must
-    # not walk to one form
+    # a walk must end in the strip, and two classes must not walk to one
+    # form; a strip one translate off leaves the end point outside it
     with monkeypatch.context() as m:
-        m.setattr(reduction, "is_reduced", lambda q, n: False)
-        with pytest.raises(InvariantError, match="0 reduced images"):
+        m.setattr(reduction, "_into_strip", lambda q: Form(q.a, q.b + 2 * q.a, q(1, 1)))
+        with pytest.raises(InvariantError, match="ends outside the strip"):
             _walk(Form(1, 1, 1), 5)
     monkeypatch.setattr(reduction, "_walk", lambda q, n: Form(1, 1, 6))
     with pytest.raises(InvariantError, match="walk to one reduced form"):

@@ -33,6 +33,7 @@ def test_oracles_stay_in_tests():
             "representation_values",
             "is_reduced_gamma0_p",
             "is_reduced_gamma0_small",
+            "is_reduced_by_rules",
             "sweep_per_a",
             "torsion_invariant_factors",
             "composed_cayley",
