@@ -138,7 +138,7 @@ def _cmd_genus(args) -> int:
         f"H: {sorted(table.h_subgroup)}",
         "cosets:",
     ]
-    lines += [f"  {i}: {sorted(c)}" for i, c in enumerate(table.cosets)]
+    lines += [f"  {i}: {list(c)}" for i, c in enumerate(table.cosets)]
     lines.append("assignment:")
     lines += [f"  {f} -> {i}" for f, i in table.assignment]
     _emit(
@@ -149,7 +149,7 @@ def _cmd_genus(args) -> int:
             "level": args.level,
             "ker_chi": sorted(table.ker_chi),
             "H": sorted(table.h_subgroup),
-            "cosets": [sorted(c) for c in table.cosets],
+            "cosets": [list(c) for c in table.cosets],
             "assignment": [
                 {"form": f.to_json_dict(), "coset": i} for f, i in table.assignment
             ],

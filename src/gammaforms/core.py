@@ -304,7 +304,7 @@ class Form:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
     def content(self) -> int:
-        return math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c))
+        return math.gcd(self.a, self.b, self.c)
 
     def is_primitive(self) -> bool:
         return self.content() == 1
@@ -314,7 +314,8 @@ class Form:
 
     def is_qf(self) -> bool:
         """Primitive and positive definite."""
-        return self.is_positive_definite() and self.is_primitive()
+        a, b, c = self.a, self.b, self.c
+        return a > 0 and b * b < 4 * a * c and math.gcd(a, b, c) == 1
 
     @classmethod
     def qf(cls, a: int, b: int, c: int) -> "Form":
@@ -347,12 +348,21 @@ def require_qf(q: Form) -> Form:
     return q
 
 
+def act_coeffs(
+    a: int, b: int, c: int, ga: int, gb: int, gc: int, gd: int
+) -> tuple[int, int, int]:
+    """The coefficients of (a, b, c) . (ga, gb; gc, gd) under the right action:
+    the form (x, y) -> a*X^2 + b*X*Y + c*Y^2 at X = ga*x + gb*y, Y = gc*x + gd*y."""
+    return (
+        (a * ga + b * gc) * ga + c * gc * gc,
+        2 * a * ga * gb + b * (ga * gd + gb * gc) + 2 * c * gc * gd,
+        (a * gb + b * gd) * gb + c * gd * gd,
+    )
+
+
 def act(q: Form, g: GroupElement) -> Form:
     """Right action: (q . g)(x, y) = q(a*x + b*y, c*x + d*y)."""
-    a2 = q(g.a, g.c)
-    c2 = q(g.b, g.d)
-    b2 = 2 * q.a * g.a * g.b + q.b * (g.a * g.d + g.b * g.c) + 2 * q.c * g.c * g.d
-    return Form(a2, b2, c2)
+    return Form(*act_coeffs(q.a, q.b, q.c, g.a, g.b, g.c, g.d))
 
 
 def act_by_column(q: Form, x: int, y: int) -> Form:

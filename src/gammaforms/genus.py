@@ -20,21 +20,25 @@ A prime is classified without a scan.  A square root of D mod p gives
 (p, +-b, c), which represent p at (1, 0), and the map (a, b, c) ->
 (a, bN, cN^2) carries the Gamma0(N)-classes of admissible forms of
 discriminant D one-to-one to SL2(Z)-classes of discriminant D*N^2.  So one
-SL2(Z) reduction at D*N^2 names the witness's class in a dict the genus
-table keeps, and the reduction matrices give its representations of p.
-`find_representations` scans y and serves `represent` and composite m.
+Gauss reduction at D*N^2, run in integers and mirrored for -b, names the
+witness's class by its reduced triple in a dict the genus table keeps.
+The table also keeps, per class, the products delta*u (u in Aut(r)) that
+turn the reduction matrix into its representations of p, and each coset
+as a sorted tuple, so a prime not dividing N builds objects only for the
+answer.  `find_representations` scans y and serves `represent` and
+composite m.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .classgroup import prepare_coprime, principal_form
 from .core import (
     Form,
-    GroupElement,
     act_by_column,
     checked_cache,
     is_prime,
@@ -52,7 +56,7 @@ from .core import (
 from .errors import InvariantError, SearchBoundExceeded, ValidationError
 from .ideals import OIdeal, ideal_from_form
 from .reduction import (
-    ReductionResult,
+    _gauss,
     automorphs,
     canonical_rep,
     check_table_bounds,
@@ -169,13 +173,16 @@ class GenusTable:
     N: int
     ker_chi: frozenset[int]
     h_subgroup: frozenset[int]
-    cosets: tuple[frozenset[int], ...]
+    cosets: tuple[tuple[int, ...], ...]  # each sorted
     assignment: tuple[tuple[Form, int], ...]
     # residue mod |D| -> number of its coset, for every residue in ker(chi)
     coset_index: dict[int, int] = field(repr=False, compare=False)
-    # SL2(Z)-reduction of (a, bN, cN^2) -> (f, matrix carrying the one to the
-    # other), for every admissible form f = (a, b, c)
-    scaled_classes: dict[Form, tuple[Form, GroupElement]] = field(repr=False, compare=False)
+    # the SL2(Z)-reduced triple r of (a, bN, cN^2) -> (f, the entries of
+    # delta*u for u in Aut(r)), delta carrying the one to the other, for
+    # every admissible form f = (a, b, c)
+    scaled_classes: dict[tuple[int, int, int], tuple[Form, tuple[tuple[int, ...], ...]]] = field(
+        repr=False, compare=False
+    )
 
     def coset_of_residue(self, m: int) -> int:
         try:
@@ -217,7 +224,7 @@ def genus_table(d: int, n: int) -> GenusTable:
     h = unit_values(principal_form(d), n)
     if not h <= ker:
         raise InvariantError(f"H is not inside ker(chi) for disc {d}, level {n}")
-    cosets: list[frozenset[int]] = []
+    cosets: list[tuple[int, ...]] = []
     index: dict[int, int] = {}
     for m in sorted(ker):
         if m in index:
@@ -226,9 +233,9 @@ def genus_table(d: int, n: int) -> GenusTable:
         if m not in coset or not coset <= ker or not index.keys().isdisjoint(coset):
             raise InvariantError(f"H-cosets do not partition ker(chi) for disc {d}")
         index.update(dict.fromkeys(coset, len(cosets)))
-        cosets.append(coset)
+        cosets.append(tuple(sorted(coset)))
     assignment = []
-    scaled: dict[Form, tuple[Form, GroupElement]] = {}
+    scaled: dict[tuple[int, int, int], tuple[Form, tuple[tuple[int, ...], ...]]] = {}
     for f in class_reps(d, n):
         if math.gcd(f.a, n) != 1:
             continue
@@ -239,11 +246,11 @@ def genus_table(d: int, n: int) -> GenusTable:
             )
         assignment.append((f, index[v]))
         res = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
-        if res.reduced in scaled:
-            raise InvariantError(
-                f"{scaled[res.reduced][0]} and {f} meet at disc {d * n * n} (level {n})"
-            )
-        scaled[res.reduced] = f, res.transform
+        r = res.reduced
+        key = r.a, r.b, r.c
+        if key in scaled:
+            raise InvariantError(f"{scaled[key][0]} and {f} meet at disc {d * n * n} (level {n})")
+        scaled[key] = f, tuple((res.transform * u).as_tuple() for u in automorphs(r))
     return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index, scaled)
 
 
@@ -263,44 +270,55 @@ class PrimeClassification:
 
 
 def _first_columns(
-    m: GroupElement, auts: tuple[GroupElement, ...], x: int, y: int, scale: int
+    products: Iterable[tuple[int, ...]], x: int, y: int, scale: int
 ) -> list[tuple[int, int]]:
-    """The first columns of m*u*g, u in auts, g having first column (x, y),
-    with the second entry times scale."""
-    out = []
-    for u in auts:
-        ux, uy = u.a * x + u.b * y, u.c * x + u.d * y
-        out.append((m.a * ux + m.b * uy, scale * (m.c * ux + m.d * uy)))
-    return out
+    """The first columns of m*g, m = (ma, mb; mc, md) in products, g having
+    first column (x, y), with the second entry times scale."""
+    return [(ma * x + mb * y, scale * (mc * x + md * y)) for ma, mb, mc, md in products]
 
 
-def _mirror(res: ReductionResult) -> ReductionResult:
-    """The SL2(Z)-reduction of (a, -b, c) from that of (a, b, c).
+def _mirror(red: tuple[int, ...]) -> tuple[int, ...]:
+    """The Gauss reduction of (a, -b, c) from that of (a, b, c), both as the
+    7-tuple of the reduced triple and the witness entries (ga, gb, gc, gd).
     Conjugating by diag(1, -1) negates the middle coefficients of both forms
     and the off-diagonal of the matrix; then at most one step by T or S
     brings a reduced form with its sign flipped back from the boundary."""
-    r, g = res.reduced, res.transform
-    a, b, c = r.a, -r.b, r.c
-    ga, gb, gc, gd = g.a, -g.b, -g.c, g.d
+    a, b, c, ga, gb, gc, gd = red
+    b, gb, gc = -b, -gb, -gc
     if b == -a:
         gb, gd, b = gb + ga, gd + gc, a
     elif a == c and b < 0:
         ga, gb, gc, gd, b = gb, -ga, gd, -gc, -b
-    return ReductionResult(Form(a, b, c), GroupElement(ga, gb, gc, gd))
+    return a, b, c, ga, gb, gc, gd
 
 
-def _scaled_witness(table: GenusTable, res: ReductionResult) -> tuple[Form, list]:
-    """The admissible class whose image at disc D*N^2 reduces as res does,
-    and the candidate representations of p by it, res being the SL2(Z)
-    reduction of (p, +-bN, cN^2)."""
+def _scaled_class(table: GenusTable, red: tuple[int, ...]) -> tuple[Form, tuple]:
+    """The scaled_classes entry of a reduction at disc D*N^2."""
     try:
-        f, delta = table.scaled_classes[res.reduced]
+        return table.scaled_classes[red[:3]]
     except KeyError:
         raise InvariantError(
-            f"{res.reduced} is the image of no admissible class (disc {table.D}, level {table.N})"
+            f"{Form(*red[:3])} is the image of no admissible class"
+            f" (disc {table.D}, level {table.N})"
         ) from None
-    g = res.transform  # the inverse of g has first column (g.d, -g.c)
-    return f, _first_columns(delta, automorphs(res.reduced), g.d, -g.c, table.N)
+
+
+def _scaled_witness(table: GenusTable, p: int, b: int, c: int) -> tuple[Form, list]:
+    """The lesser class of (p, +-b, c), p not dividing N, and the candidate
+    representations of p by it: (p, +-bN, cN^2) reduce at disc D*N^2 to r by
+    g, the table maps r to the class and to delta*u, and the first columns
+    of delta*u*g^(-1), y scaled by N, are the candidates.  Columns are made
+    only for the sign or signs whose class is the witness."""
+    n = table.N
+    red = _gauss(p, b * n, c * n * n)
+    found = [(_scaled_class(table, r), r) for r in (red, _mirror(red))]
+    witness = min(f for (f, _), _ in found)
+    columns = []
+    for (f, products), (*_, gc, gd) in found:
+        if f == witness:
+            # the inverse of g = (ga, gb; gc, gd) has first column (gd, -gc)
+            columns += _first_columns(products, gd, -gc, n)
+    return witness, columns
 
 
 def _level_witness(p: int, b: int, c: int, n: int) -> tuple[Form, list]:
@@ -311,12 +329,14 @@ def _level_witness(p: int, b: int, c: int, n: int) -> tuple[Form, list]:
     g = equivalent_gamma0(f, q, n)
     if g is None:
         raise InvariantError(f"{q} is not Gamma0({n})-equivalent to its canonical form {f}")
-    return f, _first_columns(g, automorphs(q), 1, 0, 1)
+    return f, _first_columns([(g * u).as_tuple() for u in automorphs(q)], 1, 0, 1)
 
 
 def _witness(table: GenusTable, p: int) -> tuple[Form, list[tuple[int, int]]]:
     """The witness of an odd prime p with (D/p) = 1, p not dividing D, and
-    every N-admissible pair (x, y) at which it represents p."""
+    every N-admissible pair (x, y) at which it represents p.  The witness
+    is the lesser class of (p, b, c) and (p, -b, c); each candidate first
+    column is checked to represent p N-admissibly by it."""
     d, n = table.D, table.N
     r = sqrt_mod_prime(d, p)
     b = r if (r - d) % 2 == 0 else p - r
@@ -324,15 +344,13 @@ def _witness(table: GenusTable, p: int) -> tuple[Form, list[tuple[int, int]]]:
         raise InvariantError(f"{b}^2 is not {d} modulo {4 * p}")
     c = (b * b - d) // (4 * p)
     if n % p:
-        res = reduce_sl2(Form(p, b * n, c * n * n))
-        found = [_scaled_witness(table, r) for r in (res, _mirror(res))]
+        witness, columns = _scaled_witness(table, p, b, c)
     else:
         found = [_level_witness(p, s, c, n) for s in (b, -b)]
-    witness = min(f for f, _ in found)
+        witness = min(f for f, _ in found)
+        columns = [col for f, cols in found if f == witness for col in cols]
     pairs = [
         (x, y)
-        for f, columns in found
-        if f == witness
         for x, y in columns
         if witness(x, y) == p and math.gcd(x, n) == 1 and y % n == 0
     ]
@@ -350,12 +368,14 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
     class_reps order) and the representation is the least of those first
     columns.  When p does not divide N the classes are found at disc
     D*N^2, where (a, b, c) -> (a, bN, cN^2) carries Gamma0(N)-classes of
-    admissible forms to SL2(Z)-classes: one reduce_sl2 of (p, bN, cN^2),
-    mirrored for -b, and one lookup per sign in the genus table, whose
-    matrices give the columns with y scaled by N.  When p divides N the
-    witness is not admissible, and canonical_rep and equivalent_gamma0 give
-    it.  No form is scanned; each candidate is checked to represent p
-    N-admissibly.
+    admissible forms to SL2(Z)-classes: one Gauss reduction of
+    (p, bN, cN^2) in integers, mirrored for -b, and one lookup per sign by
+    reduced triple in the genus table, whose precomputed products delta*u
+    give the columns of the lesser class with y scaled by N.  Only the
+    answer is built as objects; the coset comes sorted from the table.
+    When p divides N the witness is not admissible, and canonical_rep and
+    equivalent_gamma0 give it.  No form is scanned; each candidate is
+    checked to represent p N-admissibly.
     """
     validate_discriminant(d)
     validate_level(n)
@@ -373,7 +393,7 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
         raise InvariantError(f"no reduced form of disc {d} N-represents {p} at level {n}")
     x, y = min(pairs, key=_pair_key)
     rep = Representation(x, y, p, n, math.gcd(x, y) == 1, True)
-    return PrimeClassification(p, d, n, chi, tuple(sorted(table.cosets[idx])), witness, rep)
+    return PrimeClassification(p, d, n, chi, table.cosets[idx], witness, rep)
 
 
 def principal_genus_congruences(d: int, n: int) -> frozenset[int]:

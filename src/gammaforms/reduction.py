@@ -40,6 +40,7 @@ from .core import (
     GroupElement,
     act,
     act_by_column,
+    act_coeffs,
     checked_cache,
     is_prime,
     prime_factors,
@@ -83,11 +84,11 @@ def is_reduced_sl2(q: Form) -> bool:
     return True
 
 
-def reduce_sl2(q: Form) -> ReductionResult:
-    """Gauss reduction; returns the reduced form and a witness matrix g
-    with act(q, g) equal to it."""
-    require_qf(q)
-    a, b, c = q.a, q.b, q.c
+def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
+    """Gauss reduction of a positive-definite (a, b, c) in integers: the
+    reduced (a', b', c') and the witness entries (ga, gb, gc, gd) of a
+    matrix of determinant 1 carrying the one to the other, both checked."""
+    q = a, b, c
     # the witness (ga, gb; gc, gd), multiplied on the right by each step
     ga, gb, gc, gd = 1, 0, 0, 1
     while True:
@@ -105,11 +106,21 @@ def reduce_sl2(q: Form) -> ReductionResult:
             ga, gb, gc, gd = gb, -ga, gd, -gc
             b = -b
         break
-    reduced = Form(a, b, c)
-    g = GroupElement(ga, gb, gc, gd)
-    if act(q, g) != reduced:
-        raise InvariantError(f"witness {g} does not carry {q} to {reduced}")
-    return ReductionResult(reduced, g)
+    if ga * gd - gb * gc != 1 or act_coeffs(*q, ga, gb, gc, gd) != (a, b, c):
+        raise InvariantError(
+            f"witness [[{ga}, {gb}], [{gc}, {gd}]] does not carry {q} to {(a, b, c)}"
+        )
+    return a, b, c, ga, gb, gc, gd
+
+
+def reduce_sl2(q: Form) -> ReductionResult:
+    """Gauss reduction; returns the reduced form and a witness matrix g
+    with act(q, g) equal to it.  The loop and its check run in integers
+    in `_gauss`, which `genus.classify_prime` calls directly; only the
+    answer is wrapped in objects."""
+    require_qf(q)
+    a, b, c, ga, gb, gc, gd = _gauss(q.a, q.b, q.c)
+    return ReductionResult(Form(a, b, c), GroupElement(ga, gb, gc, gd))
 
 
 # ---------------------------------------------------------------------------

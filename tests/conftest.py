@@ -502,7 +502,8 @@ def genus_table_by_value_sets(d: int, n: int) -> GenusTable:
         assignment.append((f, matches[0]))
     index = {r: i for i, coset in enumerate(cosets) for r in coset}
     # no class map at disc D*N^2: this table is compared, never classified against
-    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index, {})
+    sorted_cosets = tuple(tuple(sorted(coset)) for coset in cosets)
+    return GenusTable(d, n, ker, h, sorted_cosets, tuple(assignment), index, {})
 
 
 def classify_prime_by_scan(p: int, d: int, n: int) -> PrimeClassification:

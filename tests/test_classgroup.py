@@ -240,3 +240,14 @@ def test_oracle_pairs_detects_wrong_composition(monkeypatch):
     compose_one_pair_wrongly(monkeypatch, -23, 2)
     with pytest.raises(InvariantError, match="oracle mismatch at classes 0, 1"):
         oracle_pairs(-23, 2)
+
+
+def test_oracle_pairs_builds_each_left_ideal_once(monkeypatch):
+    # h left ideals, then per ordered pair the composed form's and the
+    # right factor's: 2*h^2 + h ideals for h classes, not 3*h^2
+    h = class_group(-56, 3).order
+    built = []
+    real = classgroup.ideal_from_form
+    monkeypatch.setattr(classgroup, "ideal_from_form", lambda q: built.append(q) or real(q))
+    assert oracle_pairs(-56, 3) == h * h
+    assert h > 1 and len(built) == 2 * h * h + h

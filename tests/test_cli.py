@@ -272,17 +272,21 @@ def test_invariant_failure_exit_code(capsys, monkeypatch):
 
 
 def test_reduction_witness_check(capsys, monkeypatch):
-    # a corrupted action makes the reduction witness wrong; the check must
-    # survive python -O and reach the CLI as an internal error
-    real_act = reduction.act
+    # a corrupted action formula makes the reduction witness wrong; the
+    # check must survive python -O, stop a classification that reduces in
+    # integers, and reach the CLI as an internal error
+    real_act_coeffs = reduction.act_coeffs
 
-    def corrupt(q, g):
-        out = real_act(q, g)
-        return Form(out.a, out.b, out.c + 1)
+    def corrupt(*entries):
+        a, b, c = real_act_coeffs(*entries)
+        return a, b, c + 1
 
-    monkeypatch.setattr(reduction, "act", corrupt)
+    genus.genus_table(-28, 2)
+    monkeypatch.setattr(reduction, "act_coeffs", corrupt)
     with pytest.raises(InvariantError):
         reduction.reduce_sl2(Form(3, 2, 1))
+    with pytest.raises(InvariantError, match="does not carry"):
+        genus.classify_prime(23, -28, 2)
     code, out, err = capture(capsys, ["reduce", "--form", "3,2,1", "--level", "2"])
     assert code == 1 and out == ""
     assert err.startswith("error: internal:") and "Traceback" not in err

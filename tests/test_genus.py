@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from gammaforms import genus
+from gammaforms import genus, reduction
 from gammaforms.classgroup import principal_form
-from gammaforms.core import Form, act, is_prime, kronecker, units_mod
+from gammaforms.core import Form, GroupElement, act, is_prime, kronecker, units_mod
 from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
 from gammaforms.genus import (
     Representation,
@@ -259,6 +259,39 @@ def test_classify_prime_never_scans(monkeypatch):
                 assert math.gcd(r.x, n) == 1 and r.y % n == 0, (p, d, n)
 
 
+def test_classify_prime_builds_no_reduction_objects(monkeypatch):
+    # with the genus table built, a prime not dividing N is classified in
+    # integers: no reduce_sl2, no automorphs and no matrix object per prime
+    for d, n in _CLASSIFY_GRID:
+        genus_table(d, n)
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for module in (genus, reduction):
+        for name in ("reduce_sl2", "automorphs"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(
+        GroupElement, "__post_init__", counted("GroupElement", GroupElement.__post_init__)
+    )
+    classified = 0
+    for d, n in _CLASSIFY_GRID:
+        for p in [p for p in range(3, 400) if is_prime(p) and d % p and n % p] + [10**12 + 39]:
+            c = classify_prime(p, d, n)
+            classified += c.represented
+    assert calls == [] and classified > 0
+
+
+def test_classify_prime_image_of_no_class(monkeypatch):
+    # a reduction at disc D*N^2 that the table does not hold is reported
+    table = genus_table(-28, 2)
+    for key in list(table.scaled_classes):
+        monkeypatch.delitem(table.scaled_classes, key)
+    with pytest.raises(InvariantError, match="image of no admissible class"):
+        classify_prime(23, -28, 2)
+
+
 def test_classify_prime_wrong_root(monkeypatch):
     # a root of the wrong square is caught before any form is built
     monkeypatch.setattr(genus, "sqrt_mod_prime", lambda a, p: 1)
@@ -291,10 +324,10 @@ def test_mirror_matches_reduction(rng):
     forms = [f for d in (-3, -4, -7, -12, -15, -16, -27, -28) for f in enumerate_reduced(d, 1)]
     forms += [random_form(rng, rng.choice((-3, -4, -23, -84, -231))) for _ in range(400)]
     for q in forms:
-        mirrored = genus._mirror(reduce_sl2(q))
+        a, b, c, *g = genus._mirror(reduction._gauss(q.a, q.b, q.c))
         other = Form(q.a, -q.b, q.c)
-        assert mirrored.reduced == reduce_sl2(other).reduced, q
-        assert act(other, mirrored.transform) == mirrored.reduced, q
+        assert Form(a, b, c) == reduce_sl2(other).reduced, q
+        assert act(other, GroupElement(*g)) == Form(a, b, c), q
 
 
 def test_ker_criterion_small():
