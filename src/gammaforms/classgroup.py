@@ -13,6 +13,12 @@ Coprimality of the leading coefficient to N is a class invariant: a runs
 through values Q(x, y) with x invertible modulo N and y = 0 (mod N), so
 its gcd with N is preserved.
 
+The map (a, b, c) -> (a, bN, cN^2) carries these classes one-to-one onto
+the SL2(Z)-classes of discriminant D*N^2.  One cached dict per (D, N) keys
+each admissible class by the reduced triple of its image: it lists the
+group's elements and identity, names a composed form after one Gauss
+reduction of its image, and serves the genus table.
+
 class_group builds the group from generators and relations (Cohen, A
 Course in Computational Algebraic Number Theory, 2.4.3; Buchmann and
 Schmidt, Math. Comp. 74, 2005).  Each new generator is the least class not
@@ -49,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .ideals import ideal_from_form, ideal_mul
-from .reduction import canonical_rep, check_table_bounds, class_reps
+from .reduction import _gauss, automorphs, check_table_bounds, class_reps, reduce_sl2
 
 
 def principal_form(d: int) -> Form:
@@ -206,26 +212,58 @@ class FormClassGroup:
         return out
 
 
+@checked_cache(check_table_bounds)
+def _scaled_classes(d: int, n: int) -> dict[tuple[int, int, int], tuple[Form, tuple]]:
+    """The reduced triple r of (a, bN, cN^2) -> (f, the entries of delta*u
+    for u in Aut(r)), delta carrying the one to the other, for every
+    admissible class rep f = (a, b, c): the isomorphism, checked one-to-one."""
+    scaled = {}
+    for f in class_reps(d, n):
+        if math.gcd(f.a, n) != 1:
+            continue
+        res = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
+        r = res.reduced
+        key = r.a, r.b, r.c
+        if key in scaled:
+            raise InvariantError(f"{scaled[key][0]} and {f} meet at disc {d * n * n} (level {n})")
+        scaled[key] = f, tuple((res.transform * u).as_tuple() for u in automorphs(r))
+    return scaled
+
+
+def _scaled_class(scaled: dict, key: tuple[int, ...], d: int, n: int) -> tuple[Form, tuple]:
+    """The entry of _scaled_classes(d, n) under a reduced triple at disc D*N^2."""
+    try:
+        return scaled[key]
+    except KeyError:
+        raise InvariantError(
+            f"{Form(*key)} is the image of no admissible class (disc {d}, level {n})"
+        ) from None
+
+
 def compose_classes(q1: Form, q2: Form, n: int) -> Form:
-    """Composition at class level: prepare q2, compose, canonicalize."""
+    """Composition at class level: prepare q2, compose, name by the map."""
     q2p = prepare_coprime(q2, q1.a * n, n)
-    return canonical_rep(dirichlet_compose(q1, q2p, n), n)
+    q = dirichlet_compose(q1, q2p, n)
+    key = _gauss(q.a, q.b * n, q.c * n * n)[:3]
+    return _scaled_class(_scaled_classes(q.disc, n), key, q.disc, n)[0]
 
 
 @checked_cache(check_table_bounds)
 def class_group(d: int, n: int) -> FormClassGroup:
     """The group C(d, Gamma0(n)), grown one generator at a time.
 
-    The next generator g is the least class rep not yet reached.  Its
-    powers g, g^2, ... are composed until one, g^m, lies in the subgroup H
-    reached so far: m is the relative order of g, and the exponent vector
-    of g^m is its relation.  Then H grows to H, Hg, ..., Hg^(m-1), one
-    composition per new class, so the group costs about h compositions in
-    all instead of the h^2/2 of a composed Cayley table.  The invariant
-    factors are the Smith normal form of the relation matrix; the Cayley
-    table is derived from the exponent vectors when first read.
+    Its classes and identity come from the map to disc D*N^2.  The next
+    generator g is the least class not yet reached.  Its powers g, g^2, ...
+    are composed until one, g^m, lies in the subgroup H reached so far: m
+    is the relative order of g, and the exponent vector of g^m is its
+    relation.  Then H grows to H, Hg, ..., Hg^(m-1), one composition per
+    new class, so the group costs about h compositions in all instead of
+    the h^2/2 of a composed Cayley table.  The invariant factors are the
+    Smith normal form of the relation matrix; the Cayley table is derived
+    from the exponent vectors when first read.
     """
-    reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
+    scaled = _scaled_classes(d, n)
+    reps = sorted(f for f, _ in scaled.values())
     index = {f: i for i, f in enumerate(reps)}
 
     def compose(i: int, j: int) -> int:
@@ -234,9 +272,8 @@ def class_group(d: int, n: int) -> FormClassGroup:
             raise InvariantError(f"composition left the class list: {out}")
         return index[out]
 
-    e = index.get(canonical_rep(principal_form(d), n))
-    if e is None:
-        raise InvariantError(f"the principal class of disc {d} is not in the class list")
+    unit = principal_form(d * n * n)
+    e = index[_scaled_class(scaled, (unit.a, unit.b, unit.c), d, n)[0]]
     vectors = {e: ()}
     orders: list[int] = []
     relations: list[tuple[int, ...]] = []

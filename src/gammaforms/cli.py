@@ -128,7 +128,7 @@ def _cmd_verify_iso(args) -> int:
         report["oracle_pairs"] = pairs
         lines.append(f"oracle: ok ({pairs} pairs)")
     _emit(args, lines, report)
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_genus(args) -> int:

@@ -21,12 +21,12 @@ A prime is classified without a scan.  A square root of D mod p gives
 (a, bN, cN^2) carries the Gamma0(N)-classes of admissible forms of
 discriminant D one-to-one to SL2(Z)-classes of discriminant D*N^2.  So one
 Gauss reduction at D*N^2, run in integers and mirrored for -b, names the
-witness's class by its reduced triple in a dict the genus table keeps.
-The table also keeps, per class, the products delta*u (u in Aut(r)) that
-turn the reduction matrix into its representations of p, and each coset
-as a sorted tuple, so a prime not dividing N builds objects only for the
-answer.  `find_representations` scans y and serves `represent` and
-composite m.
+witness's class by its reduced triple in classgroup's dict for that map,
+which the genus table holds.  The dict also keeps, per class, the products
+delta*u (u in Aut(r)) that turn the reduction matrix into its
+representations of p, and the table each coset as a sorted tuple, so a
+prime not dividing N builds objects only for the answer.
+`find_representations` scans y and serves `represent` and composite m.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .classgroup import prepare_coprime, principal_form
+from .classgroup import _scaled_class, _scaled_classes, prepare_coprime, principal_form
 from .core import (
     Form,
     act_by_column,
@@ -55,15 +55,7 @@ from .core import (
 )
 from .errors import InvariantError, SearchBoundExceeded, ValidationError
 from .ideals import OIdeal, ideal_from_form
-from .reduction import (
-    _gauss,
-    automorphs,
-    canonical_rep,
-    check_table_bounds,
-    class_reps,
-    equivalent_gamma0,
-    reduce_sl2,
-)
+from .reduction import _gauss, automorphs, canonical_rep, check_table_bounds, equivalent_gamma0
 
 
 @dataclass(frozen=True)
@@ -177,9 +169,9 @@ class GenusTable:
     assignment: tuple[tuple[Form, int], ...]
     # residue mod |D| -> number of its coset, for every residue in ker(chi)
     coset_index: dict[int, int] = field(repr=False, compare=False)
-    # the SL2(Z)-reduced triple r of (a, bN, cN^2) -> (f, the entries of
-    # delta*u for u in Aut(r)), delta carrying the one to the other, for
-    # every admissible form f = (a, b, c)
+    # classgroup._scaled_classes(D, N) itself: the reduced triple r of
+    # (a, bN, cN^2) -> (f, the entries of delta*u for u in Aut(r)), delta
+    # carrying the one to the other, for every admissible class rep f
     scaled_classes: dict[tuple[int, int, int], tuple[Form, tuple[tuple[int, ...], ...]]] = field(
         repr=False, compare=False
     )
@@ -235,22 +227,14 @@ def genus_table(d: int, n: int) -> GenusTable:
         index.update(dict.fromkeys(coset, len(cosets)))
         cosets.append(tuple(sorted(coset)))
     assignment = []
-    scaled: dict[tuple[int, int, int], tuple[Form, tuple[tuple[int, ...], ...]]] = {}
-    for f in class_reps(d, n):
-        if math.gcd(f.a, n) != 1:
-            continue
+    scaled = _scaled_classes(d, n)
+    for f, _ in sorted(scaled.values()):
         v = prepare_coprime(f, d, n).a % modulus
         if v not in index:
             raise InvariantError(
                 f"{f} N-represents {v} mod {modulus}, outside ker(chi) (disc {d}, level {n})"
             )
         assignment.append((f, index[v]))
-        res = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
-        r = res.reduced
-        key = r.a, r.b, r.c
-        if key in scaled:
-            raise InvariantError(f"{scaled[key][0]} and {f} meet at disc {d * n * n} (level {n})")
-        scaled[key] = f, tuple((res.transform * u).as_tuple() for u in automorphs(r))
     return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index, scaled)
 
 
@@ -292,26 +276,15 @@ def _mirror(red: tuple[int, ...]) -> tuple[int, ...]:
     return a, b, c, ga, gb, gc, gd
 
 
-def _scaled_class(table: GenusTable, red: tuple[int, ...]) -> tuple[Form, tuple]:
-    """The scaled_classes entry of a reduction at disc D*N^2."""
-    try:
-        return table.scaled_classes[red[:3]]
-    except KeyError:
-        raise InvariantError(
-            f"{Form(*red[:3])} is the image of no admissible class"
-            f" (disc {table.D}, level {table.N})"
-        ) from None
-
-
 def _scaled_witness(table: GenusTable, p: int, b: int, c: int) -> tuple[Form, list]:
     """The lesser class of (p, +-b, c), p not dividing N, and the candidate
     representations of p by it: (p, +-bN, cN^2) reduce at disc D*N^2 to r by
     g, the table maps r to the class and to delta*u, and the first columns
     of delta*u*g^(-1), y scaled by N, are the candidates.  Columns are made
     only for the sign or signs whose class is the witness."""
-    n = table.N
+    d, n = table.D, table.N
     red = _gauss(p, b * n, c * n * n)
-    found = [(_scaled_class(table, r), r) for r in (red, _mirror(red))]
+    found = [(_scaled_class(table.scaled_classes, r[:3], d, n), r) for r in (red, _mirror(red))]
     witness = min(f for (f, _), _ in found)
     columns = []
     for (f, products), (*_, gc, gd) in found:

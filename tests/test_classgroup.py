@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gammaforms import classgroup
+from gammaforms import classgroup, reduction
 from gammaforms.classgroup import (
     class_group,
     compose_classes,
@@ -22,7 +22,8 @@ from gammaforms.errors import (
     SearchBoundExceeded,
     ValidationError,
 )
-from gammaforms.reduction import canonical_rep, class_reps, equivalent_gamma0
+from gammaforms.genus import genus_table
+from gammaforms.reduction import _gauss, canonical_rep, class_reps, equivalent_gamma0
 from conftest import (
     compose_one_pair_wrongly,
     composed_cayley,
@@ -123,6 +124,44 @@ def test_compose_identity_and_inverse():
             assert compose_classes(canonical_rep(e, n), q, n) == q
             inv = Form(q.a, -q.b, q.c)
             assert compose_classes(q, inv, n) == canonical_rep(e, n)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -23, -56, -84, -231])
+def test_scaled_class_lookup_matches_canonical_rep(rng, d):
+    # the D*N^2 map names the class of every admissible form as canonical_rep,
+    # the path it replaces, does: each class rep and random translates of it
+    for n in (2, 3, 4, 5, 6, 8, 9, 10, 12, 15):
+        scaled = classgroup._scaled_classes(d, n)
+        assert genus_table(d, n).scaled_classes is scaled
+        reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
+        assert len(scaled) == len(reps), (d, n)
+        for f in reps:
+            for q in [f] + [act(f, random_gamma0(rng, n)) for _ in range(3)]:
+                key = _gauss(q.a, q.b * n, q.c * n * n)[:3]
+                found = classgroup._scaled_class(scaled, key, d, n)[0]
+                assert found == canonical_rep(q, n) == f, (d, n, q)
+
+
+def test_group_and_composition_take_no_walk(monkeypatch):
+    # with the class table built (it walks each class once), the group and
+    # composition name classes through the D*N^2 map: no canonical_rep, no walk
+    pairs = [(-23, 2), (-47, 5), (-56, 6), (-84, 4), (-231, 12), (-20, 9)]
+    for d, n in pairs:
+        class_reps(d, n)
+    class_group.cache_clear()
+    classgroup._scaled_classes.cache_clear()
+    calls = []
+    for module in (reduction, classgroup):
+        for name in ("canonical_rep", "_walk"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+                monkeypatch.setattr(module, name, counted)
+    for d, n in pairs:
+        reps = [e.rep for e in class_group(d, n).elements]
+        for q in reps:
+            compose_classes(reps[-1], q, n)
+    assert calls == []
 
 
 def test_square_of_disc8_class():

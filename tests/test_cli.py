@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -71,6 +72,23 @@ def test_verify_iso_oracle_catches_a_wrong_class(capsys, monkeypatch):
     code, out, err = capture(capsys, ["verify-iso", "--disc", "-23", "--level", "2", "--oracle"])
     assert code == 1 and out == ""
     assert "oracle mismatch at classes 0, 1" in err
+
+
+def test_verify_iso_mismatch_exit_code(capsys, monkeypatch):
+    # a level-1 group with other invariant factors is a failed consistency
+    # check: the comparison is still printed, and the exit code is 1
+    real = cg.class_group
+
+    def level_one_wrong(d, n):
+        group = real(d, n)
+        return dataclasses.replace(group, invariant_factors=(3,)) if n == 1 else group
+
+    monkeypatch.setattr(cg, "class_group", level_one_wrong)
+    code, out, _ = capture(capsys, ["verify-iso", "--disc", "-8", "--level", "2"])
+    assert code == 1
+    assert out.splitlines()[0] == "isomorphic: false; left: [2]; right: [3]"
+    code, out, _ = capture(capsys, ["verify-iso", "--disc", "-8", "--level", "2", "--json"])
+    assert code == 1 and json.loads(out)["isomorphic"] is False
 
 
 def test_reduce_and_equiv(capsys):

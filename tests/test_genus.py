@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gammaforms import genus, reduction
+from gammaforms import classgroup, genus, reduction
 from gammaforms.classgroup import principal_form
 from gammaforms.core import Form, GroupElement, act, is_prime, kronecker, units_mod
 from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
@@ -269,9 +269,10 @@ def test_classify_prime_builds_no_reduction_objects(monkeypatch):
     def counted(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for module in (genus, reduction):
+    for module in (classgroup, genus, reduction):
         for name in ("reduce_sl2", "automorphs"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(
         GroupElement, "__post_init__", counted("GroupElement", GroupElement.__post_init__)
     )
@@ -313,9 +314,9 @@ def test_classify_prime_checks_every_candidate(monkeypatch):
 def test_scaled_classes_must_be_distinct(monkeypatch):
     # two classes landing on one SL2(Z)-class at disc D*N^2 break the
     # isomorphism and are reported
-    monkeypatch.setattr(genus, "reduce_sl2", lambda q: reduce_sl2(Form(1, 0, 28)))
+    monkeypatch.setattr(classgroup, "reduce_sl2", lambda q: reduce_sl2(Form(1, 0, 28)))
     with pytest.raises(InvariantError, match="meet at disc -112"):
-        genus.genus_table.__wrapped__(-28, 2)
+        classgroup._scaled_classes.__wrapped__(-28, 2)
 
 
 def test_mirror_matches_reduction(rng):

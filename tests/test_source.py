@@ -85,3 +85,44 @@ def test_ideals_import_only_core_and_errors():
     imported = _imports(SRC / "ideals.py")
     package = {name for name in imported if name.split(".")[0] not in sys.stdlib_module_names}
     assert package == {".core", ".errors"}
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads is a leftover of moved code;
+    # the package's __init__ imports only to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # import a.b binds a
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    # a module-level _private function that nothing in src/ names is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    dead = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in named
+    ]
+    assert dead == []
