@@ -34,8 +34,10 @@ table only when it is first read.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .core import (
     Form,
@@ -213,10 +215,11 @@ class FormClassGroup:
 
 
 @checked_cache(check_table_bounds)
-def _scaled_classes(d: int, n: int) -> dict[tuple[int, int, int], tuple[Form, tuple]]:
+def _scaled_classes(d: int, n: int) -> Mapping[tuple[int, int, int], tuple[Form, tuple]]:
     """The reduced triple r of (a, bN, cN^2) -> (f, the entries of delta*u
     for u in Aut(r)), delta carrying the one to the other, for every
-    admissible class rep f = (a, b, c): the isomorphism, checked one-to-one."""
+    admissible class rep f = (a, b, c): the isomorphism, checked one-to-one
+    and read-only, since every caller shares the cached map."""
     scaled = {}
     for f in class_reps(d, n):
         if math.gcd(f.a, n) != 1:
@@ -227,10 +230,10 @@ def _scaled_classes(d: int, n: int) -> dict[tuple[int, int, int], tuple[Form, tu
         if key in scaled:
             raise InvariantError(f"{scaled[key][0]} and {f} meet at disc {d * n * n} (level {n})")
         scaled[key] = f, tuple((res.transform * u).as_tuple() for u in automorphs(r))
-    return scaled
+    return MappingProxyType(scaled)
 
 
-def _scaled_class(scaled: dict, key: tuple[int, ...], d: int, n: int) -> tuple[Form, tuple]:
+def _scaled_class(scaled: Mapping, key: tuple[int, ...], d: int, n: int) -> tuple[Form, tuple]:
     """The entry of _scaled_classes(d, n) under a reduced triple at disc D*N^2."""
     try:
         return scaled[key]

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .classgroup import _scaled_class, _scaled_classes, prepare_coprime, principal_form
 from .core import (
@@ -168,11 +169,11 @@ class GenusTable:
     cosets: tuple[tuple[int, ...], ...]  # each sorted
     assignment: tuple[tuple[Form, int], ...]
     # residue mod |D| -> number of its coset, for every residue in ker(chi)
-    coset_index: dict[int, int] = field(repr=False, compare=False)
+    coset_index: Mapping[int, int] = field(repr=False, compare=False)
     # classgroup._scaled_classes(D, N) itself: the reduced triple r of
     # (a, bN, cN^2) -> (f, the entries of delta*u for u in Aut(r)), delta
     # carrying the one to the other, for every admissible class rep f
-    scaled_classes: dict[tuple[int, int, int], tuple[Form, tuple[tuple[int, ...], ...]]] = field(
+    scaled_classes: Mapping[tuple[int, int, int], tuple[Form, tuple[tuple[int, ...], ...]]] = field(
         repr=False, compare=False
     )
 
@@ -235,7 +236,9 @@ def genus_table(d: int, n: int) -> GenusTable:
                 f"{f} N-represents {v} mod {modulus}, outside ker(chi) (disc {d}, level {n})"
             )
         assignment.append((f, index[v]))
-    return GenusTable(d, n, ker, h, tuple(cosets), tuple(assignment), index, scaled)
+    return GenusTable(
+        d, n, ker, h, tuple(cosets), tuple(assignment), MappingProxyType(index), scaled
+    )
 
 
 @dataclass(frozen=True)
@@ -389,32 +392,22 @@ def principal_genus_congruences(d: int, n: int) -> frozenset[int]:
 # composition identity for even-middle forms
 
 
-def _poly_mul(p1: dict, p2: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_add(p1: dict, p2: dict, sign: int = 1) -> dict:
-    out = dict(p1)
-    for e, c in p2.items():
-        out[e] = out.get(e, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
-
-
 def brahmagupta_check(q: Form, n: int = 1, samples: int = 20, seed: int = 0) -> bool:
     """Verify the product identity for a form (a, 2b, c) of discriminant -4m:
 
         (a x^2 + 2b xy + c y^2)(a z^2 + 2b zw + c w^2)
             = (a xz + b xw + b yz + c yw)^2 + m (xw - yz)^2,  m = ac - b^2,
 
-    once symbolically (exact polynomial expansion in x, y, z, w) and on
-    random integer samples, where N-admissibility of the output pair is
-    also checked: the first square's argument stays coprime to N and
-    xw - yz = 0 (mod N) whenever (a, N) = 1, (xz, N) = 1, y = w = 0 (mod N).
+    exactly at nine points, and on random integer samples, where
+    N-admissibility of the output pair is also checked: the first square's
+    argument stays coprime to N and xw - yz = 0 (mod N) whenever (a, N) = 1,
+    (xz, N) = 1 and y = w = 0 (mod N).
+
+    Nine points decide the identity: both sides are binary quadratic forms
+    in (x, y) whose coefficients are binary quadratic forms in (z, w), and a
+    binary quadratic form is fixed by its values at (1, 0), (0, 1) and
+    (1, 1), so the sides agree if and only if they agree when (x, y) and
+    (z, w) each range over those three points.
     """
     require_qf(q)
     if q.b % 2 != 0:
@@ -424,34 +417,23 @@ def brahmagupta_check(q: Form, n: int = 1, samples: int = 20, seed: int = 0) -> 
     if q.disc != -4 * m:
         raise ValidationError("inconsistent discriminant")
 
-    # exponent order (x, y, z, w)
-    left = _poly_mul(
-        {(2, 0, 0, 0): a, (1, 1, 0, 0): 2 * bh, (0, 2, 0, 0): c},
-        {(0, 0, 2, 0): a, (0, 0, 1, 1): 2 * bh, (0, 0, 0, 2): c},
-    )
-    lin = {
-        (1, 0, 1, 0): a,
-        (1, 0, 0, 1): bh,
-        (0, 1, 1, 0): bh,
-        (0, 1, 0, 1): c,
-    }
-    cross = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}
-    right = _poly_add(_poly_mul(lin, lin), {e: m * v for e, v in _poly_mul(cross, cross).items()})
-    if _poly_add(left, right, sign=-1):
-        return False
+    def holds(x: int, y: int, z: int, w: int) -> bool:
+        first = a * x * z + bh * x * w + bh * y * z + c * y * w
+        if q(x, y) * q(z, w) != first * first + m * (x * w - y * z) ** 2:
+            return False
+        if math.gcd(a * x * z, n) == 1 and y % n == 0 and w % n == 0:
+            return math.gcd(first, n) == 1 and (x * w - y * z) % n == 0
+        return True
 
+    points = ((1, 0), (0, 1), (1, 1))
+    if not all(holds(x, y, z, w) for x, y in points for z, w in points):
+        return False
     rng = random.Random(seed)
     for _ in range(samples):
         x, z = (rng.randrange(1, 50) * n + 1 for _ in range(2))
         y, w = (rng.randrange(-20, 21) * n for _ in range(2))
-        lhs = q(x, y) * q(z, w)
-        first = a * x * z + bh * x * w + bh * y * z + c * y * w
-        rhs = first * first + m * (x * w - y * z) ** 2
-        if lhs != rhs:
+        if not holds(x, y, z, w):
             return False
-        if math.gcd(a, n) == 1 and math.gcd(x * z, n) == 1:
-            if math.gcd(first, n) != 1 or (x * w - y * z) % n != 0:
-                return False
     return True
 
 

@@ -359,16 +359,17 @@ def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
 
 
 def _sweep(d: int) -> list[Form]:
-    """All SL2(Z)-reduced forms of discriminant d, sorted by (a, b, c)."""
+    """All SL2(Z)-reduced forms of discriminant d, sorted by (a, b, c); the
+    swapped (ac/s, b, s) has a >= c, so it is reduced only when it is (s, b, ac/s)."""
     b_max = math.isqrt(-d // 3)
-    forms = set()
+    forms = []
     for b in range(-b_max + (b_max - d) % 2, b_max + 1, 2):
         ac = (b * b - d) // 4
         for s in range(max(1, abs(b)), math.isqrt(ac) + 1):
             if ac % s == 0:
-                for f in (Form(s, b, ac // s), Form(ac // s, b, s)):
-                    if f.is_primitive() and is_reduced_sl2(f):
-                        forms.add(f)
+                f = Form(s, b, ac // s)
+                if f.is_primitive() and is_reduced_sl2(f):
+                    forms.append(f)
     return sorted(forms)
 
 

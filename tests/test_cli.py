@@ -249,6 +249,19 @@ def test_paper_tables(capsys):
     assert "1/1 tables match" in out
 
 
+def test_paper_tables_mismatch(capsys, monkeypatch):
+    # a failed product identity is a mismatch: exit 1, both values printed
+    monkeypatch.setattr(genus, "brahmagupta_check", lambda q, n: False)
+    code, out, _ = capture(capsys, ["paper-tables", "--table", "product-identity-disc28"])
+    assert code == 1
+    assert out.splitlines() == [
+        "table product-identity-disc28: MISMATCH",
+        "  expected: {'identity': True}",
+        "  got:      {'identity': False}",
+        "0/1 tables match",
+    ]
+
+
 def test_exit_codes(capsys):
     code, _, err = capture(capsys, ["enumerate", "--disc", "-5", "--level", "2"])
     assert code == 2 and "validation" in err
@@ -277,12 +290,12 @@ def test_invariant_failure_exit_code(capsys, monkeypatch):
     argv = ["classify", "--prime", "23", "--disc", "-28", "--level", "2"]
     table = genus.genus_table(-28, 2)
     (k1, (f1, g1)), (k2, (f2, g2)) = table.scaled_classes.items()
+    swapped = dataclasses.replace(table, scaled_classes={k1: (f2, g1), k2: (f1, g2)})
     with monkeypatch.context() as m:
         m.setattr(genus, "sqrt_mod_prime", lambda a, p: 1)
         outcomes = [capture(capsys, argv)]
     with monkeypatch.context() as m:
-        m.setitem(table.scaled_classes, k1, (f2, g1))
-        m.setitem(table.scaled_classes, k2, (f1, g2))
+        m.setattr(genus, "genus_table", lambda d, n: swapped)
         outcomes.append(capture(capsys, argv))
     for code, out, err in outcomes:
         assert code == 1 and out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -286,9 +287,8 @@ def test_classify_prime_builds_no_reduction_objects(monkeypatch):
 
 def test_classify_prime_image_of_no_class(monkeypatch):
     # a reduction at disc D*N^2 that the table does not hold is reported
-    table = genus_table(-28, 2)
-    for key in list(table.scaled_classes):
-        monkeypatch.delitem(table.scaled_classes, key)
+    table = dataclasses.replace(genus_table(-28, 2), scaled_classes={})
+    monkeypatch.setattr(genus, "genus_table", lambda d, n: table)
     with pytest.raises(InvariantError, match="image of no admissible class"):
         classify_prime(23, -28, 2)
 
@@ -305,8 +305,9 @@ def test_classify_prime_checks_every_candidate(monkeypatch):
     # D*N^2: no first column then represents 23 by the form it names
     table = genus_table(-28, 2)
     (k1, v1), (k2, v2) = table.scaled_classes.items()
-    monkeypatch.setitem(table.scaled_classes, k1, (v2[0], v1[1]))
-    monkeypatch.setitem(table.scaled_classes, k2, (v1[0], v2[1]))
+    swapped = {k1: (v2[0], v1[1]), k2: (v1[0], v2[1])}
+    table = dataclasses.replace(table, scaled_classes=swapped)
+    monkeypatch.setattr(genus, "genus_table", lambda d, n: table)
     with pytest.raises(InvariantError, match="N-represents 23"):
         classify_prime(23, -28, 2)
 
@@ -317,6 +318,15 @@ def test_scaled_classes_must_be_distinct(monkeypatch):
     monkeypatch.setattr(classgroup, "reduce_sl2", lambda q: reduce_sl2(Form(1, 0, 28)))
     with pytest.raises(InvariantError, match="meet at disc -112"):
         classgroup._scaled_classes.__wrapped__(-28, 2)
+
+
+def test_cached_maps_are_read_only():
+    # every caller shares the cached D*N^2 map and residue -> coset index
+    table = genus_table(-28, 2)
+    for mapping, key in ((table.scaled_classes, (1, 0, 28)), (table.coset_index, 1)):
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+    assert table.scaled_classes is classgroup._scaled_classes(-28, 2)
 
 
 def test_mirror_matches_reduction(rng):
@@ -378,6 +388,17 @@ def test_brahmagupta_identity():
         assert brahmagupta_check(q, 3, samples=10)
     with pytest.raises(ValidationError):
         brahmagupta_check(Form(1, 1, 1), 1)
+
+
+def test_brahmagupta_check_reads_the_form():
+    # the nine points evaluate the form itself, so a form whose values are
+    # not its coefficients' fails the identity even with no random sample
+    class Skewed(Form):
+        def __call__(self, x, y):
+            return super().__call__(x, y) + x * y
+
+    assert brahmagupta_check(Form(7, 0, 1), 1, samples=0)
+    assert not brahmagupta_check(Skewed(7, 0, 1), 1, samples=0)
 
 
 def test_ideal_of_norm_from_representation():

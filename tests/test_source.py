@@ -126,3 +126,22 @@ def test_every_private_function_is_referenced():
         and node.name not in named
     ]
     assert dead == []
+
+
+def test_only_core_reads_the_environment():
+    # GAMMA_FORMS_MAX_SEARCH is read in one place, core.search_bound and
+    # core.checked_cache; no other module names os.environ or os.getenv
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "os" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"environ", "getenv"} & set(names):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
