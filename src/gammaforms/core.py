@@ -97,12 +97,16 @@ def is_prime(n: int) -> bool:
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
-    """A root r in [0, p) of r^2 = a (mod p), p an odd prime (Tonelli-Shanks,
-    Cohen 1.5.1).  A non-residue a raises ValidationError.
+    """A root r in [0, p) of r^2 = a (mod p), p an odd prime.  A non-residue
+    a raises ValidationError (Euler's criterion).  By p mod 8:
 
-    When p = 1 (mod 4) the method needs a non-residue z; the search tries
-    z = 2, 3, ... and refuses past search_bound(10**4) candidates (under
-    GRH the least one is below 2*log(p)^2, about 6,400 at p < 3.3e24).
+    * p = 3, 7: r = a^((p+1)/4).
+    * p = 5 (Atkin): with v = (2a)^((p-5)/8) and i = 2a*v^2, a square root
+      of -1, r = a*v*(i - 1).  One power; no search.
+    * p = 1: Tonelli-Shanks (Cohen 1.5.1).  It needs a non-residue z; the
+      search tries z = 2, 3, ... and refuses past search_bound(10**4)
+      candidates (under GRH the least one is below 2*log(p)^2, about 6,400
+      at p < 3.3e24).
     """
     a %= p
     if a == 0:
@@ -111,6 +115,9 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         raise ValidationError(f"{a} is not a square modulo {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
+    if p % 8 == 5:
+        v = pow(2 * a, (p - 5) // 8, p)
+        return a * v * (2 * a * v * v - 1) % p
     odd, twos = p - 1, 0
     while odd % 2 == 0:
         odd, twos = odd // 2, twos + 1

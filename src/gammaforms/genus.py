@@ -16,10 +16,11 @@ Chinese remainder theorem, in O(|D|) once per table.  The genus of a form
 is then named by a single N-represented value coprime to D, looked up in
 a residue -> coset index; no form's full value set is built.
 
-A prime is classified without a scan.  A square root of D mod p gives
-(p, +-b, c), which represent p at (1, 0), and the map (a, b, c) ->
-(a, bN, cN^2) carries the Gamma0(N)-classes of admissible forms of
-discriminant D one-to-one to SL2(Z)-classes of discriminant D*N^2.  So one
+A prime is classified without a scan.  Euler's criterion, D^((p-1)/2)
+mod p, gives (D/p); a square root of D mod p gives (p, +-b, c), which
+represent p at (1, 0), and the map (a, b, c) -> (a, bN, cN^2) carries the
+Gamma0(N)-classes of admissible forms of discriminant D one-to-one to
+SL2(Z)-classes of discriminant D*N^2.  So one
 Gauss reduction at D*N^2, run in integers and mirrored for -b, names the
 witness's class by its reduced triple in classgroup's dict for that map,
 which the genus table holds.  The dict also keeps, per class, the products
@@ -36,6 +37,7 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .classgroup import _scaled_class, _scaled_classes, prepare_coprime, principal_form
 from .core import (
@@ -45,7 +47,6 @@ from .core import (
     is_prime,
     is_square,
     ker_chi,
-    kronecker,
     require_qf,
     search_bound,
     sqrt_mod_prime,
@@ -59,8 +60,7 @@ from .ideals import OIdeal, ideal_from_form
 from .reduction import _gauss, automorphs, canonical_rep, check_table_bounds, equivalent_gamma0
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """One solution q(x, y) = value, flagged relative to the level used."""
 
     x: int
@@ -144,12 +144,19 @@ def form_from_representation(q: Form, r: Representation, n: int) -> Form:
 
 def exists_representing_form(d: int, m: int) -> Form | None:
     """A primitive form m*x^2 + b*xy + c*y^2 of discriminant d, when d is a
-    quadratic residue modulo the odd integer m; None otherwise."""
+    quadratic residue modulo the odd integer m; None otherwise.  The 2m
+    values of b are tried in turn, and more than search_bound(10**6) of
+    them are refused up front with SearchBoundExceeded."""
     validate_discriminant(d)
     if m <= 0 or m % 2 == 0:
         raise ValidationError(f"m must be an odd positive integer: {m}")
     if math.gcd(m, d) != 1:
         raise ValidationError(f"m = {m} is not coprime to D = {d}")
+    limit = search_bound(10**6)
+    if 2 * m > limit:
+        raise SearchBoundExceeded(
+            f"exists_representing_form({d}, {m}) needs {2 * m} values of b, limit {limit}"
+        )
     for b in range(2 * m):
         if (b * b - d) % (4 * m) == 0:
             return Form(m, b, (b * b - d) // (4 * m))
@@ -241,8 +248,7 @@ def genus_table(d: int, n: int) -> GenusTable:
     )
 
 
-@dataclass(frozen=True)
-class PrimeClassification:
+class PrimeClassification(NamedTuple):
     prime: int
     D: int
     N: int
@@ -287,14 +293,18 @@ def _scaled_witness(table: GenusTable, p: int, b: int, c: int) -> tuple[Form, li
     only for the sign or signs whose class is the witness."""
     d, n = table.D, table.N
     red = _gauss(p, b * n, c * n * n)
-    found = [(_scaled_class(table.scaled_classes, r[:3], d, n), r) for r in (red, _mirror(red))]
-    witness = min(f for (f, _), _ in found)
-    columns = []
-    for (f, products), (*_, gc, gd) in found:
-        if f == witness:
-            # the inverse of g = (ga, gb; gc, gd) has first column (gd, -gc)
-            columns += _first_columns(products, gd, -gc, n)
-    return witness, columns
+    found = [
+        (*_scaled_class(table.scaled_classes, r[:3], d, n), r[5], r[6])
+        for r in (red, _mirror(red))
+    ]
+    witness = min(found[0][0], found[1][0])
+    # the inverse of g = (ga, gb; gc, gd) has first column (gd, -gc)
+    return witness, [
+        col
+        for f, products, gc, gd in found
+        if f == witness
+        for col in _first_columns(products, gd, -gc, n)
+    ]
 
 
 def _level_witness(p: int, b: int, c: int, n: int) -> tuple[Form, list]:
@@ -336,22 +346,23 @@ def _witness(table: GenusTable, p: int) -> tuple[Form, list[tuple[int, int]]]:
 def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
     """Locate the coset of an odd prime p and exhibit a representing form.
 
-    For (D/p) = 1, one square root mod p gives b with b^2 = D (mod 4p), and
-    (p, b, c) and (p, -b, c) represent p at (1, 0).  Every N-admissible
-    representation of p by a form f is the first column of a Gamma0(N)
-    matrix carrying f to one of the two (Cox, Lemmas 2.3 and 2.5), so the
-    witness is the lesser canonical form of their classes (the first in
-    class_reps order) and the representation is the least of those first
-    columns.  When p does not divide N the classes are found at disc
-    D*N^2, where (a, b, c) -> (a, bN, cN^2) carries Gamma0(N)-classes of
-    admissible forms to SL2(Z)-classes: one Gauss reduction of
-    (p, bN, cN^2) in integers, mirrored for -b, and one lookup per sign by
-    reduced triple in the genus table, whose precomputed products delta*u
-    give the columns of the lesser class with y scaled by N.  Only the
-    answer is built as objects; the coset comes sorted from the table.
-    When p divides N the witness is not admissible, and canonical_rep and
-    equivalent_gamma0 give it.  No form is scanned; each candidate is
-    checked to represent p N-admissibly.
+    (D/p) is D^((p-1)/2) mod p by Euler's criterion, p being an odd prime
+    not dividing D.  For (D/p) = 1, one square root mod p gives b with
+    b^2 = D (mod 4p), and (p, b, c) and (p, -b, c) represent p at (1, 0).
+    Every N-admissible representation of p by a form f is the first column
+    of a Gamma0(N) matrix carrying f to one of the two (Cox, Lemmas 2.3 and
+    2.5), so the witness is the lesser canonical form of their classes
+    (the first in class_reps order) and the representation is the least
+    of those first columns.  When p does not divide N the classes are
+    found at disc D*N^2, where (a, b, c) -> (a, bN, cN^2) carries
+    Gamma0(N)-classes of admissible forms to SL2(Z)-classes: one Gauss
+    reduction of (p, bN, cN^2) in integers, mirrored for -b, and one
+    lookup per sign by reduced triple in the genus table, whose
+    precomputed products delta*u give the columns of the lesser class with
+    y scaled by N.  Only the answer is built as objects; the coset comes
+    sorted from the table.  When p divides N the witness is not
+    admissible, and canonical_rep and equivalent_gamma0 give it.  No form
+    is scanned; each candidate is checked to represent p N-admissibly.
     """
     validate_discriminant(d)
     validate_level(n)
@@ -359,7 +370,8 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
         raise ValidationError(f"p must be an odd prime: {p}")
     if d % p == 0:
         raise ValidationError(f"p = {p} divides D = {d}")
-    chi = kronecker(d, p)
+    # Euler's criterion: p is an odd prime not dividing D
+    chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
     if chi != 1:
         return PrimeClassification(p, d, n, chi, None, None, None)
     table = genus_table(d, n)

@@ -352,8 +352,17 @@ def test_sqrt_mod_prime_matches_squares():
 
 
 def test_sqrt_mod_prime_large():
-    # 2^23 | p - 1 for 998244353; 10^12 + 39 and 2^61 - 1 are 3 (mod 4)
-    for p in (998244353, 7 * 2**20 + 1, 10**12 + 39, 2**61 - 1, 10**18 + 9):
+    # 2^23 | p - 1 for 998244353; 10^12 + 39 and 2^61 - 1 are 3 (mod 4);
+    # 10^12 + 61 and 2^61 + 21 are 5 (mod 8), Atkin's closed form
+    for p in (
+        998244353,
+        7 * 2**20 + 1,
+        10**12 + 39,
+        2**61 - 1,
+        10**18 + 9,
+        1000000000061,
+        2305843009213693973,
+    ):
         assert is_prime(p)
         for x in (2, 3, 12345, p - 5, 10**6 + 3):
             r = sqrt_mod_prime(x * x, p)
@@ -370,3 +379,10 @@ def test_sqrt_mod_prime_non_residue_bound(monkeypatch):
         sqrt_mod_prime(2, 73)
     monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "0")
     assert sqrt_mod_prime(2, 71) ** 2 % 71 == 2
+
+
+def test_sqrt_mod_prime_five_mod_eight_does_no_search(monkeypatch):
+    # 13 = 5 (mod 8): Atkin's root searches no non-residue, so a bound of 0
+    # refuses nothing
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "0")
+    assert sqrt_mod_prime(3, 13) in (4, 9)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from gammaforms.classgroup import principal_form
 from gammaforms.core import Form, GroupElement, act, is_prime, kronecker, units_mod
 from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
 from gammaforms.genus import (
+    PrimeClassification,
     Representation,
     brahmagupta_check,
     classify_prime,
@@ -91,6 +93,19 @@ def test_exists_representing_form():
         exists_representing_form(-28, 4)
     with pytest.raises(ValidationError):
         exists_representing_form(-28, 7)
+
+
+def test_exists_representing_form_bound(monkeypatch):
+    # 2m values of b: m near 10^12 is refused at once, and a bound of 10
+    # refuses m = 23 (46 values) but not m = 5 (10 values)
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    for m in (10**7 + 19, 10**12 + 39):
+        with pytest.raises(SearchBoundExceeded):
+            exists_representing_form(-28, m)
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "10")
+    with pytest.raises(SearchBoundExceeded):
+        exists_representing_form(-28, 23)
+    assert exists_representing_form(-4, 5) == Form(5, 4, 1)
 
 
 def test_genus_table_disc28():
@@ -283,6 +298,61 @@ def test_classify_prime_builds_no_reduction_objects(monkeypatch):
             c = classify_prime(p, d, n)
             classified += c.represented
     assert calls == [] and classified > 0
+
+
+class _CountingEnviron(dict):
+    """A copy of os.environ that counts the reads of GAMMA_FORMS_MAX_SEARCH."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "GAMMA_FORMS_MAX_SEARCH"
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == "GAMMA_FORMS_MAX_SEARCH"
+        return super().__getitem__(key)
+
+
+def test_classify_prime_reads_the_bound_once(monkeypatch):
+    # with the tables built, a represented prime p != 1 (mod 8), p not
+    # dividing N, reads the bound once, at the checked genus_table lookup
+    # (p = 5 (mod 8) searches no non-residue); a prime that is not
+    # represented never reads it
+    grid = [(-231, 2), (-84, 5), (-23, 1), (-4, 3)]
+    for d, n in grid:
+        genus_table(d, n)
+    env = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    seen = set()
+    for d, n in grid:
+        for p in [p for p in range(3, 200) if is_prime(p) and d % p and n % p and p % 8 != 1]:
+            before = env.reads
+            c = classify_prime(p, d, n)
+            assert env.reads - before == c.represented, (p, d, n)
+            seen.add((p % 8, c.represented))
+    assert seen == {(r, b) for r in (3, 5, 7) for b in (True, False)}
+
+
+def test_result_types():
+    # value types: fields, equality and hashing between instances, and no
+    # assignment to a field
+    rep = Representation(1, 4, 23, 2, True, True)
+    assert (rep.x, rep.y, rep.value, rep.level) == (1, 4, 23, 2)
+    assert rep.proper is True and rep.admissible is True
+    c = PrimeClassification(23, -28, 2, 1, (11, 15, 23), Form(7, 0, 1), rep)
+    assert (c.prime, c.D, c.N, c.kronecker) == (23, -28, 2, 1)
+    assert c.coset == (11, 15, 23) and c.witness == Form(7, 0, 1) and c.representation == rep
+    assert c.represented
+    assert not PrimeClassification(3, -28, 2, -1, None, None, None).represented
+    again = classify_prime(23, -28, 2)
+    assert again == c and hash(again) == hash(c) and again is not c
+    assert again.representation == rep and hash(again.representation) == hash(rep)
+    assert Representation(-1, 4, 23, 2, True, True) != rep
+    assert len({c, again, classify_prime(37, -28, 2)}) == 2
+    for obj, name in ((rep, "x"), (c, "coset"), (c, "represented")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 def test_classify_prime_image_of_no_class(monkeypatch):
