@@ -81,6 +81,7 @@ from .reduction import (
     equivalent_gamma0,
     is_reduced,
     is_reduced_sl2,
+    reduce_gamma0,
     reduce_sl2,
 )
 

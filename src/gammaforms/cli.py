@@ -47,8 +47,7 @@ def _cmd_reduce(args) -> int:
     q = _form_arg(args.form)
     if args.disc is not None and q.disc != args.disc:
         raise ValidationError(f"form {q} has disc {q.disc}, not {args.disc}")
-    rep = reduction.canonical_rep(q, args.level)
-    gamma = reduction.equivalent_gamma0(q, rep, args.level)
+    rep, gamma = reduction.reduce_gamma0(q, args.level)
     _emit(
         args,
         [f"reduced: {rep}", f"transform: {gamma}"],

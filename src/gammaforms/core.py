@@ -287,8 +287,6 @@ class GroupElement:
 
 
 IDENTITY = GroupElement(1, 0, 0, 1)
-T = GroupElement(1, 1, 0, 1)
-S = GroupElement(0, -1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +321,6 @@ class Form:
         """Primitive and positive definite."""
         a, b, c = self.a, self.b, self.c
         return a > 0 and b * b < 4 * a * c and math.gcd(a, b, c) == 1
-
-    @classmethod
-    def qf(cls, a: int, b: int, c: int) -> "Form":
-        """Constructor that enforces primitivity and positive definiteness."""
-        f = cls(a, b, c)
-        if not f.is_positive_definite():
-            raise ValidationError(f"form is not positive definite: {f}")
-        if not f.is_primitive():
-            raise ValidationError(f"form is not primitive: {f}")
-        return f
 
     @classmethod
     def from_string(cls, s: str) -> "Form":

@@ -57,7 +57,7 @@ from .core import (
 )
 from .errors import InvariantError, SearchBoundExceeded, ValidationError
 from .ideals import OIdeal, ideal_from_form
-from .reduction import _gauss, automorphs, canonical_rep, check_table_bounds, equivalent_gamma0
+from .reduction import _gauss, automorphs, check_table_bounds, reduce_gamma0
 
 
 class Representation(NamedTuple):
@@ -311,10 +311,9 @@ def _level_witness(p: int, b: int, c: int, n: int) -> tuple[Form, list]:
     """The canonical form of the class of (p, b, c), p dividing N, and the
     candidate representations of p by it."""
     q = Form(p, b, c)
-    f = canonical_rep(q, n)
-    g = equivalent_gamma0(f, q, n)
-    if g is None:
-        raise InvariantError(f"{q} is not Gamma0({n})-equivalent to its canonical form {f}")
+    f, w = reduce_gamma0(q, n)
+    # w carries q to f, so its inverse carries f to q
+    g = w.inverse()
     return f, _first_columns([(g * u).as_tuple() for u in automorphs(q)], 1, 0, 1)
 
 
@@ -361,8 +360,9 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
     precomputed products delta*u give the columns of the lesser class with
     y scaled by N.  Only the answer is built as objects; the coset comes
     sorted from the table.  When p divides N the witness is not
-    admissible, and canonical_rep and equivalent_gamma0 give it.  No form
-    is scanned; each candidate is checked to represent p N-admissibly.
+    admissible, and reduce_gamma0 gives it and the Gamma0(N) matrix that
+    carries the form to it.  No form is scanned; each candidate is
+    checked to represent p N-admissibly.
     """
     validate_discriminant(d)
     validate_level(n)

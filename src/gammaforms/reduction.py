@@ -16,30 +16,39 @@ region keeps the one with the greatest b.  The walk crosses one circle
 per step, so it starts from the least translate, whose size the lifts
 bound: from a form near a cusp, such as q translated by (1, 0; n*K, 1),
 it would take about K steps.
-``canonical_rep`` takes these steps for one form's orbit; the cached class
-table per (D, N) takes them once for each class it meets among the coset
-translates of the reduced forms.
+
+The walk runs on integer triples (a, b, c), as Gauss reduction does in
+``_gauss``: each state carries the entries of its witness, the product
+of the moves and translates from the walk's start, and each walk ends in
+one integer check that the witness has determinant 1, lies in Gamma0(n)
+and carries the start to the end.  The cached class table per (D, N)
+walks each class it meets among the coset translates of the reduced
+forms once and builds its form once.  ``reduce_gamma0`` takes the same
+steps for one form's orbit and returns the Gamma0(n) matrix carrying the
+form to its canonical representative: delta*u*lift^(-1) times the walk's
+witness.  ``canonical_rep`` is its form, and the ``reduce`` command
+prints both.
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
 divisors of a*c = (b^2 - D)/4 from |b| to sqrt(a*c).  Its divisor trials
 and the index psi(N) are functions of (D, N) alone, bounded by
 ``check_table_bounds`` before any cached table is read and before
-``canonical_rep`` labels or walks a form.
+``reduce_gamma0`` labels or walks a form.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import partial
+from operator import attrgetter
+from typing import NamedTuple
 
 from .core import (
     Form,
     GroupElement,
     act,
-    act_by_column,
     act_coeffs,
     checked_cache,
     is_prime,
@@ -67,8 +76,9 @@ def level_supported(n: int) -> bool:
 # classical SL2(Z) reduction
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
+    """A reduced form and a witness matrix carrying the input to it."""
+
     reduced: Form
     transform: GroupElement
 
@@ -113,6 +123,13 @@ def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
     return a, b, c, ga, gb, gc, gd
 
 
+def _times(g: tuple, h: tuple) -> tuple[int, int, int, int]:
+    """The product g*h of two matrices given by their entries (a, b, c, d)."""
+    ga, gb, gc, gd = g
+    ha, hb, hc, hd = h
+    return ga * ha + gb * hc, ga * hb + gb * hd, gc * ha + gd * hc, gc * hb + gd * hd
+
+
 def reduce_sl2(q: Form) -> ReductionResult:
     """Gauss reduction; returns the reduced form and a witness matrix g
     with act(q, g) equal to it.  The loop and its check run in integers
@@ -127,37 +144,61 @@ def reduce_sl2(q: Form) -> ReductionResult:
 # the reduced-form predicate for the supported levels
 
 
-def _arcs(q: Form, n: int) -> Iterator[tuple[int, int]]:
-    """(k, q(k, n) - a) for the circles of radius 1/n at k/n next to
-    n*Re(tau), 0 < 2|k| <= n, gcd(k, n) = 1: the only circles that can hold
-    tau (a gap < 0) or pass through it (a gap of 0)."""
-    a, b, c = q.a, q.b, q.c
+def _arcs(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
+    """(k, q(k, n) - a) for the circles of radius 1/n at k/n that hold tau
+    (a gap < 0) or pass through it (a gap of 0), n = 2, 3 or a prime p >= 5:
+    of the circles with 0 < 2|k| <= n, where k is a unit mod the prime n,
+    only the two next to n*Re(tau) can."""
     below = -b * n // (2 * a)
+    arcs = []
     for k in (below, below + 1):
-        if 0 < 2 * abs(k) <= n and math.gcd(k, n) == 1:
-            yield k, (a * k + b * n) * k + c * n * n - a
+        if 0 < 2 * abs(k) <= n:
+            gap = (a * k + b * n) * k + c * n * n - a
+            if gap <= 0:
+                arcs.append((k, gap))
+    return arcs
 
 
-def _into_strip(q: Form) -> Form:
-    """The translate of q by a power of T with b in (-a, a]."""
-    s = (q.a - q.b) // (2 * q.a)
-    return Form(q.a, q.b + 2 * q.a * s, q(s, 1))
+# A walk state is (a, b, c, ga, gb, gc, gd): a form and the witness entries
+# of a matrix carrying the walk's start to it, multiplied on the right by
+# each step.
 
 
-def _same_a(q: Form, n: int) -> set[Form]:
-    """The forms at the least a that q reaches by moves across the circles
-    of _arcs, each put into the strip: a move across one that holds tau (a
-    gap < 0) lowers a and starts over, and those through tau (a gap of 0)
-    collect the images of a point of the region, q's own if q is in it."""
-    images, todo = set(), [q]
+def _into_strip(a: int, b: int, c: int, ga: int, gb: int, gc: int, gd: int) -> tuple:
+    """The state translated by the power T^s = (1, s; 0, 1) that puts b
+    into (-a, a]."""
+    s = (a - b) // (2 * a)
+    return a, b + 2 * a * s, (a * s + b) * s + c, ga, gb + ga * s, gc, gd + gc * s
+
+
+def _cross(state: tuple, k: int, gap: int, n: int) -> tuple:
+    """The state moved by the Gamma0(n) matrix with first column (k, n),
+    gcd(k, n) = 1, and put into the strip; the new a must be q(k, n), the
+    old a plus the gap of the circle at k/n."""
+    a, b, c, ga, gb, gc, gd = state
+    _, u, v = xgcd(k, n)
+    # (k, -v; n, u) has determinant u*k + v*n = 1
+    na, nb, nc = act_coeffs(a, b, c, k, -v, n, u)
+    if na != a + gap:
+        raise InvariantError(f"the move by ({k}, {n}) carries {(a, b, c)} to a = {na}, not {a + gap}")
+    return _into_strip(na, nb, nc, ga * k + gb * n, gb * u - ga * v, gc * k + gd * n, gd * u - gc * v)
+
+
+def _same_a(state: tuple, n: int) -> dict:
+    """(a, b, c) -> state for the forms at the least a that the state
+    reaches by moves across the circles of _arcs, each put into the strip:
+    a move across one that holds tau (a gap < 0) lowers a and starts over,
+    and those through tau (a gap of 0) collect the images of a point of the
+    region, the state's own if it is in it."""
+    images, todo = {}, [state]
     while todo:
         f = todo.pop()
-        moves = [(gap, _into_strip(act_by_column(f, k, n))) for k, gap in _arcs(f, n) if gap <= 0]
-        if lower := [g for gap, g in moves if gap < 0]:
-            images, todo = set(), [min(lower)]
-        elif f not in images:
-            images.add(f)
-            todo += [g for _, g in moves]
+        arcs = _arcs(*f[:3], n)
+        if arcs and (lower := [_cross(f, k, gap, n) for k, gap in arcs if gap < 0]):
+            images, todo = {}, [min(lower)]
+        elif f[:3] not in images:
+            images[f[:3]] = f
+            todo += [_cross(f, k, gap, n) for k, gap in arcs]
     return images
 
 
@@ -174,9 +215,9 @@ def is_reduced(q: Form, n: int) -> bool:
     if not level_supported(n):
         validate_level(n)
         raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
-    if not -a < b <= a or any(gap < 0 for _, gap in _arcs(q, n)):
+    if not -a < b <= a or any(gap < 0 for _, gap in _arcs(a, b, q.c, n)):
         return False
-    return all(f.b <= b for f in _same_a(q, n))
+    return all(f[1] <= b for f in _same_a((a, b, q.c, 1, 0, 0, 1), n))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +378,12 @@ def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
 # class keys and canonical forms
 
 
-def _orbit(delta: GroupElement, auts: tuple[GroupElement, ...], label: Callable) -> set:
-    """The labels label(c, d) over the bottom rows (c, d) of delta*u, u in
-    auts = Aut(r), r reduced: the coset orbit of each q with act(q, delta)
-    = r.  Its least label and r are the class key of q."""
-    dc, dd = delta.c, delta.d
-    return {label(dc * u.a + dd * u.c, dc * u.b + dd * u.d) for u in auts}
+def _orbit(c: int, d: int, auts: tuple[GroupElement, ...], label: Callable) -> list:
+    """The labels label(c', d') of the bottom rows (c', d') of delta*u, u
+    in auts = Aut(r) in order, r reduced and (c, d) the bottom row of
+    delta: the coset orbit of each q with act(q, delta) = r.  Its least
+    label and r are the class key of q."""
+    return [label(c * u.a + d * u.c, c * u.b + d * u.d) for u in auts]
 
 
 def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
@@ -355,22 +396,24 @@ def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
     validate_level(n)
     res = reduce_sl2(q)
     r = res.reduced
-    return r, min(_orbit(res.transform, automorphs(r), partial(p1_label, n)))
+    delta = res.transform
+    return r, min(_orbit(delta.c, delta.d, automorphs(r), partial(p1_label, n)))
 
 
 def _sweep(d: int) -> list[Form]:
-    """All SL2(Z)-reduced forms of discriminant d, sorted by (a, b, c); the
-    swapped (ac/s, b, s) has a >= c, so it is reduced only when it is (s, b, ac/s)."""
+    """All SL2(Z)-reduced forms of discriminant d, sorted by (a, b, c).  The
+    divisor s of ac runs from |b| to sqrt(ac), so |b| <= s <= ac/s: the
+    swapped (ac/s, b, s) is reduced only when it is (s, b, ac/s), and the
+    form is reduced unless b < 0 on the boundary |b| = s or s = ac/s."""
     b_max = math.isqrt(-d // 3)
-    forms = []
+    triples = []
     for b in range(-b_max + (b_max - d) % 2, b_max + 1, 2):
         ac = (b * b - d) // 4
         for s in range(max(1, abs(b)), math.isqrt(ac) + 1):
-            if ac % s == 0:
-                f = Form(s, b, ac // s)
-                if f.is_primitive() and is_reduced_sl2(f):
-                    forms.append(f)
-    return sorted(forms)
+            if ac % s == 0 and math.gcd(s, b, ac // s) == 1:
+                if b >= 0 or (-b != s and s * s != ac):
+                    triples.append((s, b, ac // s))
+    return [Form(*t) for t in sorted(triples)]
 
 
 def check_table_bounds(d: int, n: int) -> None:
@@ -385,23 +428,38 @@ def check_table_bounds(d: int, n: int) -> None:
         raise SearchBoundExceeded(f"disc {d} needs {trials} divisor trials, limit {limit}")
 
 
-def _walk(q: Form, n: int) -> Form:
-    """The reduced form of the Gamma0(n)-class of q, n > 1 supported: of
-    the images _same_a collects, which have no gap below 0, the one with
-    the greatest b, which must lie in the strip."""
-    r = max(_same_a(_into_strip(q), n), key=lambda g: g.b)
-    if not -r.a < r.b <= r.a:
-        raise InvariantError(f"the walk of {q} at level {n} ends outside the strip at {r}")
-    return r
+def _walk(a: int, b: int, c: int, n: int) -> tuple:
+    """The end state of the walk of (a, b, c) into the region, n > 1
+    supported: of the images _same_a collects, which have no gap below 0,
+    the one with the greatest b, which must lie in the strip.  Its witness
+    must have determinant 1, n | gc and carry (a, b, c) to the end form."""
+    images = _same_a(_into_strip(a, b, c, 1, 0, 0, 1), n)
+    # one a, so the greatest triple has the greatest b
+    end = images[max(images)]
+    ea, eb, ec, ga, gb, gc, gd = end
+    if not -ea < eb <= ea:
+        raise InvariantError(
+            f"the walk of {(a, b, c)} at level {n} ends outside the strip at {(ea, eb, ec)}"
+        )
+    if ga * gd - gb * gc != 1 or gc % n or act_coeffs(a, b, c, ga, gb, gc, gd) != end[:3]:
+        raise InvariantError(
+            f"witness [[{ga}, {gb}], [{gc}, {gd}]] of the walk at level {n} "
+            f"does not carry {(a, b, c)} to {(ea, eb, ec)} in Gamma0({n})"
+        )
+    return end
 
 
-def _canonical(r: Form, orbit: set, n: int, inverse_lift: Callable) -> Form:
-    """The least translate of r by the inverse lifts of the labels in orbit,
-    walked into the region at levels 2, 3 and primes p >= 5.  The walk
-    crosses one circle per step, so it starts from that translate, whose
-    size the lifts bound, never from a given form."""
-    t = min(act(r, inverse_lift(label)) for label in orbit)
-    return _walk(t, n) if n > 1 and level_supported(n) else t
+def _canonical(r: Form, orbit, inverses: dict, n: int, walk: bool) -> tuple:
+    """The least translate of r by the inverse lifts of the labels in
+    orbit, entry tuples in inverses, and the label that gives it; with walk
+    (levels 2, 3 and primes p >= 5) the translate is walked into the region.
+    Returns the label and the end state, the translate and the identity
+    when there is no walk.  The walk crosses one circle per step, so it
+    starts from that translate, whose size the lifts bound, never from a
+    given form."""
+    a, b, c = r.a, r.b, r.c
+    t, label = min([(act_coeffs(a, b, c, *inverses[label]), label) for label in orbit])
+    return label, _walk(*t, n) if walk else (*t, 1, 0, 0, 1)
 
 
 @checked_cache(check_table_bounds)
@@ -409,7 +467,8 @@ def _class_table(d: int, n: int) -> dict:
     """Class key -> canonical form for every Gamma0(n)-class of disc d: the
     coset translates of the reduced forms r meet every class, one class per
     orbit of the cosets under Aut(r).  Each orbit is labelled once per
-    Aut(r), each bottom row mod n once, each coset rep inverted once."""
+    Aut(r), each bottom row mod n once, each coset rep inverted once; each
+    class is walked in integers and built as a Form once."""
     labels: dict = {}
 
     def label(c: int, e: int) -> tuple[int, int]:
@@ -419,15 +478,17 @@ def _class_table(d: int, n: int) -> dict:
         return labels[row]
 
     reps = coset_reps(n)
-    inverses = {label(g.c, g.d): g.inverse() for g in reps}
+    inverses = {label(g.c, g.d): g.inverse().as_tuple() for g in reps}
+    walk = n > 1 and level_supported(n)
     orbits: dict = {}  # Aut(r) -> least label -> orbit; one Aut(r) below D = -4
     table: dict = {}
     for r in _sweep(d):
         auts = automorphs(r)
         if auts not in orbits:
-            orbits[auts] = {min(o): o for o in (_orbit(g, auts, label) for g in reps)}
+            orbits[auts] = {min(o): set(o) for o in (_orbit(g.c, g.d, auts, label) for g in reps)}
         for least, orbit in orbits[auts].items():
-            table[r, least] = _canonical(r, orbit, n, inverses.__getitem__)
+            _, end = _canonical(r, orbit, inverses, n, walk)
+            table[r, least] = Form(*end[:3])
     if len(set(table.values())) != len(table):
         raise InvariantError(f"two classes of disc {d}, level {n} walk to one reduced form")
     return table
@@ -437,7 +498,7 @@ def class_reps(d: int, n: int) -> tuple[Form, ...]:
     """The canonical form of every Gamma0(n)-class of discriminant d,
     sorted by (a, b, c).  Classes with gcd(a, n) = 1 are the admissible
     ones of the class group and the genus tables."""
-    return tuple(sorted(_class_table(d, n).values()))
+    return tuple(sorted(_class_table(d, n).values(), key=attrgetter("a", "b", "c")))
 
 
 def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
@@ -450,20 +511,45 @@ def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
     return class_reps(d, n)
 
 
-def canonical_rep(q: Form, n: int) -> Form:
-    """A canonical Gamma0(n)-class representative of q, the form that
-    class_reps lists for its class, computed from q alone.
+def reduce_gamma0(q: Form, n: int) -> ReductionResult:
+    """The canonical Gamma0(n)-class representative of q, the form that
+    class_reps lists for its class, computed from q alone, and a witness g
+    in Gamma0(n) with act(q, g) equal to it.
 
-    At level 1 it is the SL2(Z) reduction r of q.  Elsewhere the class
-    table's steps give it: the label orbit of delta*u, delta carrying q to
-    r and u in Aut(r), and _canonical's least translate and walk.  The
-    table's bounds are checked first, so what class_reps refuses, this does.
+    The class table's steps give the form: with delta carrying q to its
+    SL2(Z)-reduction r, the label orbit of delta*u over u in Aut(r), and
+    _canonical's least translate of r and its walk.  The witness is
+    delta*u*lift^(-1) times the walk's moves, with u the first automorph
+    for which delta*u has the label of the lift that the translate used:
+    delta*u and the lift then lie in one coset of Gamma0(n), and the walk
+    moves within Gamma0(n).  At composite levels there are no moves; at
+    level 1 the lift is the identity.  The witness is checked in the end.
+    The table's bounds are checked first, so what class_reps refuses, this
+    does.
     """
     require_qf(q)
     _class_table.check(q.disc, n)
-    res = reduce_sl2(q)
-    r = res.reduced
-    if n == 1:
-        return r
-    orbit = _orbit(res.transform, automorphs(r), partial(p1_label, n))
-    return _canonical(r, orbit, n, lambda label: _lift_to_sl2(n, *label).inverse())
+    a, b, c, *delta = _gauss(q.a, q.b, q.c)
+    r = Form(a, b, c)
+    auts = automorphs(r)
+    labels = _orbit(delta[2], delta[3], auts, partial(p1_label, n))
+    inverses = {}
+    for label in set(labels):
+        lift = _lift_to_sl2(n, *label)
+        inverses[label] = lift.d, -lift.b, -lift.c, lift.a
+    used, end = _canonical(r, inverses, inverses, n, n > 1 and level_supported(n))
+    g = delta
+    for h in (auts[labels.index(used)].as_tuple(), inverses[used], end[3:]):
+        g = _times(g, h)
+    rep = Form(*end[:3])
+    if g[2] % n or act_coeffs(q.a, q.b, q.c, *g) != end[:3]:
+        raise InvariantError(
+            f"witness [[{g[0]}, {g[1]}], [{g[2]}, {g[3]}]] does not carry {q} to {rep} in Gamma0({n})"
+        )
+    return ReductionResult(rep, GroupElement(*g))
+
+
+def canonical_rep(q: Form, n: int) -> Form:
+    """A canonical Gamma0(n)-class representative of q, the form that
+    class_reps lists for its class: the form of reduce_gamma0."""
+    return reduce_gamma0(q, n).reduced

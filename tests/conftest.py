@@ -10,9 +10,8 @@ from gammaforms.core import (
     Form,
     GroupElement,
     IDENTITY,
-    S,
-    T,
     act,
+    act_by_column,
     is_prime,
     ker_chi,
     kronecker,
@@ -48,6 +47,9 @@ from gammaforms.reduction import (
     reduce_sl2,
 )
 
+# the generators T = (1, 1; 0, 1) and S = (0, -1; 1, 0) of SL2(Z)
+T = GroupElement(1, 1, 0, 1)
+S = GroupElement(0, -1, 1, 0)
 T_INV = T.inverse()
 
 
@@ -165,7 +167,7 @@ def is_reduced_by_rules(q: Form, n: int) -> bool:
     a, b = q.a, q.b
     if not -a < b <= a:
         return False
-    for k, gap in _arcs(q, n):
+    for k, gap in _arcs(a, b, q.c, n):
         if gap < 0:
             return False
         if gap == 0 and k != -1:
@@ -176,6 +178,32 @@ def is_reduced_by_rules(q: Form, n: int) -> bool:
             if -b * n > bound * a:
                 return False
     return True
+
+
+def into_strip(q: Form) -> Form:
+    """The translate of q by a power of T with b in (-a, a]."""
+    s = (q.a - q.b) // (2 * q.a)
+    return Form(q.a, q.b + 2 * q.a * s, q(s, 1))
+
+
+def walk_by_forms(q: Form, n: int) -> Form:
+    """The reduced form of the Gamma0(n)-class of q, n > 1 supported, by the
+    walk on Form objects: into the strip; while a circle of _arcs holds tau
+    move across it, which lowers a, and start over; collect the same-a
+    images across the circles through tau; keep the one with the greatest
+    b.  The oracle for reduction._walk, which runs on integer triples and
+    carries its witness."""
+    images, todo = set(), [into_strip(q)]
+    while todo:
+        f = todo.pop()
+        arcs = _arcs(f.a, f.b, f.c, n)
+        moves = [(gap, into_strip(act_by_column(f, k, n))) for k, gap in arcs]
+        if lower := [g for gap, g in moves if gap < 0]:
+            images, todo = set(), [min(lower)]
+        elif f not in images:
+            images.add(f)
+            todo += [g for _, g in moves]
+    return max(images, key=lambda g: g.b)
 
 
 def contains_all_arcs(p: int, t: CmPoint) -> bool:

@@ -12,8 +12,6 @@ from gammaforms.core import (
     Form,
     GroupElement,
     IDENTITY,
-    S,
-    T,
     act,
     cm_point,
     form_from_cm,
@@ -22,6 +20,7 @@ from gammaforms.core import (
     kronecker,
     moebius,
     moebius_rational,
+    require_qf,
     sqrt_mod_prime,
     unit_values,
     units_mod,
@@ -30,6 +29,8 @@ from gammaforms.classgroup import principal_form
 from gammaforms.errors import SearchBoundExceeded, ValidationError
 from gammaforms.reduction import class_reps, p1_label
 from conftest import (
+    S,
+    T,
     is_prime_trial_division,
     random_form,
     random_gamma0,
@@ -165,7 +166,7 @@ def test_form_basics():
     assert not Form(2, 0, 2).is_primitive()
     assert str(Form.from_string("2,-1,1")) == "2,-1,1"
     with pytest.raises(ValidationError):
-        Form.qf(1, 0, -1)
+        require_qf(Form(1, 0, -1))
     with pytest.raises(ValidationError):
         Form.from_string("1;0;1")
 

@@ -28,8 +28,8 @@ from gammaforms.fundomain import (
     sym_rep,
     sym_residues,
 )
-from gammaforms.reduction import _into_strip, enumerate_reduced, equivalent_gamma0, is_reduced
-from conftest import contains_all_arcs, is_reduced_gamma0_p, random_form, random_gamma0
+from gammaforms.reduction import enumerate_reduced, equivalent_gamma0, is_reduced
+from conftest import contains_all_arcs, into_strip, is_reduced_gamma0_p, random_form, random_gamma0
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -197,7 +197,7 @@ def test_contains_matches_all_arcs_oracle(rng, p):
             near = -f.b * p // (2 * f.a)
             for k in range(near - 2, near + 4):
                 if k % p and f(k, p) == f.a:
-                    points.append(cm_point(_into_strip(act_by_column(f, k, p))))
+                    points.append(cm_point(into_strip(act_by_column(f, k, p))))
     for _ in range(400):
         a = rng.randrange(1, 2 * p * p)
         b = rng.randrange(-a, a + 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaforms import reduction
-from gammaforms.core import Form, GroupElement, IDENTITY, S, T, act, act_by_column
+from gammaforms.core import Form, GroupElement, IDENTITY, act, act_by_column, act_coeffs
 from gammaforms.errors import (
     DiscriminantMismatch,
     InvariantError,
@@ -16,7 +16,6 @@ from gammaforms.errors import (
 )
 from gammaforms.reduction import (
     _class_table,
-    _into_strip,
     _lift_to_sl2,
     _sweep,
     _walk,
@@ -31,20 +30,25 @@ from gammaforms.reduction import (
     is_reduced_sl2,
     level_supported,
     p1_label,
+    reduce_gamma0,
     reduce_sl2,
 )
 from conftest import (
+    S,
+    T,
     automorphs_by_search,
     canonical_rep_by_table,
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
+    into_strip,
     is_reduced_by_rules,
     is_reduced_gamma0_small,
     random_form,
     random_gamma0,
     random_sl2,
     sweep_per_a,
+    walk_by_forms,
 )
 
 
@@ -126,7 +130,7 @@ def _same_a_images(f: Form, n: int) -> set[Form]:
             images.add(g)
             near = -g.b * n // (2 * g.a)
             todo += [
-                _into_strip(act_by_column(g, k, n))
+                into_strip(act_by_column(g, k, n))
                 for k in range(near - 2, near + 4)
                 if math.gcd(k, n) == 1 and g(k, n) == g.a
             ]
@@ -330,20 +334,72 @@ def test_walk_matches_per_a_oracle(rng, n):
         for f in sweep_per_a(d, n):
             for _ in range(4):
                 q = act(f, random_gamma0(rng, n, 12))
-                assert _walk(q, n) == f, (q, n)
+                assert _walk(q.a, q.b, q.c, n)[:3] == (f.a, f.b, f.c), (q, n)
                 assert canonical_rep(q, n) == f, (q, n)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 101])
+def test_walk_matches_form_oracle(rng, n):
+    # the integer walk ends at the form of the walk on Form objects, and its
+    # witness carries the start there within Gamma0(n)
+    for _ in range(150):
+        q = random_form(rng, rng.choice([-3, -4, -7, -8, -15, -20, -23, -47, -84, -420]))
+        if rng.random() < 0.5:
+            q = act(q, random_gamma0(rng, n, 6))
+        a, b, c, *g = _walk(q.a, q.b, q.c, n)
+        assert Form(a, b, c) == walk_by_forms(q, n), (q, n)
+        assert g[2] % n == 0 and act(q, GroupElement(*g)) == Form(a, b, c), (q, n)
+
+
 def test_walk_checks(monkeypatch):
-    # a walk must end in the strip, and two classes must not walk to one
-    # form; a strip one translate off leaves the end point outside it
+    # each check of the walk fires from one patched integer step: a strip
+    # translate one T off in form and witness ends outside the strip, one T
+    # off in the witness alone fails the witness check, and a move by the
+    # transpose of its matrix fails the check of the new a; two classes must
+    # not walk to one form
+    strip = reduction._into_strip
+
+    def one_more_t(*state):
+        a, b, c, ga, gb, gc, gd = strip(*state)
+        return a, b + 2 * a, a + b + c, ga, gb + ga, gc, gd + gc
+
+    def witness_one_more_t(*state):
+        a, b, c, ga, gb, gc, gd = strip(*state)
+        return a, b, c, ga, gb + ga, gc, gd + gc
+
+    q = act(Form(1, 1, 6), GroupElement(1, 0, 5, 1))  # one circle from (1, 1, 6)
+    assert _walk(q.a, q.b, q.c, 5)[:3] == (1, 1, 6)
     with monkeypatch.context() as m:
-        m.setattr(reduction, "_into_strip", lambda q: Form(q.a, q.b + 2 * q.a, q(1, 1)))
+        m.setattr(reduction, "_into_strip", one_more_t)
         with pytest.raises(InvariantError, match="ends outside the strip"):
-            _walk(Form(1, 1, 1), 5)
-    monkeypatch.setattr(reduction, "_walk", lambda q, n: Form(1, 1, 6))
+            _walk(1, 1, 1, 5)
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_into_strip", witness_one_more_t)
+        with pytest.raises(InvariantError, match="of the walk at level 5 does not carry"):
+            _walk(1, 1, 1, 5)
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "act_coeffs", lambda a, b, c, ga, gb, gc, gd: act_coeffs(a, b, c, ga, gc, gb, gd))
+        with pytest.raises(InvariantError, match=r"the move by \(-1, 5\) carries"):
+            _walk(q.a, q.b, q.c, 5)
+    monkeypatch.setattr(reduction, "_walk", lambda a, b, c, n: (1, 1, 6, 1, 0, 0, 1))
     with pytest.raises(InvariantError, match="walk to one reduced form"):
         _class_table.__wrapped__(-23, 5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 4, 6, 10, 12, 122])
+def test_reduce_gamma0_witness(rng, n):
+    # the witness of the canonical form lies in Gamma0(n), has determinant 1
+    # and carries q to canonical_rep(q, n); the equivalence search finds one
+    # that differs from it by an automorph of the canonical form
+    for _ in range(60):
+        q = random_form(rng, rng.choice([-3, -4, -7, -8, -15, -20, -23, -47, -84, -420]))
+        if rng.random() < 0.5:
+            q = act(q, random_gamma0(rng, n, 6))
+        rep, g = reduce_gamma0(q, n)
+        assert rep == canonical_rep(q, n) == canonical_rep_by_table(q, n), (q, n)
+        assert g.in_gamma0(n) and g.a * g.d - g.b * g.c == 1 and act(q, g) == rep, (q, n, g)
+        found = equivalent_gamma0(q, rep, n)
+        assert found is not None and g.inverse() * found in automorphs(rep), (q, n, g, found)
 
 
 def test_count_stable_under_other_coset_systems(rng):

@@ -50,6 +50,7 @@ def test_oracles_stay_in_tests():
             "contains_all_arcs",
             "classify_prime_by_scan",
             "canonical_rep_by_table",
+            "walk_by_forms",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
 
@@ -145,3 +146,18 @@ def test_only_core_reads_the_environment():
             if {"environ", "getenv"} & set(names):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+
+def test_only_equiv_searches_for_equivalence():
+    # a reduced form's witness comes with it from reduction.reduce_gamma0;
+    # the pairwise search equivalent_gamma0 serves the equiv command alone
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "equivalent_gamma0" or (
+                    isinstance(node, ast.Attribute) and node.attr == "equivalent_gamma0"
+                ):
+                    users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert users == {"cli._cmd_equiv"}
