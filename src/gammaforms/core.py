@@ -42,12 +42,16 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     """Solve x = r1 (mod m1), x = r2 (mod m2).
 
     Returns (x, lcm(m1, m2)) with 0 <= x < lcm, or None when incompatible.
+    With g = gcd(m1, m2), x = r1 + s*(r2 - r1)/g*m1 for s the inverse of
+    m1/g modulo m2/g, the residue of the s of every Bezout pair
+    s*m1 + t*m2 = g.
     """
-    g, s, _ = xgcd(m1, m2)
+    g = math.gcd(m1, m2)
     if (r2 - r1) % g != 0:
         return None
     l = m1 // g * m2
-    x = (r1 + (r2 - r1) // g * s % (m2 // g) * m1) % l
+    m = m2 // g
+    x = (r1 + (r2 - r1) // g * pow(m1 // g, -1, m) % m * m1) % l
     return x, l
 
 

@@ -15,19 +15,23 @@ the minimal polynomial of delta and re-normalizes; no composition formula
 is involved anywhere, which is what makes this an independent check of the
 form-level group law.
 
-The ideal of a form comes in closed form from one xgcd: its lattice
-Z*(a, 0) + Z*(k, 1) has the HNF ((g, t mod a/g), (0, a/g)) for
-xgcd(a, k) = (g, s, t), with no Fraction arithmetic; products multiply
-scales only when one differs from 1.
+The ideal of a form comes in closed form: its lattice Z*(a, 0) + Z*(k, 1)
+has the HNF ((g, t), (0, a/g)) for g = gcd(a, k) and t the inverse of k/g
+modulo a/g, the residue that the t of every Bezout pair s*a + t*k = g
+leaves.  The HNF elsewhere takes its Bezout pairs from the same kind of
+inverse: a lattice has one HNF, so any pair gives it.  No step runs
+Euclid's loop in Python, and no Fraction arithmetic runs at the unit scale:
+products multiply scales only when one is not the shared 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .core import Form, require_qf, validate_discriminant, xgcd
+from .core import Form, require_qf, validate_discriminant
 from .errors import InvariantError, ValidationError
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -40,13 +44,12 @@ class QuadOrder:
     """The order of discriminant D, basis (1, delta), delta = (D + sqrt(D))/2."""
 
     D: int
+    delta_norm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_discriminant(self.D)
-
-    @property
-    def delta_norm(self) -> int:
-        return (self.D * self.D - self.D) // 4
+        # N(delta) = (D^2 - D)/4, read by every product
+        object.__setattr__(self, "delta_norm", (self.D * self.D - self.D) // 4)
 
     def mul(self, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
         """(x1 + y1*delta)(x2 + y2*delta) in coordinates."""
@@ -80,20 +83,20 @@ def hnf_rows(rows: list[tuple[int, int]]) -> Matrix:
             pivot = (x, y)
             continue
         px, py = pivot
-        g, s, t = xgcd(px, x)
+        g = math.gcd(px, x)
+        # a Bezout pair s*px + t*x = g; the HNF is unique, so any one will do
+        s = pow(px // g, -1, x // g)
+        t = (g - s * px) // x
         # rows (pivot, (x, y)) -> (s*pivot + t*(x,y), complement); det +1
         ys.append((px // g) * y - (x // g) * py)
         pivot = (g, s * py + t * y)
-    if pivot is None or not any(ys):
+    h11 = math.gcd(*ys)
+    if pivot is None or h11 == 0:
         raise ValidationError("lattice is not of full rank")
     h00, h01 = pivot
     if h00 < 0:
         h00, h01 = -h00, -h01
-    h11 = 0
-    for y in ys:
-        h11 = math.gcd(h11, abs(y))
-    h01 %= h11
-    return ((h00, h01), (0, h11))
+    return ((h00, h01 % h11), (0, h11))
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,8 @@ class OIdeal:
 
     @classmethod
     def make(cls, order: QuadOrder, rows: list[tuple[int, int]], scale: Fraction = _ONE) -> "OIdeal":
-        if scale <= 0:
+        # a Fraction keeps its sign in the numerator
+        if scale.numerator <= 0:
             raise ValidationError("scale must be positive")
         mat = hnf_rows(rows)
         content = math.gcd(math.gcd(mat[0][0], mat[0][1]), mat[1][1])
@@ -158,48 +162,62 @@ class OIdeal:
         return f"{self.scale} * <{self.mat[0]}, {self.mat[1]}> over disc {self.order.D}"
 
 
+@lru_cache(maxsize=None)
+def _order(d: int) -> QuadOrder:
+    """The one QuadOrder of discriminant d that the ideals of forms share."""
+    return QuadOrder(d)
+
+
 def whole_order_ideal(d: int) -> OIdeal:
-    return OIdeal(QuadOrder(d), ((1, 0), (0, 1)), _ONE)
+    return OIdeal(_order(d), ((1, 0), (0, 1)), _ONE)
 
 
 def ideal_from_form(q: Form) -> OIdeal:
     """The integral ideal Z*a + Z*(-b + sqrt(D))/2 of norm a.
 
     In the (1, delta) basis the second generator is delta - (b + D)/2 =
-    (k, 1).  With xgcd(a, k) = (g, s, t) the lattice has the HNF
-    ((g, t mod a/g), (0, a/g)), of content 1 since s*(a/g) + t*(k/g) = 1.
+    (k, 1).  With g = gcd(a, k) the lattice has the HNF ((g, t), (0, a/g))
+    for t = (k/g)^(-1) mod a/g: every Bezout pair s*a + t*k = g has
+    s*(a/g) + t*(k/g) = 1, so its t is that inverse mod a/g and the content
+    is 1.  The check runs on these integers.
     """
     require_qf(q)
-    d = q.disc
-    a = q.a
-    k = -(q.b + d) // 2
-    g, _, t = xgcd(a, k)
+    a, b, c = q.a, q.b, q.c
+    d = b * b - 4 * a * c
+    k = -(b + d) // 2
+    g = math.gcd(a, k)
     h11 = a // g
-    order = QuadOrder(d)
-    ideal = OIdeal(order, ((g, t % h11), (0, h11)), _ONE)
+    t = pow(k // g, -1, h11)
+    mat = ((g, t), (0, h11))
+    order = _order(d)
     # N(k + delta) = ac leaves k only -(b + D)/2 or (b - D)/2; holding both
-    # generators at determinant a makes the HNF exactly their lattice.
+    # generators at determinant a makes the HNF exactly their lattice.  A
+    # vector (x, y) lies in Z*(g, t) + Z*(0, h11) iff g | x and h11 divides
+    # y - (x/g)*t.
     if (
-        k * (k + d) + order.delta_norm != a * q.c
-        or ideal.det != a
-        or not (ideal.contains_vec((a, 0)) and ideal.contains_vec((k, 1)))
+        k * (k + d) + order.delta_norm != a * c
+        or g * h11 != a
+        or a % g or a // g * t % h11
+        or k % g or (1 - k // g * t) % h11
     ):
-        raise InvariantError(f"lattice {ideal.mat} of {q} is not Z*({a}, 0) + Z*({k}, 1)")
-    return ideal
+        raise InvariantError(f"lattice {mat} of {q} is not Z*({a}, 0) + Z*({k}, 1)")
+    return OIdeal(order, mat, _ONE)
 
 
 def ideal_mul(i: OIdeal, j: OIdeal) -> OIdeal:
     """Product lattice: HNF of the four pairwise products of basis vectors."""
-    if i.order != j.order:
+    order = i.order
+    if order is not j.order and order != j.order:
         raise ValidationError("ideals live in different orders")
-    rows = [i.order.mul(u, v) for u in i.basis() for v in j.basis()]
-    if i.scale == 1:
+    mul = order.mul
+    rows = [mul(u, v) for u in i.mat for v in j.mat]
+    if i.scale is _ONE:
         scale = j.scale
-    elif j.scale == 1:
+    elif j.scale is _ONE:
         scale = i.scale
     else:
         scale = i.scale * j.scale
-    return OIdeal.make(i.order, rows, scale)
+    return OIdeal.make(order, rows, scale)
 
 
 def ideal_norm(i: OIdeal) -> Fraction:

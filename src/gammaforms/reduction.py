@@ -382,8 +382,12 @@ def _orbit(c: int, d: int, auts: tuple[GroupElement, ...], label: Callable) -> l
     """The labels label(c', d') of the bottom rows (c', d') of delta*u, u
     in auts = Aut(r) in order, r reduced and (c, d) the bottom row of
     delta: the coset orbit of each q with act(q, delta) = r.  Its least
-    label and r are the class key of q."""
-    return [label(c * u.a + d * u.c, c * u.b + d * u.d) for u in auts]
+    label and r are the class key of q.  Aut(r) holds -u with u, and
+    negation reverses the order of entry tuples, so -u is auts[-1 - i] for
+    u = auts[i]; the rows of delta*u and delta*(-u) are one point of
+    P^1(Z/N), -1 being a unit, so the first half is labelled and mirrored."""
+    half = [label(c * u.a + d * u.c, c * u.b + d * u.d) for u in auts[: len(auts) // 2]]
+    return half + half[::-1]
 
 
 def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
@@ -467,12 +471,13 @@ def _class_table(d: int, n: int) -> dict:
     """Class key -> canonical form for every Gamma0(n)-class of disc d: the
     coset translates of the reduced forms r meet every class, one class per
     orbit of the cosets under Aut(r).  Each orbit is labelled once per
-    Aut(r), each bottom row mod n once, each coset rep inverted once; each
-    class is walked in integers and built as a Form once."""
+    Aut(r), each bottom row mod n once up to sign, each coset rep inverted
+    once; each class is walked in integers and built as a Form once."""
     labels: dict = {}
 
     def label(c: int, e: int) -> tuple[int, int]:
-        row = c % n, e % n
+        # a row and its negative have one label
+        row = min((c % n, e % n), (-c % n, -e % n))
         if row not in labels:
             labels[row] = p1_label(n, *row)
         return labels[row]

@@ -596,6 +596,47 @@ def ideal_from_form_by_hnf(q: Form) -> OIdeal:
     return ideal
 
 
+def crt_by_euclid(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+    """x = r1 (mod m1), x = r2 (mod m2) from the s of xgcd(m1, m2) =
+    (g, s, t): (x, lcm) with 0 <= x < lcm, or None when incompatible; the
+    oracle for core.crt."""
+    g, s, _ = xgcd(m1, m2)
+    if (r2 - r1) % g != 0:
+        return None
+    l = m1 // g * m2
+    x = (r1 + (r2 - r1) // g * s % (m2 // g) * m1) % l
+    return x, l
+
+
+def hnf_rows_by_euclid(rows: list[tuple[int, int]]) -> tuple:
+    """Hermite normal form of the full-rank lattice spanned by rows, each
+    new row folded into the pivot by the Bezout pair of xgcd; the oracle
+    for ideals.hnf_rows."""
+    pivot = None
+    ys = []
+    for x, y in rows:
+        if x == 0:
+            if y:
+                ys.append(y)
+            continue
+        if pivot is None:
+            pivot = (x, y)
+            continue
+        px, py = pivot
+        g, s, t = xgcd(px, x)
+        ys.append((px // g) * y - (x // g) * py)
+        pivot = (g, s * py + t * y)
+    if pivot is None or not any(ys):
+        raise ValidationError("lattice is not of full rank")
+    h00, h01 = pivot
+    if h00 < 0:
+        h00, h01 = -h00, -h01
+    h11 = 0
+    for y in ys:
+        h11 = math.gcd(h11, abs(y))
+    return ((h00, h01 % h11), (0, h11))
+
+
 def compose_one_pair_wrongly(monkeypatch, d: int, n: int) -> None:
     """Patch classgroup.dirichlet_compose so that the oracle's pair
     (0, 1) of class_group(d, n) lands in the inverse of its true class;

@@ -14,6 +14,7 @@ from gammaforms.core import (
     IDENTITY,
     act,
     cm_point,
+    crt,
     form_from_cm,
     is_prime,
     ker_chi,
@@ -31,6 +32,7 @@ from gammaforms.reduction import class_reps, p1_label
 from conftest import (
     S,
     T,
+    crt_by_euclid,
     is_prime_trial_division,
     random_form,
     random_gamma0,
@@ -387,3 +389,35 @@ def test_sqrt_mod_prime_five_mod_eight_does_no_search(monkeypatch):
     # refuses nothing
     monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "0")
     assert sqrt_mod_prime(3, 13) in (4, 9)
+
+
+def test_crt_matches_euclid_oracle():
+    # every residue pair, one beyond each end too, on a grid of positive
+    # moduli; the incompatible systems (None) among them
+    incompatible = 0
+    for m1 in range(1, 25):
+        for m2 in range(1, 25):
+            for r1 in range(-1, m1 + 1):
+                for r2 in range(-1, m2 + 1):
+                    got = crt(r1, m1, r2, m2)
+                    assert got == crt_by_euclid(r1, m1, r2, m2), (r1, m1, r2, m2)
+                    incompatible += got is None
+    assert incompatible > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**6),
+    st.integers(1, 10**12),
+    st.integers(1, 10**12),
+)
+def test_crt_matches_euclid_oracle_on_large_moduli(r1, r2, k, u, v):
+    # moduli k*u and k*v share at least the factor k
+    m1, m2 = k * u, k * v
+    got = crt(r1, m1, r2, m2)
+    assert got == crt_by_euclid(r1, m1, r2, m2)
+    if got is not None:
+        x, l = got
+        assert 0 <= x < l == math.lcm(m1, m2) and (x - r1) % m1 == 0 and (x - r2) % m2 == 0

@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,7 @@ from gammaforms.ideals import (
     whole_order_ideal,
 )
 from gammaforms.reduction import class_reps, enumerate_reduced
-from conftest import ideal_from_form_by_hnf, random_form, random_sl2
+from conftest import hnf_rows_by_euclid, ideal_from_form_by_hnf, random_form, random_sl2
 
 
 def test_quad_order_arithmetic():
@@ -155,13 +156,38 @@ def test_closed_form_matches_hnf_on_class_reps():
 
 @pytest.mark.parametrize("bad_t", [lambda t: t + 1, lambda t: -t])
 def test_closed_form_check_catches_a_wrong_t(monkeypatch, bad_t):
-    # (3, 1, 1): k = 5, xgcd(3, 5) = (1, 2, -1), so a/g = 3 and t mod 3 matters
+    # (3, 1, 1): k = 5, g = 1 and a/g = 3, so t = 5^(-1) mod 3 = 2 matters;
+    # the inverse is the module's one pow, shadowed here by a wrong one
     q = Form(3, 1, 1)
     assert ideal_from_form(q).mat == ((1, 2), (0, 3))
-    xgcd = ideals.xgcd
-    monkeypatch.setattr(ideals, "xgcd", lambda x, y: (lambda g, s, t: (g, s, bad_t(t)))(*xgcd(x, y)))
+    monkeypatch.setattr(ideals, "pow", lambda x, e, m: bad_t(builtins.pow(x, e, m)), raising=False)
     with pytest.raises(InvariantError):
         ideal_from_form(q)
+
+
+def test_hnf_rows_matches_euclid_oracle(rng):
+    # random row lists with negative entries, zero x and repeated rows,
+    # and rank-deficient ones (multiples of one row, or no row with x != 0
+    # or none with y != 0 after the pivot), which raise on both
+    deficient = 0
+    for _ in range(20000):
+        rows = [
+            (rng.randint(-40, 40) * rng.choice((0, 1, 1)), rng.randint(-40, 40))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+        if rng.random() < 0.1:
+            rows = [(k * rows[0][0], k * rows[0][1]) for k in range(-2, rng.randint(0, 4))]
+        try:
+            expected = hnf_rows_by_euclid(rows)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                hnf_rows(rows)
+            deficient += 1
+            continue
+        assert hnf_rows(rows) == expected, rows
+    assert deficient > 1000
 
 
 def test_scaled_paths_keep_their_values():

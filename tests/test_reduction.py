@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -441,6 +442,49 @@ def test_class_table_work_counts(monkeypatch):
         assert calls["p1_label"] <= 2 * psi, (calls, d, n, psi)
         assert calls["_lift_to_sl2"] == 0, (calls, d, n)
         assert calls["_walk"] == (classes if level_supported(n) else 0), (calls, d, n, classes)
+
+
+def test_each_sign_pair_is_labelled_once(monkeypatch, rng):
+    # delta*u and delta*(-u) have one P^1(Z/n) label, so reduce_gamma0 and
+    # class_key label |Aut(r)|/2 rows, and the class table never labels a
+    # row mod n and its negative
+    calls = []
+
+    def counted(n, c, d, _original=reduction.p1_label):
+        calls.append((n, c % n, d % n))
+        return _original(n, c, d)
+
+    monkeypatch.setattr(reduction, "p1_label", counted)
+    for d in (-3, -4, -23, -2999):
+        for n in (2, 5, 6, 130):
+            for _ in range(5):
+                q = random_form(rng, d)
+                pairs = len(automorphs(reduce_sl2(q).reduced)) // 2
+                for name in ("reduce_gamma0", "class_key"):
+                    calls.clear()
+                    getattr(reduction, name)(q, n)
+                    assert len(calls) == pairs, (name, q, n, calls)
+    for d, n in ((-2999, 150), (-3, 12), (-4, 12)):
+        coset_reps(n)
+        calls.clear()
+        _class_table.__wrapped__(d, n)
+        rows = {min((c, e), (-c % n, -e % n)) for _, c, e in calls}
+        assert len(rows) == len(calls), (d, n)
+        if d < -4:
+            assert len(calls) <= len(coset_reps(n)), (d, n, len(calls))
+
+
+def test_orbit_lists_one_label_per_automorph(rng):
+    # labelling each sign pair once keeps one entry per u in Aut(r), in
+    # order, so reduce_gamma0's labels.index(used) picks the same u
+    for d in (-3, -4, -23):
+        for n in (1, 2, 6, 7, 130):
+            for _ in range(10):
+                res = reduce_sl2(random_form(rng, d))
+                auts = automorphs(res.reduced)
+                delta = res.transform
+                expected = [p1_label(n, g.c, g.d) for g in (delta * u for u in auts)]
+                assert reduction._orbit(delta.c, delta.d, auts, partial(p1_label, n)) == expected
 
 
 def test_finiteness_bound_for_prime_levels():

@@ -51,6 +51,8 @@ def test_oracles_stay_in_tests():
             "classify_prime_by_scan",
             "canonical_rep_by_table",
             "walk_by_forms",
+            "crt_by_euclid",
+            "hnf_rows_by_euclid",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
 
@@ -86,6 +88,29 @@ def test_ideals_import_only_core_and_errors():
     imported = _imports(SRC / "ideals.py")
     package = {name for name in imported if name.split(".")[0] not in sys.stdlib_module_names}
     assert package == {".core", ".errors"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a tree imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_residue_paths_run_no_euclid_loop():
+    # crt and the ideal oracle use only a residue of a Bezout coefficient,
+    # which math.gcd and pow(x, -1, m) give in C; xgcd's Python loop stays
+    # with the callers that print its exact coefficients
+    assert "xgcd" not in _names(ast.parse((SRC / "ideals.py").read_text()))
+    core = ast.parse((SRC / "core.py").read_text())
+    (crt,) = [node for node in core.body if isinstance(node, ast.FunctionDef) and node.name == "crt"]
+    assert "xgcd" not in _names(crt) and "pow" in _names(crt)
 
 
 def test_every_import_is_used():
