@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 table mismatch or internal error, 2 validation error,
 
 ``run(argv)`` may be called repeatedly in one process: it builds its parser
 on first use and reuses it, since parsing leaves no state on the parser.
+A call that names a command is parsed by that command's own parser, the one
+the full parser hands it to; any other call, or one that leaves an argument
+over, goes through the full parser, with its messages and exit codes.
 ``build_parser()`` returns a new parser on every call.
 """
 
@@ -31,10 +34,9 @@ def _form_arg(s: str) -> Form:
 
 
 def _emit(args, text_lines, json_obj, tsv_rows=None):
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(json_obj))
-    elif fmt == "tsv":
+    elif args.format == "tsv":
         rows = tsv_rows if tsv_rows is not None else text_lines
         for row in rows:
             print("\t".join(str(x) for x in row) if isinstance(row, (list, tuple)) else row)
@@ -83,7 +85,7 @@ def _cmd_equiv(args) -> int:
     else:
         _emit(
             args,
-            [f"equivalent: true", f"gamma: {gamma}"],
+            ["equivalent: true", f"gamma: {gamma}"],
             {"equivalent": True, "gamma": [[gamma.a, gamma.b], [gamma.c, gamma.d]]},
         )
     return 0
@@ -276,10 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for binary quadratic forms at level N",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # command name -> its own parser, for run
 
     def add(name, func, **kwargs):
         default_format = kwargs.pop("default_format", "text")
-        p = sub.add_parser(name, **kwargs)
+        p = parser.commands[name] = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("text", "json", "tsv"), default=default_format)
         p.add_argument("--json", dest="format", action="store_const", const="json")
@@ -339,7 +342,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the full parse would hand argv[1:] to this same parser; a call naming
+    # no command, or leaving an argument over, still takes the full parse,
+    # so argparse's messages and exit codes stay as they were
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+    if command is None or rest:
+        args = parser.parse_args(argv)
+    return _call(args)
+
+
+def _call(args) -> int:
+    """The command's handler, with library errors mapped to exit codes."""
     try:
         return args.func(args)
     except SearchBoundExceeded as exc:

@@ -67,6 +67,7 @@ from .errors import (
     ValidationError,
 )
 
+
 def level_supported(n: int) -> bool:
     """True when a reduced-form predicate exists for Gamma0(n)."""
     return n in (1, 2, 3) or (n >= 5 and is_prime(n))

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 
@@ -334,10 +333,9 @@ def _outcome(capsys, call, argv):
 
 
 def _run_fresh(argv):
-    """run(argv) with a parser built for this one call, as when run built
-    its parser on every call."""
-    with mock.patch.object(cli, "_parser", cli.build_parser):
-        return run(argv)
+    """The oracle for run: the full parse of argv, by a parser built for this
+    one call, then run's own handler and error mapping."""
+    return cli._call(cli.build_parser().parse_args(argv))
 
 
 # (argv, GAMMA_FORMS_MAX_SEARCH or None, make the square root mod p wrong)
@@ -373,6 +371,25 @@ _SCRIPT = (
     (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None, True),
     (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None, False),
     (["reduce", "--form", "3,2,1", "--level", "2", "--disc", "-8"], None, False),
+    # what the command's own parser must leave to the full parse, or parse
+    # as the full parse does
+    ([], None, False),
+    (["-h"], None, False),
+    (["--help"], None, False),
+    (["reduce"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "--bogus"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "stray"], None, False),
+    (["reduce", "--form=3,2,1", "--level", "2"], None, False),
+    (["reduce", "--form", "3,2,1", "--lev", "2"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "x"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "--"], None, False),
+    (["reduce", "--", "--form", "3,2,1", "--level", "2"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "--level", "5"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "--json", "--format", "tsv"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "--format"], None, False),
+    (["reduce", "--form", "3,2,1", "--level", "2", "--h"], None, False),
+    (["--bogus", "reduce", "--form", "3,2,1", "--level", "2"], None, False),
+    (["reduc", "--form", "3,2,1", "--level", "2"], None, False),
 )
 
 
@@ -460,15 +477,36 @@ def test_parser_built_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counted)
     cli._parser.cache_clear()
+    _outcome(capsys, run, ["reduce", "--form", "3,2,1", "--level", "2"])
+    # a well-formed call, library rejections included, never reaches the
+    # full parse; a call argparse rejects always does
+    parser = cli._parser()
+    real_parse = parser.parse_args
+    full = []
+
+    def counted_parse(argv):
+        full.append(argv)
+        return real_parse(argv)
+
+    monkeypatch.setattr(parser, "parse_args", counted_parse)
     for argv in (
-        ["reduce", "--form", "3,2,1", "--level", "2"],
         ["equiv", "--form1", "1,0,1", "--form2", "2,2,1", "--level", "2", "--json"],
         ["represent", "--form", "7,0,1", "--value", "23", "--level", "2"],
         ["classify", "--prime", "23", "--disc", "-28", "--level", "2"],
         ["enumerate", "--disc", "-5", "--level", "2"],
         ["genus", "--disc", "-28", "--level", "2", "--format", "tsv"],
     ):
-        _outcome(capsys, run, argv)
+        assert _outcome(capsys, run, argv)[0] in (0, 2), argv
+    assert full == []
+    rejected = (
+        ["nonsense"],
+        ["reduce", "--form", "3,2,1", "--level", "2", "--bogus"],
+        ["reduce", "--form", "3,2,1", "--level", "2", "stray"],
+        [],
+    )
+    for argv in rejected:
+        assert _outcome(capsys, run, argv)[0] == 2, argv
+    assert full == list(rejected)
     assert len(built) == 1
     assert real() is not real()
 
@@ -507,6 +545,24 @@ def test_output_is_deterministic():
         b = _run_cli(args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+def test_main_parses_sys_argv_as_the_full_parse(capsys, monkeypatch):
+    # python -m gammaforms calls run() with no argv, so run reads sys.argv;
+    # COLUMNS fixes the width argparse wraps usage and help to
+    monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = []
+    for argv in (
+        ["reduce", "--form", "3,2,1", "--level", "2"],
+        ["--help"],
+        ["nonsense"],
+        ["reduce", "--form", "3,2,1", "--level", "2", "--bogus"],
+    ):
+        proc = _run_cli(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == _outcome(capsys, _run_fresh, argv), argv
+        codes.append(proc.returncode)
+    assert codes == [0, 0, 2, 2]
 
 
 def test_fresh_process_matches_in_process(capsys, monkeypatch):

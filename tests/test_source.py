@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 
+import argparse
 import ast
 import importlib
 import sys
@@ -152,6 +153,32 @@ def test_every_private_function_is_referenced():
         and node.name not in named
     ]
     assert dead == []
+
+
+def test_cli_reads_no_private_argparse_name():
+    # the dispatch of a call to its command's parser rests on argparse's
+    # public API, which every Python the package allows keeps; the private
+    # names are those argparse itself defines on its module, a parser and
+    # the subparsers action
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    sub.add_parser("command")
+    private = {
+        name
+        for obj in (argparse, parser, sub)
+        for name in dir(obj)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert {"_actions", "_subparsers", "_option_string_actions", "_SubParsersAction"} <= private
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "argparse"
+        for alias in node.names
+    }
+    assert read & private == set()
 
 
 def test_only_core_reads_the_environment():
