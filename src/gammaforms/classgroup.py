@@ -15,9 +15,10 @@ its gcd with N is preserved.
 
 The map (a, b, c) -> (a, bN, cN^2) carries these classes one-to-one onto
 the SL2(Z)-classes of discriminant D*N^2.  One cached dict per (D, N) keys
-each admissible class by the reduced triple of its image: it lists the
+each admissible class by the reduced form of its image: it lists the
 group's elements and identity, names a composed form after one Gauss
-reduction of its image, and serves the genus table.
+reduction of its image, whose coefficients are that key, and serves the
+genus table.
 
 class_group builds the group from generators and relations (Cohen, A
 Course in Computational Algebraic Number Theory, 2.4.3; Buchmann and
@@ -41,6 +42,7 @@ from types import MappingProxyType
 
 from .core import (
     Form,
+    GroupElement,
     act_by_column,
     checked_cache,
     crt,
@@ -215,26 +217,25 @@ class FormClassGroup:
 
 
 @checked_cache(check_table_bounds)
-def _scaled_classes(d: int, n: int) -> Mapping[tuple[int, int, int], tuple[Form, tuple]]:
-    """The reduced triple r of (a, bN, cN^2) -> (f, the entries of delta*u
-    for u in Aut(r)), delta carrying the one to the other, for every
-    admissible class rep f = (a, b, c): the isomorphism, checked one-to-one
-    and read-only, since every caller shares the cached map."""
+def _scaled_classes(d: int, n: int) -> Mapping[Form, tuple[Form, tuple[GroupElement, ...]]]:
+    """The reduced form r of (a, bN, cN^2) -> (f, the products delta*u for
+    u in Aut(r)), delta carrying the one to the other, for every admissible
+    class rep f = (a, b, c): the isomorphism, checked one-to-one and
+    read-only, since every caller shares the cached map."""
     scaled = {}
     for f in class_reps(d, n):
         if math.gcd(f.a, n) != 1:
             continue
-        res = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
-        r = res.reduced
-        key = r.a, r.b, r.c
-        if key in scaled:
-            raise InvariantError(f"{scaled[key][0]} and {f} meet at disc {d * n * n} (level {n})")
-        scaled[key] = f, tuple((res.transform * u).as_tuple() for u in automorphs(r))
+        r, delta = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
+        if r in scaled:
+            raise InvariantError(f"{scaled[r][0]} and {f} meet at disc {d * n * n} (level {n})")
+        scaled[r] = f, tuple(delta * u for u in automorphs(r))
     return MappingProxyType(scaled)
 
 
 def _scaled_class(scaled: Mapping, key: tuple[int, ...], d: int, n: int) -> tuple[Form, tuple]:
-    """The entry of _scaled_classes(d, n) under a reduced triple at disc D*N^2."""
+    """The entry of _scaled_classes(d, n) under a reduced form at disc
+    D*N^2, given as a Form or as its coefficients."""
     try:
         return scaled[key]
     except KeyError:
@@ -276,7 +277,7 @@ def class_group(d: int, n: int) -> FormClassGroup:
         return index[out]
 
     unit = principal_form(d * n * n)
-    e = index[_scaled_class(scaled, (unit.a, unit.b, unit.c), d, n)[0]]
+    e = index[_scaled_class(scaled, unit, d, n)[0]]
     vectors = {e: ()}
     orders: list[int] = []
     relations: list[tuple[int, ...]] = []

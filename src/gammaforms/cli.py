@@ -71,7 +71,7 @@ def _cmd_enumerate(args) -> int:
             "level": args.level,
             "forms": [f.to_json_dict() for f in forms],
         },
-        tsv_rows=[(f.a, f.b, f.c) for f in forms],
+        tsv_rows=forms,
     )
     return 0
 
@@ -225,8 +225,8 @@ def _cmd_fundomain(args) -> int:
 # reference tables
 
 
-def _rf_set(d: int) -> set[tuple[int, int, int]]:
-    return {(f.a, f.b, f.c) for f in reduction.enumerate_reduced(d, 2)}
+def _rf_set(d: int) -> set[Form]:
+    return set(reduction.enumerate_reduced(d, 2))
 
 
 def _genus_values(form: Form) -> set[int]:

@@ -1,9 +1,11 @@
 """Core objects: integral binary quadratic forms, unimodular matrices,
 CM points, and the elementary number theory they need.
 
-Every quantity is exact.  Form coefficients and matrix entries are Python
-integers; geometric data attached to a CM point tau = (numB + sqrt(D))/den
-is handled through the rationals Re(tau) and Im(tau)^2, so that all
+Every quantity is exact.  A form is the tuple (a, b, c) of its
+coefficients and a matrix the tuple (a, b, c, d) of its entries, Python
+integers, so each is unpacked, hashed and compared as that tuple.
+Geometric data attached to a CM point tau = (numB + sqrt(D))/den is
+handled through the rationals Re(tau) and Im(tau)^2, so that all
 comparisons against lines, circles and corner points reduce to integer
 arithmetic.  Nothing in this module ever touches a float.
 """
@@ -16,6 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from .errors import InvariantError, SearchBoundExceeded, ValidationError
 
@@ -254,33 +257,39 @@ def validate_level(n: int) -> None:
 # matrices
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple("_Entries", [("a", int), ("b", int), ("c", int), ("d", int)])):
     """An element of SL2(Z), acting on forms on the right and on the upper
-    half-plane by fractional linear transformations."""
+    half-plane by fractional linear transformations.  It is the tuple
+    (a, b, c, d) of its entries, equal, hashed and ordered as that tuple;
+    every construction, _make and _replace included, checks determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "GroupElement":
+        self = tuple.__new__(cls, (a, b, c, d))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValidationError(f"matrix has determinant != 1: {self.as_tuple()}")
+        a, b, c, d = self
+        if a * d - b * c != 1:
+            raise ValidationError(f"matrix has determinant != 1: {(a, b, c, d)}")
+
+    @classmethod
+    def _make(cls, iterable) -> "GroupElement":
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return GroupElement(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return GroupElement(d, -b, -c, a)
 
     def in_gamma0(self, n: int) -> bool:
         validate_level(n)
@@ -297,9 +306,9 @@ IDENTITY = GroupElement(1, 0, 0, 1)
 # forms
 
 
-@dataclass(frozen=True, order=True)
-class Form:
-    """The quadratic form a*x^2 + b*xy + c*y^2 as a value type, ordered by (a, b, c)."""
+class Form(NamedTuple):
+    """The quadratic form a*x^2 + b*xy + c*y^2.  It is the tuple (a, b, c)
+    itself: equal to, hashed and ordered as that triple."""
 
     a: int
     b: int
@@ -313,7 +322,7 @@ class Form:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
     def content(self) -> int:
-        return math.gcd(self.a, self.b, self.c)
+        return math.gcd(*self)
 
     def is_primitive(self) -> bool:
         return self.content() == 1
@@ -323,7 +332,7 @@ class Form:
 
     def is_qf(self) -> bool:
         """Primitive and positive definite."""
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self
         return a > 0 and b * b < 4 * a * c and math.gcd(a, b, c) == 1
 
     @classmethod
@@ -361,7 +370,7 @@ def act_coeffs(
 
 def act(q: Form, g: GroupElement) -> Form:
     """Right action: (q . g)(x, y) = q(a*x + b*y, c*x + d*y)."""
-    return Form(*act_coeffs(q.a, q.b, q.c, g.a, g.b, g.c, g.d))
+    return Form(*act_coeffs(*q, *g))
 
 
 def act_by_column(q: Form, x: int, y: int) -> Form:

@@ -22,8 +22,9 @@ represent p at (1, 0), and the map (a, b, c) -> (a, bN, cN^2) carries the
 Gamma0(N)-classes of admissible forms of discriminant D one-to-one to
 SL2(Z)-classes of discriminant D*N^2.  So one
 Gauss reduction at D*N^2, run in integers and mirrored for -b, names the
-witness's class by its reduced triple in classgroup's dict for that map,
-which the genus table holds.  The dict also keeps, per class, the products
+witness's class by its reduced form in classgroup's dict for that map,
+which the genus table holds; a Form is its triple, so the reduction's
+coefficients are the key.  The dict also keeps, per class, the products
 delta*u (u in Aut(r)) that turn the reduction matrix into its
 representations of p, and the table each coset as a sorted tuple, so a
 prime not dividing N builds objects only for the answer.
@@ -33,7 +34,6 @@ prime not dividing N builds objects only for the answer.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -42,6 +42,7 @@ from typing import NamedTuple
 from .classgroup import _scaled_class, _scaled_classes, prepare_coprime, principal_form
 from .core import (
     Form,
+    GroupElement,
     act_by_column,
     checked_cache,
     is_prime,
@@ -177,10 +178,10 @@ class GenusTable:
     assignment: tuple[tuple[Form, int], ...]
     # residue mod |D| -> number of its coset, for every residue in ker(chi)
     coset_index: Mapping[int, int] = field(repr=False, compare=False)
-    # classgroup._scaled_classes(D, N) itself: the reduced triple r of
-    # (a, bN, cN^2) -> (f, the entries of delta*u for u in Aut(r)), delta
+    # classgroup._scaled_classes(D, N) itself: the reduced form r of
+    # (a, bN, cN^2) -> (f, the products delta*u for u in Aut(r)), delta
     # carrying the one to the other, for every admissible class rep f
-    scaled_classes: Mapping[tuple[int, int, int], tuple[Form, tuple[tuple[int, ...], ...]]] = field(
+    scaled_classes: Mapping[Form, tuple[Form, tuple[GroupElement, ...]]] = field(
         repr=False, compare=False
     )
 
@@ -314,7 +315,7 @@ def _level_witness(p: int, b: int, c: int, n: int) -> tuple[Form, list]:
     f, w = reduce_gamma0(q, n)
     # w carries q to f, so its inverse carries f to q
     g = w.inverse()
-    return f, _first_columns([(g * u).as_tuple() for u in automorphs(q)], 1, 0, 1)
+    return f, _first_columns([g * u for u in automorphs(q)], 1, 0, 1)
 
 
 def _witness(table: GenusTable, p: int) -> tuple[Form, list[tuple[int, int]]]:
@@ -356,7 +357,7 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
     found at disc D*N^2, where (a, b, c) -> (a, bN, cN^2) carries
     Gamma0(N)-classes of admissible forms to SL2(Z)-classes: one Gauss
     reduction of (p, bN, cN^2) in integers, mirrored for -b, and one
-    lookup per sign by reduced triple in the genus table, whose
+    lookup per sign by reduced form in the genus table, whose
     precomputed products delta*u give the columns of the lesser class with
     y scaled by N.  Only the answer is built as objects; the coset comes
     sorted from the table.  When p divides N the witness is not
@@ -404,22 +405,25 @@ def principal_genus_congruences(d: int, n: int) -> frozenset[int]:
 # composition identity for even-middle forms
 
 
-def brahmagupta_check(q: Form, n: int = 1, samples: int = 20, seed: int = 0) -> bool:
+def brahmagupta_check(q: Form, n: int = 1) -> bool:
     """Verify the product identity for a form (a, 2b, c) of discriminant -4m:
 
         (a x^2 + 2b xy + c y^2)(a z^2 + 2b zw + c w^2)
             = (a xz + b xw + b yz + c yw)^2 + m (xw - yz)^2,  m = ac - b^2,
 
-    exactly at nine points, and on random integer samples, where
-    N-admissibility of the output pair is also checked: the first square's
-    argument stays coprime to N and xw - yz = 0 (mod N) whenever (a, N) = 1,
-    (xz, N) = 1 and y = w = 0 (mod N).
+    exactly at nine points, where N-admissibility of the output pair is
+    also checked: the first square's argument stays coprime to N and
+    xw - yz = 0 (mod N) whenever (a, N) = 1, (xz, N) = 1 and y = w = 0
+    (mod N).
 
     Nine points decide the identity: both sides are binary quadratic forms
     in (x, y) whose coefficients are binary quadratic forms in (z, w), and a
     binary quadratic form is fixed by its values at (1, 0), (0, 1) and
     (1, 1), so the sides agree if and only if they agree when (x, y) and
-    (z, w) each range over those three points.
+    (z, w) each range over those three points.  No further point can fail
+    the admissibility check either: when y = w = 0 (mod N), the first
+    square's argument is a*x*z (mod N) and xw - yz is 0 (mod N), so the
+    check holds at every point.
     """
     require_qf(q)
     if q.b % 2 != 0:
@@ -438,15 +442,7 @@ def brahmagupta_check(q: Form, n: int = 1, samples: int = 20, seed: int = 0) -> 
         return True
 
     points = ((1, 0), (0, 1), (1, 1))
-    if not all(holds(x, y, z, w) for x, y in points for z, w in points):
-        return False
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x, z = (rng.randrange(1, 50) * n + 1 for _ in range(2))
-        y, w = (rng.randrange(-20, 21) * n for _ in range(2))
-        if not holds(x, y, z, w):
-            return False
-    return True
+    return all(holds(x, y, z, w) for x, y in points for z, w in points)
 
 
 def ideal_of_norm_from_representation(q: Form, r: Representation) -> OIdeal:

@@ -182,7 +182,7 @@ def ideal_from_form(q: Form) -> OIdeal:
     is 1.  The check runs on these integers.
     """
     require_qf(q)
-    a, b, c = q.a, q.b, q.c
+    a, b, c = q
     d = b * b - 4 * a * c
     k = -(b + d) // 2
     g = math.gcd(a, k)

@@ -17,17 +17,17 @@ per step, so it starts from the least translate, whose size the lifts
 bound: from a form near a cusp, such as q translated by (1, 0; n*K, 1),
 it would take about K steps.
 
-The walk runs on integer triples (a, b, c), as Gauss reduction does in
-``_gauss``: each state carries the entries of its witness, the product
-of the moves and translates from the walk's start, and each walk ends in
-one integer check that the witness has determinant 1, lies in Gamma0(n)
+A Form is its triple (a, b, c) and a GroupElement its entries (a, b, c,
+d), so the walk, like Gauss reduction in ``_gauss``, runs on one flat
+state: the form's coefficients and the entries of its witness, the
+product of the moves and translates from the walk's start.  Each walk
+ends in one check that the witness has determinant 1, lies in Gamma0(n)
 and carries the start to the end.  The cached class table per (D, N)
 walks each class it meets among the coset translates of the reduced
-forms once and builds its form once.  ``reduce_gamma0`` takes the same
-steps for one form's orbit and returns the Gamma0(n) matrix carrying the
-form to its canonical representative: delta*u*lift^(-1) times the walk's
-witness.  ``canonical_rep`` is its form, and the ``reduce`` command
-prints both.
+forms once.  ``reduce_gamma0`` takes the same steps for one form's orbit
+and returns the Gamma0(n) matrix carrying the form to its canonical
+representative: delta*u*lift^(-1) times the walk's witness.
+``canonical_rep`` is its form, and the ``reduce`` command prints both.
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from functools import partial
-from operator import attrgetter
 from typing import NamedTuple
 
 from .core import (
@@ -85,7 +84,7 @@ class ReductionResult(NamedTuple):
 
 
 def is_reduced_sl2(q: Form) -> bool:
-    a, b, c = q.a, q.b, q.c
+    a, b, c = q
     if a <= 0 or b * b >= 4 * a * c:
         raise ValidationError(f"form is not positive definite: {q}")
     if not (abs(b) <= a <= c):
@@ -124,21 +123,14 @@ def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
     return a, b, c, ga, gb, gc, gd
 
 
-def _times(g: tuple, h: tuple) -> tuple[int, int, int, int]:
-    """The product g*h of two matrices given by their entries (a, b, c, d)."""
-    ga, gb, gc, gd = g
-    ha, hb, hc, hd = h
-    return ga * ha + gb * hc, ga * hb + gb * hd, gc * ha + gd * hc, gc * hb + gd * hd
-
-
 def reduce_sl2(q: Form) -> ReductionResult:
     """Gauss reduction; returns the reduced form and a witness matrix g
     with act(q, g) equal to it.  The loop and its check run in integers
     in `_gauss`, which `genus.classify_prime` calls directly; only the
     answer is wrapped in objects."""
     require_qf(q)
-    a, b, c, ga, gb, gc, gd = _gauss(q.a, q.b, q.c)
-    return ReductionResult(Form(a, b, c), GroupElement(ga, gb, gc, gd))
+    a, b, c, *g = _gauss(*q)
+    return ReductionResult(Form(a, b, c), GroupElement(*g))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +202,15 @@ def is_reduced(q: Form, n: int) -> bool:
     images on the boundary, the region keeps one."""
     if n == 1:
         return is_reduced_sl2(q)
-    a, b = q.a, q.b
-    if a <= 0 or b * b >= 4 * a * q.c:
+    a, b, c = q
+    if a <= 0 or b * b >= 4 * a * c:
         raise ValidationError(f"form is not positive definite: {q}")
     if not level_supported(n):
         validate_level(n)
         raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
-    if not -a < b <= a or any(gap < 0 for _, gap in _arcs(a, b, q.c, n)):
+    if not -a < b <= a or any(gap < 0 for _, gap in _arcs(a, b, c, n)):
         return False
-    return all(f[1] <= b for f in _same_a((a, b, q.c, 1, 0, 0, 1), n))
+    return all(f[1] <= b for f in _same_a((a, b, c, 1, 0, 0, 1), n))
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +310,13 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
 # proper automorphisms and equivalence testing
 
 
-# -I and I, the whole stabilizer when D < -4, in the order of as_tuple
+# -I and I, the whole stabilizer when D < -4, in tuple order
 _PLUS_MINUS_I = (GroupElement(-1, 0, 0, -1), GroupElement(1, 0, 0, 1))
 
 
 def automorphs(q: Form) -> tuple[GroupElement, ...]:
     """The stabilizer of q under the right action (proper automorphisms),
-    sorted by as_tuple.
+    sorted as entry tuples.
 
     Solutions (t, u) of t^2 - D*u^2 = 4 give the matrices
     ((t - b*u)/2, -c*u; a*u, (t + b*u)/2); there are 6 for D = -3,
@@ -346,7 +338,7 @@ def automorphs(q: Form) -> tuple[GroupElement, ...]:
                     (tt - q.b * u) // 2, -q.c * u, q.a * u, (tt + q.b * u) // 2
                 )
             )
-    return tuple(sorted(set(out), key=lambda g: g.as_tuple()))
+    return tuple(sorted(set(out)))
 
 
 def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
@@ -411,14 +403,14 @@ def _sweep(d: int) -> list[Form]:
     swapped (ac/s, b, s) is reduced only when it is (s, b, ac/s), and the
     form is reduced unless b < 0 on the boundary |b| = s or s = ac/s."""
     b_max = math.isqrt(-d // 3)
-    triples = []
+    forms = []
     for b in range(-b_max + (b_max - d) % 2, b_max + 1, 2):
         ac = (b * b - d) // 4
         for s in range(max(1, abs(b)), math.isqrt(ac) + 1):
             if ac % s == 0 and math.gcd(s, b, ac // s) == 1:
                 if b >= 0 or (-b != s and s * s != ac):
-                    triples.append((s, b, ac // s))
-    return [Form(*t) for t in sorted(triples)]
+                    forms.append(Form(s, b, ac // s))
+    return sorted(forms)
 
 
 def check_table_bounds(d: int, n: int) -> None:
@@ -456,14 +448,13 @@ def _walk(a: int, b: int, c: int, n: int) -> tuple:
 
 def _canonical(r: Form, orbit, inverses: dict, n: int, walk: bool) -> tuple:
     """The least translate of r by the inverse lifts of the labels in
-    orbit, entry tuples in inverses, and the label that gives it; with walk
+    orbit, given in inverses, and the label that gives it; with walk
     (levels 2, 3 and primes p >= 5) the translate is walked into the region.
     Returns the label and the end state, the translate and the identity
     when there is no walk.  The walk crosses one circle per step, so it
     starts from that translate, whose size the lifts bound, never from a
     given form."""
-    a, b, c = r.a, r.b, r.c
-    t, label = min([(act_coeffs(a, b, c, *inverses[label]), label) for label in orbit])
+    t, label = min([(act_coeffs(*r, *inverses[label]), label) for label in orbit])
     return label, _walk(*t, n) if walk else (*t, 1, 0, 0, 1)
 
 
@@ -473,7 +464,7 @@ def _class_table(d: int, n: int) -> dict:
     coset translates of the reduced forms r meet every class, one class per
     orbit of the cosets under Aut(r).  Each orbit is labelled once per
     Aut(r), each bottom row mod n once up to sign, each coset rep inverted
-    once; each class is walked in integers and built as a Form once."""
+    once, and each class walked once."""
     labels: dict = {}
 
     def label(c: int, e: int) -> tuple[int, int]:
@@ -484,7 +475,7 @@ def _class_table(d: int, n: int) -> dict:
         return labels[row]
 
     reps = coset_reps(n)
-    inverses = {label(g.c, g.d): g.inverse().as_tuple() for g in reps}
+    inverses = {label(g.c, g.d): g.inverse() for g in reps}
     walk = n > 1 and level_supported(n)
     orbits: dict = {}  # Aut(r) -> least label -> orbit; one Aut(r) below D = -4
     table: dict = {}
@@ -504,7 +495,7 @@ def class_reps(d: int, n: int) -> tuple[Form, ...]:
     """The canonical form of every Gamma0(n)-class of discriminant d,
     sorted by (a, b, c).  Classes with gcd(a, n) = 1 are the admissible
     ones of the class group and the genus tables."""
-    return tuple(sorted(_class_table(d, n).values(), key=attrgetter("a", "b", "c")))
+    return tuple(sorted(_class_table(d, n).values()))
 
 
 def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
@@ -535,24 +526,17 @@ def reduce_gamma0(q: Form, n: int) -> ReductionResult:
     """
     require_qf(q)
     _class_table.check(q.disc, n)
-    a, b, c, *delta = _gauss(q.a, q.b, q.c)
+    a, b, c, *delta = _gauss(*q)
     r = Form(a, b, c)
     auts = automorphs(r)
     labels = _orbit(delta[2], delta[3], auts, partial(p1_label, n))
-    inverses = {}
-    for label in set(labels):
-        lift = _lift_to_sl2(n, *label)
-        inverses[label] = lift.d, -lift.b, -lift.c, lift.a
+    inverses = {label: _lift_to_sl2(n, *label).inverse() for label in set(labels)}
     used, end = _canonical(r, inverses, inverses, n, n > 1 and level_supported(n))
-    g = delta
-    for h in (auts[labels.index(used)].as_tuple(), inverses[used], end[3:]):
-        g = _times(g, h)
+    g = GroupElement(*delta) * auts[labels.index(used)] * inverses[used] * GroupElement(*end[3:])
     rep = Form(*end[:3])
-    if g[2] % n or act_coeffs(q.a, q.b, q.c, *g) != end[:3]:
-        raise InvariantError(
-            f"witness [[{g[0]}, {g[1]}], [{g[2]}, {g[3]}]] does not carry {q} to {rep} in Gamma0({n})"
-        )
-    return ReductionResult(rep, GroupElement(*g))
+    if g.c % n or act_coeffs(*q, *g) != rep:
+        raise InvariantError(f"witness {g} does not carry {q} to {rep} in Gamma0({n})")
+    return ReductionResult(rep, g)
 
 
 def canonical_rep(q: Form, n: int) -> Form:

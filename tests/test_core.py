@@ -61,6 +61,47 @@ def test_group_element_validates_det():
     assert S.inverse() * S == IDENTITY
 
 
+def test_forms_and_matrices_are_their_tuples(monkeypatch):
+    t = (2, -1, 3)
+    assert Form(*t) == t and hash(Form(*t)) == hash(t)
+    assert GroupElement(2, 1, 1, 1) == (2, 1, 1, 1)
+    assert hash(GroupElement(2, 1, 1, 1)) == hash((2, 1, 1, 1))
+    rng = random.Random(5)
+    forms = [Form(*(rng.randrange(-3, 4) for _ in range(3))) for _ in range(60)]
+    assert [tuple(f) for f in sorted(forms)] == sorted((f.a, f.b, f.c) for f in forms)
+    mats = [random_sl2(rng, 3) for _ in range(60)]
+    assert sorted(mats) == sorted(mats, key=lambda g: g.as_tuple())
+    # repr, str and to_json_dict keep their text
+    assert repr(Form(2, -1, 3)) == "Form(a=2, b=-1, c=3)"
+    assert str(Form(2, -1, 3)) == "2,-1,3"
+    assert Form(2, -1, 3).to_json_dict() == {"a": 2, "b": -1, "c": 3}
+    assert repr(GroupElement(2, 1, 1, 1)) == "GroupElement(a=2, b=1, c=1, d=1)"
+    assert str(GroupElement(2, 1, 1, 1)) == "[[2, 1], [1, 1]]"
+    assert GroupElement(2, 1, 1, 1).as_tuple() == (2, 1, 1, 1)
+
+    class Doubled(Form):
+        def __call__(self, x, y):
+            return 2 * super().__call__(x, y)
+
+    assert Doubled(1, 1, 1)(1, 1) == 6 and Doubled(1, 1, 1) == Form(1, 1, 1)
+
+    # every construction runs the determinant check, which stays patchable
+    checked = []
+    real = GroupElement.__post_init__
+    monkeypatch.setattr(GroupElement, "__post_init__", lambda g: checked.append(g) or real(g))
+    g = GroupElement(2, 1, 1, 1)
+    assert len(checked) == 1
+    assert g * g == (5, 3, 3, 2) and len(checked) == 2
+    assert g.inverse() == (1, -1, -1, 2) and len(checked) == 3
+    for bad in (
+        lambda: GroupElement(1, 0, 0, 2),
+        lambda: g._replace(a=3),
+        lambda: GroupElement._make((2, 0, 0, 2)),
+    ):
+        with pytest.raises(ValidationError):
+            bad()
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_every_level_is_validated(n):
     # each public function that takes a level refuses n < 1 as input, not

@@ -455,20 +455,20 @@ def test_brahmagupta_identity():
     # other even-middle forms, various discs and levels
     for a, b2, c in [(3, 1, 5), (1, 0, 6), (5, 2, 6), (2, 1, 13)]:
         q = Form(a, 2 * b2, c)
-        assert brahmagupta_check(q, 3, samples=10)
+        assert brahmagupta_check(q, 3)
     with pytest.raises(ValidationError):
         brahmagupta_check(Form(1, 1, 1), 1)
 
 
 def test_brahmagupta_check_reads_the_form():
     # the nine points evaluate the form itself, so a form whose values are
-    # not its coefficients' fails the identity even with no random sample
+    # not its coefficients' fails the identity
     class Skewed(Form):
         def __call__(self, x, y):
             return super().__call__(x, y) + x * y
 
-    assert brahmagupta_check(Form(7, 0, 1), 1, samples=0)
-    assert not brahmagupta_check(Skewed(7, 0, 1), 1, samples=0)
+    assert brahmagupta_check(Form(7, 0, 1), 1)
+    assert not brahmagupta_check(Skewed(7, 0, 1), 1)
 
 
 def test_ideal_of_norm_from_representation():

@@ -213,3 +213,17 @@ def test_only_equiv_searches_for_equivalence():
                 ):
                     users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert users == {"cli._cmd_equiv"}
+
+
+def test_no_tuple_conversions():
+    # a Form is its triple and a GroupElement its entry tuple, so no module
+    # converts one into the other
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "as_tuple"
+    ]
+    assert calls == []
