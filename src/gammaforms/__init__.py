@@ -80,7 +80,6 @@ from .reduction import (
     enumerate_reduced,
     equivalent_gamma0,
     is_reduced,
-    is_reduced_sl2,
     reduce_gamma0,
     reduce_sl2,
 )

@@ -444,14 +444,11 @@ def cm_point(q: Form) -> CmPoint:
 
 
 def form_from_cm(t: CmPoint) -> Form:
-    """The primitive form whose CM point is t (inverse of cm_point up to content)."""
-    two_a = t.den
-    if two_a % 2 != 0:
-        raise ValidationError(f"CM point {t} does not come from an integral form")
-    a = two_a // 2
-    b = -t.numB
-    c = (t.numB * t.numB - t.D) // (2 * t.den)
-    g = math.gcd(math.gcd(a, abs(b)), c)
+    """The primitive form whose CM point is t (inverse of cm_point up to
+    content): with t = (n + sqrt(D))/m, the form (m, -2n, (n^2 - D)/m),
+    integral for every CmPoint, divided by its content."""
+    a, b, c = t.den, -2 * t.numB, (t.numB * t.numB - t.D) // t.den
+    g = math.gcd(a, b, c)
     return Form(a // g, b // g, c // g)
 
 

@@ -6,15 +6,14 @@ residue system S_p = {+-1, ..., +-(p-1)/2}.  One rule closes its boundary:
 a boundary point and its images under the side pairings, all at one
 height, are one point of the quotient, and the region keeps the leftmost.
 In form coefficients that is the greatest b among the images with the
-same a, written once in ``reduction.is_reduced``.  What it keeps is
-described by two pieces of modular data:
+same a, written once in ``reduction.is_reduced``.  The boundary's
+elliptic points are the inventory ``fundomain`` prints:
 
 * order-2 elliptic points sit at the arc tops k/p + i/p for k in E2 with
-  k^2 = -1 (mod p), where the arc is paired with itself and keeps its left
-  half; a paired arc {k, -k^(-1)} keeps the copy with the smaller center,
+  k^2 = -1 (mod p), where the arc is paired with itself,
 * order-3 elliptic points sit at corner points (2k-1)/(2p) + i*sqrt(3)/(2p)
-  for k in E3 with k^2 - k + 1 = 0 (mod p); corner orbits are the 3-cycles
-  of the map k -> <1 - k^(-1)> and keep only their minimum.
+  for k in E3 with k^2 - k + 1 = 0 (mod p), the fixed points of the
+  corner map k -> <1 - k^(-1)> of ``orbit3``.
 
 ``contains`` hands ``reduction.is_reduced`` the form whose CM point is the
 quadratic point, so every comparison is exact integer arithmetic.  This
@@ -27,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CmPoint, Form, GroupElement, checked_cache, is_prime, search_bound, validate_level
+from .core import (
+    CmPoint, GroupElement, checked_cache, form_from_cm, is_prime, search_bound, validate_level,
+)
 from .errors import SearchBoundExceeded, ValidationError
 from .reduction import is_reduced
 
@@ -74,19 +75,12 @@ def gamma_k(p: int, k: int) -> GroupElement:
 
 @dataclass(frozen=True)
 class EllipticData:
-    """Order-2 and order-3 elliptic bookkeeping for Gamma0(p)."""
+    """E2 and E3 of Gamma0(p): the k in S_p of its arc tops and corners
+    that are elliptic points of order 2 and 3."""
 
     p: int
     e2: tuple[int, ...]
     e3: tuple[int, ...]
-
-    def k2(self, k: int) -> int:
-        """min{k, -k^(-1)}: which member of a paired arc is kept."""
-        return min(k, -sym_inverse(self.p, k))
-
-    def k3(self, k: int) -> int:
-        """Minimum of the corner orbit of k (k in S_p, k != 1)."""
-        return min(orbit3(self.p, k))
 
 
 def check_arc_bound(p: int) -> None:
@@ -134,12 +128,11 @@ def corner_cm_point(p: int, k: int) -> CmPoint:
 def contains(p: int, t: CmPoint) -> bool:
     """Exact membership of the quadratic point t in the fundamental region.
 
-    With t = (n + sqrt(D))/m, the form (m, -2n, (n^2 - D)/m) has CM point
-    t (its coefficients are integers for every CmPoint), and t lies in the
-    region exactly when reduction.is_reduced keeps that form at level p.
+    t lies in the region exactly when reduction.is_reduced keeps the form
+    of t, core.form_from_cm(t), at level p.
     """
     check_arc_bound(p)
-    return is_reduced(Form(t.den, -2 * t.numB, (t.numB**2 - t.D) // t.den), p)
+    return is_reduced(form_from_cm(t), p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,27 +7,30 @@ canonical form of a class comes from that orbit on one path: the least
 translate of r by the inverse lifts of its labels (r itself at level 1),
 walked at levels 2, 3 and primes p >= 5 to the form whose CM point tau
 lies in a fundamental region (Ford, Automorphic Functions, ch. III),
-written out once in ``is_reduced``.  Translate b into (-a, a].  While
-q(k, n) < a on a circle of ``_arcs``, tau lies inside that circle of
-radius 1/n at k/n: move by the Gamma0(n) matrix with first column (k, n).
-The new a is q(k, n), so each move lowers a > 0 and the walk ends.  Of
-the end point's images with the same a under the side pairings, the
-region keeps the one with the greatest b.  The walk crosses one circle
-per step, so it starts from the least translate, whose size the lifts
-bound: from a form near a cusp, such as q translated by (1, 0; n*K, 1),
-it would take about K steps.
+written out once in ``is_reduced`` for every supported level, level 1
+included.  Translate b into (-a, a].  While q(k, n) < a on a circle of
+``_arcs``, tau lies inside that circle of radius 1/n at k/n: move by the
+Gamma0(n) matrix with first column (k, n).  The new a is q(k, n), so each
+move lowers a > 0 and the walk ends.  Of the end point's images with the
+same a under the side pairings, the region keeps the one with the
+greatest b.  At level 1 the one circle is |tau| = 1, at k = 0, the move is
+S = (0, -1; 1, 0) and the walk is Gauss reduction, which ``_gauss`` runs
+as a loop.  The walk crosses one circle per step, so it starts from the
+least translate, whose size the lifts bound: from a form near a cusp,
+such as q translated by (1, 0; n*K, 1), it would take about K steps.
 
 A Form is its triple (a, b, c) and a GroupElement its entries (a, b, c,
-d), so the walk, like Gauss reduction in ``_gauss``, runs on one flat
-state: the form's coefficients and the entries of its witness, the
-product of the moves and translates from the walk's start.  Each walk
-ends in one check that the witness has determinant 1, lies in Gamma0(n)
-and carries the start to the end.  The cached class table per (D, N)
-walks each class it meets among the coset translates of the reduced
-forms once.  ``reduce_gamma0`` takes the same steps for one form's orbit
-and returns the Gamma0(n) matrix carrying the form to its canonical
-representative: delta*u*lift^(-1) times the walk's witness.
-``canonical_rep`` is its form, and the ``reduce`` command prints both.
+d), so the walk, like ``_gauss``, runs on one flat state: the form's
+coefficients and the entries of its witness, the product of the moves and
+translates from the walk's start.  Each walk ends in one check that the
+witness has determinant 1, lies in Gamma0(n) and carries the start to the
+end.  The cached class table per (D, N) walks each class it meets among
+the coset translates of the reduced forms once; at level 1 those
+translates are the reduced forms themselves, so it walks none.
+``reduce_gamma0`` takes the same steps for one form's orbit and returns
+the Gamma0(n) matrix carrying the form to its canonical representative:
+delta*u*lift^(-1) times the walk's witness.  ``canonical_rep`` is its
+form, and the ``reduce`` command prints both.
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -83,21 +86,12 @@ class ReductionResult(NamedTuple):
     transform: GroupElement
 
 
-def is_reduced_sl2(q: Form) -> bool:
-    a, b, c = q
-    if a <= 0 or b * b >= 4 * a * c:
-        raise ValidationError(f"form is not positive definite: {q}")
-    if not (abs(b) <= a <= c):
-        return False
-    if (abs(b) == a or a == c) and b < 0:
-        return False
-    return True
-
-
 def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
     """Gauss reduction of a positive-definite (a, b, c) in integers: the
     reduced (a', b', c') and the witness entries (ga, gb, gc, gd) of a
-    matrix of determinant 1 carrying the one to the other, both checked."""
+    matrix of determinant 1 carrying the one to the other, both checked.
+    It is the walk at level 1, _walk(a, b, c, 1), state for state, as one
+    loop: the move across |tau| = 1 is S."""
     q = a, b, c
     # the witness (ga, gb; gc, gd), multiplied on the right by each step
     ga, gb, gc, gd = 1, 0, 0, 1
@@ -139,13 +133,14 @@ def reduce_sl2(q: Form) -> ReductionResult:
 
 def _arcs(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
     """(k, q(k, n) - a) for the circles of radius 1/n at k/n that hold tau
-    (a gap < 0) or pass through it (a gap of 0), n = 2, 3 or a prime p >= 5:
-    of the circles with 0 < 2|k| <= n, where k is a unit mod the prime n,
-    only the two next to n*Re(tau) can."""
+    (a gap < 0) or pass through it (a gap of 0), n = 1, 2, 3 or a prime
+    p >= 5: of the circles with 2|k| <= n, where k is a unit mod n, only
+    the two next to n*Re(tau) can.  At n = 1 that is the unit circle, k = 0,
+    with gap c - a; at n > 1 it is 0 < 2|k| <= n."""
     below = -b * n // (2 * a)
     arcs = []
     for k in (below, below + 1):
-        if 0 < 2 * abs(k) <= n:
+        if 2 * abs(k) <= n and (k or n == 1):
             gap = (a * k + b * n) * k + c * n * n - a
             if gap <= 0:
                 arcs.append((k, gap))
@@ -196,12 +191,11 @@ def _same_a(state: tuple, n: int) -> dict:
 
 
 def is_reduced(q: Form, n: int) -> bool:
-    """True when q is the reduced form of its Gamma0(n)-class, n supported.
-    At n > 1: -a < b <= a, no gap of _arcs below 0, and q has the greatest
-    b among its images with the same a: of a point and its side-pairing
-    images on the boundary, the region keeps one."""
-    if n == 1:
-        return is_reduced_sl2(q)
+    """True when q is the reduced form of its Gamma0(n)-class, n supported:
+    -a < b <= a, no gap of _arcs below 0, and q has the greatest b among
+    its images with the same a: of a point and its side-pairing images on
+    the boundary, the region keeps one.  At n = 1 these are Gauss's
+    conditions: |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
     a, b, c = q
     if a <= 0 or b * b >= 4 * a * c:
         raise ValidationError(f"form is not positive definite: {q}")
@@ -426,10 +420,11 @@ def check_table_bounds(d: int, n: int) -> None:
 
 
 def _walk(a: int, b: int, c: int, n: int) -> tuple:
-    """The end state of the walk of (a, b, c) into the region, n > 1
-    supported: of the images _same_a collects, which have no gap below 0,
-    the one with the greatest b, which must lie in the strip.  Its witness
-    must have determinant 1, n | gc and carry (a, b, c) to the end form."""
+    """The end state of the walk of (a, b, c) into the region, n supported:
+    of the images _same_a collects, which have no gap below 0, the one with
+    the greatest b, which must lie in the strip.  Its witness must have
+    determinant 1, n | gc and carry (a, b, c) to the end form.  At n = 1 it
+    equals _gauss(a, b, c), which the callers use there."""
     images = _same_a(_into_strip(a, b, c, 1, 0, 0, 1), n)
     # one a, so the greatest triple has the greatest b
     end = images[max(images)]
@@ -451,7 +446,10 @@ def _canonical(r: Form, orbit, inverses: dict, n: int, walk: bool) -> tuple:
     orbit, given in inverses, and the label that gives it; with walk
     (levels 2, 3 and primes p >= 5) the translate is walked into the region.
     Returns the label and the end state, the translate and the identity
-    when there is no walk.  The walk crosses one circle per step, so it
+    when there is no walk.  At level 1 the lift is the identity and the
+    translate is r, which _sweep and _gauss give reduced, so the callers
+    skip a walk that would only confirm it and add 30 to 50% to the time
+    of a cold level-1 table.  The walk crosses one circle per step, so it
     starts from that translate, whose size the lifts bound, never from a
     given form."""
     t, label = min([(act_coeffs(*r, *inverses[label]), label) for label in orbit])
@@ -476,7 +474,7 @@ def _class_table(d: int, n: int) -> dict:
 
     reps = coset_reps(n)
     inverses = {label(g.c, g.d): g.inverse() for g in reps}
-    walk = n > 1 and level_supported(n)
+    walk = n > 1 and level_supported(n)  # at level 1 every r is reduced
     orbits: dict = {}  # Aut(r) -> least label -> orbit; one Aut(r) below D = -4
     table: dict = {}
     for r in _sweep(d):
@@ -520,7 +518,8 @@ def reduce_gamma0(q: Form, n: int) -> ReductionResult:
     for which delta*u has the label of the lift that the translate used:
     delta*u and the lift then lie in one coset of Gamma0(n), and the walk
     moves within Gamma0(n).  At composite levels there are no moves; at
-    level 1 the lift is the identity.  The witness is checked in the end.
+    level 1 the lift is the identity and r is already reduced, so there
+    are none either.  The witness is checked in the end.
     The table's bounds are checked first, so what class_reps refuses, this
     does.
     """

@@ -142,12 +142,12 @@ def is_reduced_gamma0_p(q: Form, p: int) -> bool:
                     return False
             elif k not in (1, -1):
                 # (6)
-                if b * p < -(2 * data.k2(k) + 1) * a:
+                if b * p < -(2 * min(k, -fundomain.sym_inverse(p, k)) + 1) * a:
                     return False
     # (7) corner points: only the orbit minimum survives
     if p * p * (4 * a * c - b * b) == 3 * a * a:
         for k in fundomain.sym_residues(p):
-            if k == 1 or k in data.e3 or k == data.k3(k):
+            if k == 1 or k in data.e3 or k == min(fundomain.orbit3(p, k)):
                 continue
             if b * p == (1 - 2 * k) * a:
                 return False
@@ -229,11 +229,11 @@ def contains_all_arcs(p: int, t: CmPoint) -> bool:
             if n * p > k * m:
                 return False
         elif k != -1:
-            if 2 * n * p > (2 * data.k2(k) + 1) * m:
+            if 2 * n * p > (2 * min(k, -fundomain.sym_inverse(p, k)) + 1) * m:
                 return False
     if 4 * (-d) * p * p == 3 * m * m:
         for k in fundomain.sym_residues(p):
-            if k == 1 or k in data.e3 or k == data.k3(k):
+            if k == 1 or k in data.e3 or k == min(fundomain.orbit3(p, k)):
                 continue
             if 2 * n * p == (2 * k - 1) * m:
                 return False

@@ -188,7 +188,6 @@ def test_every_form_is_validated(q):
         calls.update(
             {
                 "cm_point": lambda: cm_point(q),
-                "is_reduced_sl2": lambda: gf.is_reduced_sl2(q),
                 **{f"is_reduced {n}": partial(gf.is_reduced, q, n) for n in (1, 2, 3, 5)},
             }
         )
@@ -252,6 +251,19 @@ def test_form_from_cm_round_trip():
         for _ in range(20):
             q = random_form(rng, d)
             assert form_from_cm(cm_point(q)) == q
+
+
+def test_cm_point_of_form_from_cm_round_trip():
+    # every valid point, odd den included, is the CM point of its form
+    assert form_from_cm(CmPoint(1, 1, -3)) == Form(1, -2, 4)
+    for den in range(1, 16):
+        for num_b in range(-2 * den, 2 * den + 1):
+            for d in range(-1, -80, -1):
+                if (num_b * num_b - d) % (2 * den):
+                    continue
+                t = CmPoint(num_b, den, d)
+                q = form_from_cm(t)
+                assert q.is_qf() and cm_point(q) == t, t
 
 
 def test_moebius_examples():

@@ -78,8 +78,6 @@ def test_elliptic_data_examples():
     assert set(d5.e2) == {2, -2} and d5.e3 == ()
     d7 = elliptic_data(7)
     assert d7.e2 == () and set(d7.e3) == {3, -2}
-    assert d5.k2(1) == -1
-    assert d5.k3(-1) == -2  # equals -(p-1)/2
 
 
 def test_elliptic_counts_match_kronecker():

@@ -17,6 +17,7 @@ from gammaforms.errors import (
 )
 from gammaforms.reduction import (
     _class_table,
+    _gauss,
     _lift_to_sl2,
     _sweep,
     _walk,
@@ -28,7 +29,6 @@ from gammaforms.reduction import (
     enumerate_reduced,
     equivalent_gamma0,
     is_reduced,
-    is_reduced_sl2,
     level_supported,
     p1_label,
     reduce_gamma0,
@@ -67,7 +67,7 @@ def test_reduce_sl2_witness_and_idempotence(rng):
         q = random_form(rng, d)
         r = reduce_sl2(q)
         assert act(q, r.transform) == r.reduced
-        assert is_reduced_sl2(r.reduced)
+        assert is_reduced(r.reduced, 1)
         assert reduce_sl2(r.reduced).reduced == r.reduced
 
 
@@ -82,7 +82,7 @@ def test_reduce_sl2_unique_over_small_words():
             act(f, g) for f in frontier for g in (T, T.inverse(), S) if act(f, g) not in seen
         ]
         seen.update(frontier)
-    reduced_images = {f for f in seen if is_reduced_sl2(f)}
+    reduced_images = {f for f in seen if is_reduced(f, 1)}
     assert reduced_images == {Form(1, 0, 2)}
 
 
@@ -91,6 +91,35 @@ def test_reduce_rejects_bad_input():
         reduce_sl2(Form(1, 4, 1))
     with pytest.raises(ValidationError):
         reduce_sl2(Form(2, 0, 2))
+
+
+def test_level_one_region_is_classical_reduction():
+    # at level 1 is_reduced runs the strip, the unit circle k = 0 and the
+    # greatest-b rule; every positive-definite form of a small grid, primitive
+    # or not, against Gauss's conditions written out
+    for a in range(1, 26):
+        for b in range(-30, 31):
+            for c in range(1, 31):
+                if b * b >= 4 * a * c:
+                    continue
+                classical = abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
+                assert is_reduced(Form(a, b, c), 1) == classical, (a, b, c)
+
+
+def test_level_one_walk_is_gauss(rng):
+    # the walk across the unit circle is Gauss reduction, form and witness:
+    # random forms with coefficients up to 10^6, and random SL2(Z)
+    # translates of reduced forms, some on the boundary |b| = a or a = c
+    starts = []
+    for _ in range(3000):
+        a, c = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        b_max = min(10**6, math.isqrt(4 * a * c - 1))
+        starts.append((a, rng.randint(-b_max, b_max), c))
+    for d in (-3, -4, -7, -12, -15, -16, -20, -23, -27, -84, -420):
+        for f in _sweep(d):
+            starts += [tuple(act(f, random_sl2(rng, 12))) for _ in range(20)]
+    for q in starts:
+        assert _walk(*q, 1) == _gauss(*q), q
 
 
 def test_is_reduced_gamma0_small_examples():

@@ -215,6 +215,26 @@ def test_only_equiv_searches_for_equivalence():
     assert users == {"cli._cmd_equiv"}
 
 
+def test_only_the_branch_sites_read_level_supported():
+    # the split between supported and general levels is made in four
+    # places, each a branch of reduction; one list to empty when every
+    # level has its reduced forms
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "level_supported" or (
+                    isinstance(node, ast.Attribute) and node.attr == "level_supported"
+                ):
+                    users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert users == {
+        "reduction.is_reduced",
+        "reduction.enumerate_reduced",
+        "reduction._class_table",
+        "reduction.reduce_gamma0",
+    }
+
+
 def test_no_tuple_conversions():
     # a Form is its triple and a GroupElement its entry tuple, so no module
     # converts one into the other
