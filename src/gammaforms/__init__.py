@@ -34,7 +34,6 @@ from .errors import (
     GammaFormsError,
     InvariantError,
     SearchBoundExceeded,
-    UnsupportedLevelError,
     ValidationError,
 )
 from .fundomain import (

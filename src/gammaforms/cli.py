@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 table mismatch or internal error, 2 validation error,
-3 unsupported level, 4 safety-bound diagnostic.
+4 safety-bound diagnostic.  Every command, ``enumerate`` included, works at
+every level.
 
 ``run(argv)`` may be called repeatedly in one process: it builds its parser
 on first use and reuses it, since parsing leaves no state on the parser.
@@ -24,7 +25,6 @@ from .core import Form, require_qf
 from .errors import (
     GammaFormsError,
     SearchBoundExceeded,
-    UnsupportedLevelError,
     ValidationError,
 )
 
@@ -362,9 +362,6 @@ def _call(args) -> int:
     except SearchBoundExceeded as exc:
         print(f"error: search-bound: {exc}", file=sys.stderr)
         return 4
-    except UnsupportedLevelError as exc:
-        print(f"error: unsupported-level: {exc}", file=sys.stderr)
-        return 3
     except ValidationError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by the library and the command line front end.
 
 The CLI maps these onto exit codes: ValidationError -> 2,
-UnsupportedLevelError -> 3, SearchBoundExceeded -> 4, and every other
-GammaFormsError (an InvariantError, say) -> 1.
+SearchBoundExceeded -> 4, and every other GammaFormsError (an
+InvariantError, say) -> 1.  Every level has its reduced forms, so no
+error is tied to a level.
 """
 
 
@@ -20,10 +21,6 @@ class DiscriminantMismatch(ValidationError):
 
 class CompositionError(ValidationError):
     """The gcd precondition of Dirichlet composition is violated."""
-
-
-class UnsupportedLevelError(GammaFormsError):
-    """No reduced-form predicate exists for this level (composite N > 3)."""
 
 
 class SearchBoundExceeded(GammaFormsError):

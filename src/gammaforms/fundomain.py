@@ -2,12 +2,14 @@
 
 The region lives between the vertical lines Re = -1/2, Re = +1/2 and above
 the p - 1 circles of radius 1/p centered at k/p for k in the symmetric
-residue system S_p = {+-1, ..., +-(p-1)/2}.  One rule closes its boundary:
-a boundary point and its images under the side pairings, all at one
-height, are one point of the quotient, and the region keeps the leftmost.
-In form coefficients that is the greatest b among the images with the
-same a, written once in ``reduction.is_reduced``.  The boundary's
-elliptic points are the inventory ``fundomain`` prints:
+residue system S_p = {+-1, ..., +-(p-1)/2}.  It holds the highest point
+of each orbit, tau of the least a, and one rule closes its boundary: a
+boundary point and its images under the side pairings, all at one height,
+are one point of the quotient, and the region keeps the leftmost.  In
+form coefficients that is the least a and then the greatest b, the rule
+``reduction.is_reduced`` tests at every level by the minimum of the scaled
+form.  The boundary's elliptic points are the inventory ``fundomain``
+prints:
 
 * order-2 elliptic points sit at the arc tops k/p + i/p for k in E2 with
   k^2 = -1 (mod p), where the arc is paired with itself,

@@ -1,43 +1,33 @@
-"""Reduction of positive-definite forms to canonical class representatives.
+"""Reduction of positive-definite forms to reduced class representatives.
 
-``class_key`` names each Gamma0(N)-class by the SL2(Z)-reduced form r of
-the class and the least P^1(Z/N) label of its coset orbit, the cosets of
-delta*u for delta carrying a form of the class to r and u in Aut(r).  The
-canonical form of a class comes from that orbit on one path: the least
-translate of r by the inverse lifts of its labels (r itself at level 1),
-walked at levels 2, 3 and primes p >= 5 to the form whose CM point tau
-lies in a fundamental region (Ford, Automorphic Functions, ch. III),
-written out once in ``is_reduced`` for every supported level, level 1
-included.  Translate b into (-a, a].  While q(k, n) < a on a circle of
-``_arcs``, tau lies inside that circle of radius 1/n at k/n: move by the
-Gamma0(n) matrix with first column (k, n).  The new a is q(k, n), so each
-move lowers a > 0 and the walk ends.  Of the end point's images with the
-same a under the side pairings, the region keeps the one with the
-greatest b.  At level 1 the one circle is |tau| = 1, at k = 0, the move is
-S = (0, -1; 1, 0) and the walk is Gauss reduction, which ``_gauss`` runs
-as a loop.  The walk crosses one circle per step, so it starts from the
-least translate, whose size the lifts bound: from a form near a cusp,
-such as q translated by (1, 0; n*K, 1), it would take about K steps.
+One rule names the reduced form of a Gamma0(N)-class at every level, N = 1
+included: the least a over the class, then the greatest b in (-a, a].  Its
+CM point tau has Im tau = sqrt|D|/(2a), so this is the highest point of
+the orbit, the one the Ford region keeps (Ford, Automorphic Functions, ch.
+III); at level 1 it is Gauss reduction.  The values a of the class of q
+are q(x, y) over primitive (x, y) with N | y, and the least of them is the
+least over gcd(x, N) = 1, the minimum of the scaled form (a, bN, cN^2).
+``_minimum`` searches it row by row from its Gauss reduction (Cohen, A
+Course in Computational Algebraic Number Theory, 2.7), completes each
+least (x, y) to a matrix of Gamma0(N) and keeps the greatest b, in
+integers, ending in one check of the witness.  It starts from any member
+of the class, however far towards a cusp.  ``reduce_gamma0`` is the
+minimum of one form with its witness, ``canonical_rep`` its form and
+``is_reduced`` the test that the minimum gives the form back.
 
-A Form is its triple (a, b, c) and a GroupElement its entries (a, b, c,
-d), so the walk, like ``_gauss``, runs on one flat state: the form's
-coefficients and the entries of its witness, the product of the moves and
-translates from the walk's start.  Each walk ends in one check that the
-witness has determinant 1, lies in Gamma0(n) and carries the start to the
-end.  The cached class table per (D, N) walks each class it meets among
-the coset translates of the reduced forms once; at level 1 those
-translates are the reduced forms themselves, so it walks none.
-``reduce_gamma0`` takes the same steps for one form's orbit and returns
-the Gamma0(n) matrix carrying the form to its canonical representative:
-delta*u*lift^(-1) times the walk's witness.  ``canonical_rep`` is its
-form, and the ``reduce`` command prints both.
+``class_key`` names each class by the SL2(Z)-reduced form r of the class
+and the least P^1(Z/N) label of its coset orbit, the cosets of delta*u
+for delta carrying a form of the class to r and u in Aut(r).  The cached
+class table per (D, N) keys every class so, from the coset translates of
+the reduced forms, and takes the minimum of one translate per class; it
+counts the classes against h(D)*psi(N) (Shimura, ch. 1).
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
 divisors of a*c = (b^2 - D)/4 from |b| to sqrt(a*c).  Its divisor trials
 and the index psi(N) are functions of (D, N) alone, bounded by
 ``check_table_bounds`` before any cached table is read and before
-``reduce_gamma0`` labels or walks a form.
+``reduce_gamma0`` reduces a form.
 """
 
 from __future__ import annotations
@@ -53,7 +43,7 @@ from .core import (
     act,
     act_coeffs,
     checked_cache,
-    is_prime,
+    kronecker,
     prime_factors,
     require_qf,
     search_bound,
@@ -65,14 +55,8 @@ from .errors import (
     DiscriminantMismatch,
     InvariantError,
     SearchBoundExceeded,
-    UnsupportedLevelError,
     ValidationError,
 )
-
-
-def level_supported(n: int) -> bool:
-    """True when a reduced-form predicate exists for Gamma0(n)."""
-    return n in (1, 2, 3) or (n >= 5 and is_prime(n))
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +70,12 @@ class ReductionResult(NamedTuple):
     transform: GroupElement
 
 
-def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
+def _gauss_steps(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
     """Gauss reduction of a positive-definite (a, b, c) in integers: the
     reduced (a', b', c') and the witness entries (ga, gb, gc, gd) of a
-    matrix of determinant 1 carrying the one to the other, both checked.
-    It is the walk at level 1, _walk(a, b, c, 1), state for state, as one
-    loop: the move across |tau| = 1 is S."""
-    q = a, b, c
+    matrix of determinant 1 carrying the one to the other, unchecked.
+    _gauss checks them; _minimum checks its own witness, built from these,
+    once at its end."""
     # the witness (ga, gb; gc, gd), multiplied on the right by each step
     ga, gb, gc, gd = 1, 0, 0, 1
     while True:
@@ -110,11 +93,19 @@ def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
             ga, gb, gc, gd = gb, -ga, gd, -gc
             b = -b
         break
-    if ga * gd - gb * gc != 1 or act_coeffs(*q, ga, gb, gc, gd) != (a, b, c):
-        raise InvariantError(
-            f"witness [[{ga}, {gb}], [{gc}, {gd}]] does not carry {q} to {(a, b, c)}"
-        )
     return a, b, c, ga, gb, gc, gd
+
+
+def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
+    """_gauss_steps with its witness checked: determinant 1, carrying
+    (a, b, c) to the reduced form."""
+    red = _gauss_steps(a, b, c)
+    ra, rb, rc, ga, gb, gc, gd = red
+    if ga * gd - gb * gc != 1 or act_coeffs(a, b, c, ga, gb, gc, gd) != (ra, rb, rc):
+        raise InvariantError(
+            f"witness [[{ga}, {gb}], [{gc}, {gd}]] does not carry {(a, b, c)} to {(ra, rb, rc)}"
+        )
+    return red
 
 
 def reduce_sl2(q: Form) -> ReductionResult:
@@ -128,83 +119,92 @@ def reduce_sl2(q: Form) -> ReductionResult:
 
 
 # ---------------------------------------------------------------------------
-# the reduced-form predicate for the supported levels
+# the reduced form at every level: the minimum of the scaled form
 
 
-def _arcs(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
-    """(k, q(k, n) - a) for the circles of radius 1/n at k/n that hold tau
-    (a gap < 0) or pass through it (a gap of 0), n = 1, 2, 3 or a prime
-    p >= 5: of the circles with 2|k| <= n, where k is a unit mod n, only
-    the two next to n*Re(tau) can.  At n = 1 that is the unit circle, k = 0,
-    with gap c - a; at n > 1 it is 0 < 2|k| <= n."""
-    below = -b * n // (2 * a)
-    arcs = []
-    for k in (below, below + 1):
-        if 2 * abs(k) <= n and (k or n == 1):
-            gap = (a * k + b * n) * k + c * n * n - a
-            if gap <= 0:
-                arcs.append((k, gap))
-    return arcs
+def _minimum(a: int, b: int, c: int, n: int) -> tuple[int, int, int, int, int, int, int]:
+    """The Gamma0(n)-reduced form of the class of a positive-definite
+    (a, b, c) and the witness entries of a Gamma0(n) matrix carrying the
+    one to the other, checked: the least value q(x, y) over n | y and
+    gcd(x, n) = 1, then the greatest b in (-a, a] among the matrices
+    (x, *; y, *) at which it is taken.  A least (x, y) is primitive: were
+    it k*(x', y') with k > 1, k would be prime to n and (x', y') smaller.
 
-
-# A walk state is (a, b, c, ga, gb, gc, gd): a form and the witness entries
-# of a matrix carrying the walk's start to it, multiplied on the right by
-# each step.
-
-
-def _into_strip(a: int, b: int, c: int, ga: int, gb: int, gc: int, gd: int) -> tuple:
-    """The state translated by the power T^s = (1, s; 0, 1) that puts b
-    into (-a, a]."""
-    s = (a - b) // (2 * a)
-    return a, b + 2 * a * s, (a * s + b) * s + c, ga, gb + ga * s, gc, gd + gc * s
-
-
-def _cross(state: tuple, k: int, gap: int, n: int) -> tuple:
-    """The state moved by the Gamma0(n) matrix with first column (k, n),
-    gcd(k, n) = 1, and put into the strip; the new a must be q(k, n), the
-    old a plus the gap of the circle at k/n."""
-    a, b, c, ga, gb, gc, gd = state
-    _, u, v = xgcd(k, n)
-    # (k, -v; n, u) has determinant u*k + v*n = 1
-    na, nb, nc = act_coeffs(a, b, c, k, -v, n, u)
-    if na != a + gap:
-        raise InvariantError(f"the move by ({k}, {n}) carries {(a, b, c)} to a = {na}, not {a + gap}")
-    return _into_strip(na, nb, nc, ga * k + gb * n, gb * u - ga * v, gc * k + gd * n, gd * u - gc * v)
-
-
-def _same_a(state: tuple, n: int) -> dict:
-    """(a, b, c) -> state for the forms at the least a that the state
-    reaches by moves across the circles of _arcs, each put into the strip:
-    a move across one that holds tau (a gap < 0) lowers a and starts over,
-    and those through tau (a gap of 0) collect the images of a point of the
-    region, the state's own if it is in it."""
-    images, todo = {}, [state]
-    while todo:
-        f = todo.pop()
-        arcs = _arcs(*f[:3], n)
-        if arcs and (lower := [_cross(f, k, gap, n) for k, gap in arcs if gap < 0]):
-            images, todo = {}, [min(lower)]
-        elif f[:3] not in images:
-            images[f[:3]] = f
-            todo += [_cross(f, k, gap, n) for k, gap in arcs]
-    return images
+    With y = n*y' the values are those of Q = (a, bn, cn^2) at (x, y').
+    Gauss reduction takes Q to (A, B, C) by M; write (x, y') = M*(s, t).
+    Row t = 0 gives A when gcd(M11, n) = 1.  The values of row t >= 1 are
+    at least |D|n^2*t^2/(4A), so the rows stop once that passes the best
+    value.  Each prime of n forbids either a whole row (it divides M11 and
+    t) or one residue of s in it, so only the least allowed s on each side
+    of the vertex -B*t/(2A) can give the row's least value, and any span
+    consecutive s hold an allowed one, span being the part of n prime to
+    M11.  Row 1 is never forbidden, so the best value is below
+    A*span^2 + |D|n^2/(4A), and as 3A^2 <= |D|n^2 no row from 2*span on
+    can reach it.  A loop past either bound is an internal error.  Every
+    (x, y) at the least value is kept, signed so that y > 0, or y = 0 and
+    x > 0, and completed by xgcd; of the greatest b, the greatest matrix
+    is the witness."""
+    big_a, big_b, big_c, ma, mb, mc, md = _gauss_steps(a, b * n, c * n * n)
+    disc = 4 * big_a * big_c - big_b * big_b
+    span = n
+    while (g := math.gcd(span, ma)) > 1:
+        span //= g
+    # (1, 0) is one of the (x, y), so its value a bounds the least one
+    best, found = a, []
+    if math.gcd(ma, n) == 1:
+        best, found = big_a, [(ma, mc)]
+    t = 1
+    while disc * t * t <= 4 * big_a * best:
+        if t >= 2 * span:
+            raise InvariantError(f"the minimum of {(a, b, c)} at level {n} passed row {t}")
+        if math.gcd(ma, mb * t, n) == 1:
+            vertex = -big_b * t // (2 * big_a)
+            for s, step in ((vertex, -1), (vertex + 1, 1)):
+                for _ in range(span):
+                    if math.gcd(ma * s + mb * t, n) == 1:
+                        break
+                    s += step
+                else:
+                    raise InvariantError(
+                        f"the minimum of {(a, b, c)} at level {n} found no s in row {t}"
+                    )
+                value = (big_a * s + big_b * t) * s + big_c * t * t
+                if value < best:
+                    best, found = value, []
+                if value == best:
+                    found.append((ma * s + mb * t, mc * s + md * t))
+        t += 1
+    ends = []
+    for x, y in found:
+        if (y, x) < (0, 0):
+            x, y = -x, -y
+        y *= n
+        _, u, v = xgcd(x, y)
+        # (x, -v; y, u) has determinant u*x + v*y = 1 and takes (a, b, c)
+        # to (best, fb, *); then b into (-best, best] by (1, k; 0, 1)
+        fb = b * (x * u - v * y) + 2 * (c * y * u - a * x * v)
+        k = (best - fb) // (2 * best)
+        ends.append((fb + 2 * best * k, x, x * k - v, y, y * k + u))
+    eb, ga, gb, gc, gd = max(ends)
+    ec = (eb * eb - b * b + 4 * a * c) // (4 * best)
+    if ga * gd - gb * gc != 1 or gc % n or act_coeffs(a, b, c, ga, gb, gc, gd) != (best, eb, ec):
+        raise InvariantError(
+            f"witness [[{ga}, {gb}], [{gc}, {gd}]] does not carry {(a, b, c)} "
+            f"to {(best, eb, ec)} in Gamma0({n})"
+        )
+    return best, eb, ec, ga, gb, gc, gd
 
 
 def is_reduced(q: Form, n: int) -> bool:
-    """True when q is the reduced form of its Gamma0(n)-class, n supported:
-    -a < b <= a, no gap of _arcs below 0, and q has the greatest b among
-    its images with the same a: of a point and its side-pairing images on
-    the boundary, the region keeps one.  At n = 1 these are Gauss's
-    conditions: |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    """True when q is the reduced form of its Gamma0(n)-class: _minimum
+    gives q back.  At n = 1 these are Gauss's conditions, |b| <= a <= c
+    and b >= 0 when |b| = a or a = c; at n = p prime >= 5 they are the
+    Gamma0(p) region of fundomain."""
     a, b, c = q
     if a <= 0 or b * b >= 4 * a * c:
         raise ValidationError(f"form is not positive definite: {q}")
-    if not level_supported(n):
-        validate_level(n)
-        raise UnsupportedLevelError(f"no reduced-form predicate for level {n}")
-    if not -a < b <= a or any(gap < 0 for _, gap in _arcs(a, b, c, n)):
-        return False
-    return all(f[1] <= b for f in _same_a((a, b, c, 1, 0, 0, 1), n))
+    validate_level(n)
+    return -a < b <= a and _minimum(a, b, c, n)[:3] == (a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -419,50 +419,31 @@ def check_table_bounds(d: int, n: int) -> None:
         raise SearchBoundExceeded(f"disc {d} needs {trials} divisor trials, limit {limit}")
 
 
-def _walk(a: int, b: int, c: int, n: int) -> tuple:
-    """The end state of the walk of (a, b, c) into the region, n supported:
-    of the images _same_a collects, which have no gap below 0, the one with
-    the greatest b, which must lie in the strip.  Its witness must have
-    determinant 1, n | gc and carry (a, b, c) to the end form.  At n = 1 it
-    equals _gauss(a, b, c), which the callers use there."""
-    images = _same_a(_into_strip(a, b, c, 1, 0, 0, 1), n)
-    # one a, so the greatest triple has the greatest b
-    end = images[max(images)]
-    ea, eb, ec, ga, gb, gc, gd = end
-    if not -ea < eb <= ea:
-        raise InvariantError(
-            f"the walk of {(a, b, c)} at level {n} ends outside the strip at {(ea, eb, ec)}"
-        )
-    if ga * gd - gb * gc != 1 or gc % n or act_coeffs(a, b, c, ga, gb, gc, gd) != end[:3]:
-        raise InvariantError(
-            f"witness [[{ga}, {gb}], [{gc}, {gd}]] of the walk at level {n} "
-            f"does not carry {(a, b, c)} to {(ea, eb, ec)} in Gamma0({n})"
-        )
-    return end
-
-
-def _canonical(r: Form, orbit, inverses: dict, n: int, walk: bool) -> tuple:
-    """The least translate of r by the inverse lifts of the labels in
-    orbit, given in inverses, and the label that gives it; with walk
-    (levels 2, 3 and primes p >= 5) the translate is walked into the region.
-    Returns the label and the end state, the translate and the identity
-    when there is no walk.  At level 1 the lift is the identity and the
-    translate is r, which _sweep and _gauss give reduced, so the callers
-    skip a walk that would only confirm it and add 30 to 50% to the time
-    of a cold level-1 table.  The walk crosses one circle per step, so it
-    starts from that translate, whose size the lifts bound, never from a
-    given form."""
-    t, label = min([(act_coeffs(*r, *inverses[label]), label) for label in orbit])
-    return label, _walk(*t, n) if walk else (*t, 1, 0, 0, 1)
+def _class_count(d: int, n: int, h: int) -> int:
+    """The number of Gamma0(n)-classes of disc d, h the number of
+    SL2(Z)-classes: h*psi(n) below D = -4, where every stabilizer is +-I.
+    At D = -4 and -3 the one class splits into (psi(n) + eps2(n))/2 and
+    (psi(n) + 2*eps3(n))/3, eps2 and eps3 counting the elliptic points of
+    order 2 and 3 (Shimura, ch. 1): 0 when 4 | n (9 | n), else the product
+    over p | n of 1 + (-4/p) ((-3/p))."""
+    psi = _coset_index(n)
+    if d < -4:
+        return h * psi
+    w = 2 if d == -4 else 3
+    eps = 0 if n % (w * w) == 0 else math.prod(1 + kronecker(d, p) for p in prime_factors(n))
+    return (psi + (w - 1) * eps) // w
 
 
 @checked_cache(check_table_bounds)
 def _class_table(d: int, n: int) -> dict:
-    """Class key -> canonical form for every Gamma0(n)-class of disc d: the
+    """Class key -> reduced form for every Gamma0(n)-class of disc d: the
     coset translates of the reduced forms r meet every class, one class per
     orbit of the cosets under Aut(r).  Each orbit is labelled once per
-    Aut(r), each bottom row mod n once up to sign, each coset rep inverted
-    once, and each class walked once."""
+    Aut(r), each bottom row mod n once up to sign and each coset rep
+    inverted once; each class's reduced form is the _minimum of the
+    translate of r by the inverse of the coset rep of its least label.
+    The classes are counted against _class_count and their forms must be
+    distinct."""
     labels: dict = {}
 
     def label(c: int, e: int) -> tuple[int, int]:
@@ -474,23 +455,26 @@ def _class_table(d: int, n: int) -> dict:
 
     reps = coset_reps(n)
     inverses = {label(g.c, g.d): g.inverse() for g in reps}
-    walk = n > 1 and level_supported(n)  # at level 1 every r is reduced
-    orbits: dict = {}  # Aut(r) -> least label -> orbit; one Aut(r) below D = -4
+    orbits: dict = {}  # Aut(r) -> the least labels of its orbits; one Aut(r) below D = -4
     table: dict = {}
-    for r in _sweep(d):
+    sweep = _sweep(d)
+    for r in sweep:
         auts = automorphs(r)
         if auts not in orbits:
-            orbits[auts] = {min(o): set(o) for o in (_orbit(g.c, g.d, auts, label) for g in reps)}
-        for least, orbit in orbits[auts].items():
-            _, end = _canonical(r, orbit, inverses, n, walk)
-            table[r, least] = Form(*end[:3])
+            orbits[auts] = sorted({min(_orbit(g.c, g.d, auts, label)) for g in reps})
+        for least in orbits[auts]:
+            t = act_coeffs(*r, *inverses[least])
+            table[r, least] = Form(*_minimum(*t, n)[:3])
+    expected = _class_count(d, n, len(sweep))
+    if len(table) != expected:
+        raise InvariantError(f"{len(table)} classes of disc {d}, level {n}, not {expected}")
     if len(set(table.values())) != len(table):
-        raise InvariantError(f"two classes of disc {d}, level {n} walk to one reduced form")
+        raise InvariantError(f"two classes of disc {d}, level {n} have one reduced form")
     return table
 
 
 def class_reps(d: int, n: int) -> tuple[Form, ...]:
-    """The canonical form of every Gamma0(n)-class of discriminant d,
+    """The reduced form of every Gamma0(n)-class of discriminant d,
     sorted by (a, b, c).  Classes with gcd(a, n) = 1 are the admissible
     ones of the class group and the genus tables."""
     return tuple(sorted(_class_table(d, n).values()))
@@ -498,47 +482,22 @@ def class_reps(d: int, n: int) -> tuple[Form, ...]:
 
 def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
     """All Gamma0(n)-reduced forms of discriminant d, sorted by (a, b, c):
-    one per class, walked into the region.  Supported levels only."""
-    validate_discriminant(d)
-    validate_level(n)
-    if not level_supported(n):
-        raise UnsupportedLevelError(f"no fundamental domain for level {n}")
+    one per class, at every level."""
     return class_reps(d, n)
 
 
 def reduce_gamma0(q: Form, n: int) -> ReductionResult:
-    """The canonical Gamma0(n)-class representative of q, the form that
-    class_reps lists for its class, computed from q alone, and a witness g
-    in Gamma0(n) with act(q, g) equal to it.
-
-    The class table's steps give the form: with delta carrying q to its
-    SL2(Z)-reduction r, the label orbit of delta*u over u in Aut(r), and
-    _canonical's least translate of r and its walk.  The witness is
-    delta*u*lift^(-1) times the walk's moves, with u the first automorph
-    for which delta*u has the label of the lift that the translate used:
-    delta*u and the lift then lie in one coset of Gamma0(n), and the walk
-    moves within Gamma0(n).  At composite levels there are no moves; at
-    level 1 the lift is the identity and r is already reduced, so there
-    are none either.  The witness is checked in the end.
-    The table's bounds are checked first, so what class_reps refuses, this
-    does.
-    """
+    """The reduced form of the Gamma0(n)-class of q, the form that
+    class_reps lists for it, and a witness g in Gamma0(n) with act(q, g)
+    equal to it: the _minimum of q and its checked matrix.  The table's
+    bounds are checked first, so what class_reps refuses, this does."""
     require_qf(q)
     _class_table.check(q.disc, n)
-    a, b, c, *delta = _gauss(*q)
-    r = Form(a, b, c)
-    auts = automorphs(r)
-    labels = _orbit(delta[2], delta[3], auts, partial(p1_label, n))
-    inverses = {label: _lift_to_sl2(n, *label).inverse() for label in set(labels)}
-    used, end = _canonical(r, inverses, inverses, n, n > 1 and level_supported(n))
-    g = GroupElement(*delta) * auts[labels.index(used)] * inverses[used] * GroupElement(*end[3:])
-    rep = Form(*end[:3])
-    if g.c % n or act_coeffs(*q, *g) != rep:
-        raise InvariantError(f"witness {g} does not carry {q} to {rep} in Gamma0({n})")
-    return ReductionResult(rep, g)
+    a, b, c, *g = _minimum(*q, n)
+    return ReductionResult(Form(a, b, c), GroupElement(*g))
 
 
 def canonical_rep(q: Form, n: int) -> Form:
-    """A canonical Gamma0(n)-class representative of q, the form that
-    class_reps lists for its class: the form of reduce_gamma0."""
+    """The reduced form of the Gamma0(n)-class of q, the form that
+    class_reps lists for it: the form of reduce_gamma0."""
     return reduce_gamma0(q, n).reduced

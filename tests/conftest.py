@@ -32,7 +32,6 @@ from gammaforms.genus import (
 )
 from gammaforms.ideals import OIdeal, QuadOrder
 from gammaforms.reduction import (
-    _arcs,
     _class_table,
     _lift_to_sl2,
     _sweep,
@@ -41,8 +40,6 @@ from gammaforms.reduction import (
     class_key,
     class_reps,
     enumerate_reduced,
-    is_reduced,
-    level_supported,
     p1_label,
     reduce_sl2,
 )
@@ -97,9 +94,8 @@ def is_reduced_gamma0_small(q: Form, p: int) -> bool:
     """Reduced predicate for Gamma0(2) and Gamma0(3):
     |b| <= a, |b| <= p*c, and on the boundary b > 0.
 
-    The oracle for reduction.is_reduced at these levels, which tests the
-    circles and keeps the greatest b among the same-a images, as at the
-    primes p >= 5."""
+    The oracle for reduction.is_reduced at these levels, which asks whether
+    the least value and the greatest b give q back, as at every level."""
     if p not in (2, 3):
         raise ValidationError(f"level must be 2 or 3: {p}")
     a, b, c = q.a, q.b, q.c
@@ -115,7 +111,7 @@ def is_reduced_gamma0_p(q: Form, p: int) -> bool:
 
     Exact integer transcription of the region membership conditions, with
     every arc and corner tested; the oracle for reduction.is_reduced, which
-    tests the two arcs next to p*Re(tau) and has no corner rule.
+    has no arc and no corner rule of its own.
     """
     if p < 5 or not is_prime(p):
         raise ValidationError(f"level must be a prime >= 5: {p}")
@@ -154,20 +150,46 @@ def is_reduced_gamma0_p(q: Form, p: int) -> bool:
     return True
 
 
+def arcs(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
+    """(k, q(k, n) - a) for the circles of radius 1/n at k/n that hold tau
+    (a gap < 0) or pass through it (a gap of 0), n = 1, 2, 3 or a prime
+    p >= 5: of the circles with 2|k| <= n, where k is a unit mod n, only
+    the two next to n*Re(tau) can.  At n = 1 that is the unit circle, k = 0,
+    with gap c - a; at n > 1 it is 0 < 2|k| <= n.  The circles of the
+    walk_by_forms and is_reduced_by_rules oracles."""
+    below = -b * n // (2 * a)
+    out = []
+    for k in (below, below + 1):
+        if 2 * abs(k) <= n and (k or n == 1):
+            gap = (a * k + b * n) * k + c * n * n - a
+            if gap <= 0:
+                out.append((k, gap))
+    return out
+
+
+def has_walk(n: int) -> bool:
+    """True at the levels of the walk and rules oracles: 1, 2, 3 and the
+    primes p >= 5, where the region has the circles of arcs."""
+    return n in (1, 2, 3) or (n >= 5 and is_prime(n))
+
+
 def is_reduced_by_rules(q: Form, n: int) -> bool:
-    """Reduced predicate for Gamma0(n), n = 2, 3 or a prime p >= 5, with the
-    side-pairing tie-breaks written out: -a < b <= a, no gap of _arcs below
-    0, and on the circle at k/n k = 1 drops tau, k = -1 keeps it, k^2 = -1
-    (mod n) keeps it when n*Re(tau) <= k, any other k when 2*n*Re(tau) <=
-    2*min(k, -<k^(-1)>) + 1.  Testing k = -1 first lets n = 2 share these
-    rules.  The oracle for reduction.is_reduced, which keeps the greatest b
-    among the images with the same a."""
-    if n not in (2, 3) and (n < 5 or not is_prime(n)):
-        raise ValidationError(f"level must be 2, 3 or a prime >= 5: {n}")
-    a, b = q.a, q.b
+    """Reduced predicate for Gamma0(n), n = 1, 2, 3 or a prime p >= 5, with
+    the side-pairing tie-breaks written out: at n = 1 Gauss's conditions,
+    |b| <= a <= c and b >= 0 when |b| = a or a = c; at n > 1 -a < b <= a,
+    no gap of arcs below 0, and on the circle at k/n k = 1 drops tau,
+    k = -1 keeps it, k^2 = -1 (mod n) keeps it when n*Re(tau) <= k, any
+    other k when 2*n*Re(tau) <= 2*min(k, -<k^(-1)>) + 1.  Testing k = -1
+    first lets n = 2 share these rules.  The oracle for reduction.is_reduced,
+    which asks whether the least value and greatest b give q back."""
+    if not has_walk(n):
+        raise ValidationError(f"level must be 1, 2, 3 or a prime >= 5: {n}")
+    a, b, c = q
+    if n == 1:
+        return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
     if not -a < b <= a:
         return False
-    for k, gap in _arcs(a, b, q.c, n):
+    for k, gap in arcs(a, b, c, n):
         if gap < 0:
             return False
         if gap == 0 and k != -1:
@@ -187,17 +209,18 @@ def into_strip(q: Form) -> Form:
 
 
 def walk_by_forms(q: Form, n: int) -> Form:
-    """The reduced form of the Gamma0(n)-class of q, n > 1 supported, by the
-    walk on Form objects: into the strip; while a circle of _arcs holds tau
-    move across it, which lowers a, and start over; collect the same-a
-    images across the circles through tau; keep the one with the greatest
-    b.  The oracle for reduction._walk, which runs on integer triples and
-    carries its witness."""
+    """The reduced form of the Gamma0(n)-class of q, n = 1, 2, 3 or a prime
+    p >= 5, by the walk into the Ford region on Form objects: into the
+    strip; while a circle of arcs holds tau move across it, which lowers a,
+    and start over; collect the same-a images across the circles through
+    tau; keep the one with the greatest b.  At n = 1 the one circle is
+    |tau| = 1 and the walk is Gauss reduction.  The oracle for
+    reduction._minimum at these levels, which searches the least value of
+    the scaled form and walks nowhere."""
     images, todo = set(), [into_strip(q)]
     while todo:
         f = todo.pop()
-        arcs = _arcs(f.a, f.b, f.c, n)
-        moves = [(gap, into_strip(act_by_column(f, k, n))) for k, gap in arcs]
+        moves = [(gap, into_strip(act_by_column(f, k, n))) for k, gap in arcs(*f, n)]
         if lower := [g for gap, g in moves if gap < 0]:
             images, todo = set(), [min(lower)]
         elif f not in images:
@@ -206,11 +229,36 @@ def walk_by_forms(q: Form, n: int) -> Form:
     return max(images, key=lambda g: g.b)
 
 
+def reduced_by_search(q: Form, n: int) -> Form:
+    """The reduced form of the Gamma0(n)-class of q, at any level, from a
+    search of every (x, y), up to sign, with n | y, gcd(x, n) = 1 and
+    q(x, y) <= q.a:
+    the least value m, then the greatest b in (-m, m] among the forms
+    act(q, g) for the matrices g = (x, *; y, *) of Gamma0(n) at the (x, y)
+    of value m.  Since q(x, y) >= |D|*y^2/(4a), y runs over |y| <= 2a/sqrt|D|,
+    and for each y the x with a*(x + b*y/(2a))^2 <= a lie within 1 of
+    -b*y/(2a).  The oracle for reduction._minimum at the levels with no
+    walk."""
+    a, b, _ = q
+    values = {}
+    for y in range(0, math.isqrt(4 * a * a // -q.disc) + 1, n):
+        for x in range(-b * y // (2 * a) - 1, -b * y // (2 * a) + 3):
+            if (x, y) != (0, 0) and math.gcd(x, n) == 1 and q(x, y) <= a:
+                values.setdefault(q(x, y), []).append((x, y))
+    forms = []
+    for x, y in values[min(values)]:
+        g, u, v = xgcd(x, y)
+        if g != 1:
+            raise InvariantError(f"{q} at level {n} is least at the imprimitive {(x, y)}")
+        forms.append(into_strip(act(q, GroupElement(x, -v, y, u))))
+    return max(forms, key=lambda f: f.b)
+
+
 def contains_all_arcs(p: int, t: CmPoint) -> bool:
     """Membership of t in the Gamma0(p) region with every arc k in S_p and
     every corner tested; the oracle for fundomain.contains, which hands
-    the form of t to reduction.is_reduced: the two arcs next to p*Re(t)
-    and no corner rule."""
+    the form of t to reduction.is_reduced, which has no arc and no corner
+    rule."""
     data = fundomain.elliptic_data(p)
     n, m, d = t.numB, t.den, t.D
     if 2 * abs(n) > m or (2 * abs(n) == m and n > 0):
@@ -260,12 +308,13 @@ def representation_values(q: Form, n: int, modulus: int) -> frozenset[int]:
 
 
 def sweep_per_a(d: int, n: int) -> list[Form]:
-    """All Gamma0(n)-reduced forms of discriminant d, n a supported level,
-    sorted by (a, b, c).
+    """All Gamma0(n)-reduced forms of discriminant d, n = 1, 2, 3 or a
+    prime p >= 5, sorted by (a, b, c).
 
-    The per-a sweep with a separate bound on a at each kind of level; the
-    oracle for reduction._sweep at level 1, which runs over b and divisor
-    pairs, and for the walk into the region at the other levels.
+    The per-a sweep with a separate bound on a at each kind of level, each
+    form tested by is_reduced_by_rules; the oracle for reduction._sweep at
+    level 1, which runs over b and divisor pairs, and for the class table's
+    minima at the other levels.
     """
     if n == 1:
         a_max = math.isqrt(-d // 3)
@@ -281,7 +330,7 @@ def sweep_per_a(d: int, n: int) -> list[Form]:
             if num % (4 * a) != 0:
                 continue
             f = Form(a, b, num // (4 * a))
-            if f.is_primitive() and is_reduced(f, n):
+            if f.is_primitive() and is_reduced_by_rules(f, n):
                 forms.append(f)
     return forms
 
@@ -329,32 +378,24 @@ def key_per_pair(r: Form, delta: GroupElement, n: int) -> tuple:
     return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in automorphs(r)))
 
 
-def covering_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
-    """Class key -> least coset translate act(R, g^(-1)), over the SL2(Z)-
-    reduced forms R of discriminant d and g in reps, with every key and
-    inverse computed for its own pair (R, g); its keys are the oracle for
-    those of reduction._class_table."""
-    table: dict = {}
-    for r in _sweep(d):
-        for g in reps:
-            t = act(r, g.inverse())
-            key = key_per_pair(r, g, n)
-            table[key] = min(t, table.get(key, t))
-    return table
+def covering_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> set:
+    """The class keys of the coset translates act(R, g^(-1)), over the
+    SL2(Z)-reduced forms R of discriminant d and g in reps, with every key
+    computed for its own pair (R, g); the oracle for the keys of
+    reduction._class_table."""
+    return {key_per_pair(r, g, n) for r in _sweep(d) for g in reps}
 
 
 def class_table_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
-    """Class key -> canonical form, from the per-pair covering over reps and,
-    at supported levels, the per-a sweep; the oracle for
-    reduction._class_table when reps is coset_reps_by_scan(n)."""
-    table = covering_per_pair(d, n, reps)
-    if not level_supported(n):
-        return table
+    """Class key -> reduced form, n = 1, 2, 3 or a prime p >= 5: the forms
+    of the per-a sweep under their keys, which must be those of the
+    per-pair covering over reps.  The oracle for reduction._class_table
+    when reps is coset_reps_by_scan(n)."""
     reduced = {}
     for f in sweep_per_a(d, n):
         res = reduce_sl2(f)
         reduced[key_per_pair(res.reduced, res.transform, n)] = f
-    if reduced.keys() != table.keys():
+    if reduced.keys() != covering_per_pair(d, n, reps):
         raise InvariantError(f"reduced forms do not match the covering of disc {d}, level {n}")
     return reduced
 

@@ -14,9 +14,10 @@ The grid: ``enumerate``, ``genus`` and ``classgroup --table`` in JSON and
 ``classify`` at the primes 3..41, for every discriminant in -3..-239 and
 the levels in LEVELS; ``reduce``, ``equiv`` and ``represent`` on seeded
 random forms and Gamma0(N) translates; ``fundomain`` at a few primes;
-``paper-tables``; and one call per error exit code.  The inputs come from
-a seeded generator and level-1 reduced forms only, so they do not move
-when the output of a level N > 1 does.
+``paper-tables``; ``enumerate`` in text at level 6; and one call per
+error exit code.  The inputs come from a seeded generator and level-1
+reduced forms only, so they do not move when the output of a level N > 1
+does.
 """
 
 from __future__ import annotations
@@ -77,18 +78,19 @@ def grid() -> list[tuple[list[str], str | None]]:
             q, moved = _random_translate(rng, d, n)
             for fmt in ("text", "json"):
                 calls.append((["reduce", "--form", _form(moved), *level, "--format", fmt], None))
-            calls.append((["equiv", "--form1", _form(q), "--form2", _form(moved), *level, "--json"], None))
+            pair = ["--form1", _form(q), "--form2", _form(moved)]
+            calls.append((["equiv", *pair, *level, "--json"], None))
             value = str(rng.randrange(1, 60))
             calls.append((["represent", "--form", _form(moved), "--value", value, *level], None))
     calls += [(["fundomain", "--p", str(p)], None) for p in (5, 7, 11, 13)]
     calls += [(["paper-tables"], None), (["paper-tables", "--table", "rf-disc7-level2"], None)]
+    calls.append((["enumerate", "--disc", "-4", "--level", "6"], None))
     # one call per error exit code: 1 (an internal error, from a wrong square
-    # root mod p), 2 (an invalid discriminant), 3 (a level with no reduced-form
-    # predicate) and 4 (a level whose cosets pass the search bound)
+    # root mod p), 2 (an invalid discriminant) and 4 (a level whose cosets
+    # pass the search bound)
     calls += [
         (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], "wrong-root"),
         (["enumerate", "--disc", "-5", "--level", "2"], None),
-        (["enumerate", "--disc", "-4", "--level", "6"], None),
         (["reduce", "--form", "1,1,6", "--level", "1000000007"], None),
     ]
     return calls

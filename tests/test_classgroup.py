@@ -143,8 +143,9 @@ def test_scaled_class_lookup_matches_canonical_rep(rng, d):
 
 
 def test_group_and_composition_take_no_walk(monkeypatch):
-    # with the class table built (it walks each class once), the group and
-    # composition name classes through the D*N^2 map: no canonical_rep, no walk
+    # with the class table built (it takes each class's minimum once), the
+    # group and composition name classes through the D*N^2 map: no
+    # canonical_rep, no minimum
     pairs = [(-23, 2), (-47, 5), (-56, 6), (-84, 4), (-231, 12), (-20, 9)]
     for d, n in pairs:
         class_reps(d, n)
@@ -152,7 +153,7 @@ def test_group_and_composition_take_no_walk(monkeypatch):
     classgroup._scaled_classes.cache_clear()
     calls = []
     for module in (reduction, classgroup):
-        for name in ("canonical_rep", "_walk"):
+        for name in ("canonical_rep", "_minimum"):
             if hasattr(module, name):
                 real = getattr(module, name)
                 counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)

@@ -183,7 +183,7 @@ def test_classify_a_large_prime(capsys, monkeypatch):
 
 
 def test_reduce_at_a_large_prime_level(capsys, monkeypatch):
-    # the class walked into the Gamma0(499) region, where a sweep of the
+    # the class reduced into the Gamma0(499) region, where a sweep of the
     # coefficients would take about 1.2e8 divisor trials
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
     code, out, _ = capture(capsys, ["reduce", "--form", "3,1,250", "--level", "499", "--json"])
@@ -193,7 +193,7 @@ def test_reduce_at_a_large_prime_level(capsys, monkeypatch):
 
 
 def test_reduce_builds_no_class_table(capsys, monkeypatch):
-    # one class's canonical form comes from its own label orbit and walk,
+    # one class's reduced form comes from the minimum of the form itself,
     # with no coset list and no sweep of reduced forms, from cold caches
     def refuse(*args):
         raise AssertionError(f"class table built for {args}")
@@ -264,8 +264,10 @@ def test_paper_tables_mismatch(capsys, monkeypatch):
 def test_exit_codes(capsys):
     code, _, err = capture(capsys, ["enumerate", "--disc", "-5", "--level", "2"])
     assert code == 2 and "validation" in err
-    code, _, err = capture(capsys, ["enumerate", "--disc", "-4", "--level", "6"])
-    assert code == 3 and "unsupported-level" in err
+    # a composite level lists its reduced forms like any other
+    code, out, _ = capture(capsys, ["enumerate", "--disc", "-4", "--level", "6", "--json"])
+    forms = [Form(**f) for f in json.loads(out)["forms"]]
+    assert code == 0 and forms and all(reduction.is_reduced(f, 6) for f in forms)
     code, _, err = capture(capsys, ["reduce", "--form", "1,0,1", "--level", "2", "--disc", "-8"])
     assert code == 2
     code, _, err = capture(capsys, ["classify", "--prime", "7", "--disc", "-28", "--level", "2"])
@@ -408,7 +410,7 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
             fresh = _outcome(capsys, _run_fresh, argv)
         assert reused == fresh, argv
         codes.add(reused[0])
-    assert codes == {0, 1, 2, 3, 4}
+    assert codes == {0, 1, 2, 4}
 
 
 # (argv, GAMMA_FORMS_MAX_SEARCH or None): each request bounded and not;

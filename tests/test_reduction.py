@@ -12,15 +12,14 @@ from gammaforms.errors import (
     DiscriminantMismatch,
     InvariantError,
     SearchBoundExceeded,
-    UnsupportedLevelError,
     ValidationError,
 )
 from gammaforms.reduction import (
     _class_table,
     _gauss,
     _lift_to_sl2,
+    _minimum,
     _sweep,
-    _walk,
     automorphs,
     canonical_rep,
     class_key,
@@ -29,7 +28,6 @@ from gammaforms.reduction import (
     enumerate_reduced,
     equivalent_gamma0,
     is_reduced,
-    level_supported,
     p1_label,
     reduce_gamma0,
     reduce_sl2,
@@ -42,12 +40,14 @@ from conftest import (
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
+    has_walk,
     into_strip,
     is_reduced_by_rules,
     is_reduced_gamma0_small,
     random_form,
     random_gamma0,
     random_sl2,
+    reduced_by_search,
     sweep_per_a,
     walk_by_forms,
 )
@@ -107,9 +107,11 @@ def test_level_one_region_is_classical_reduction():
 
 
 def test_level_one_walk_is_gauss(rng):
-    # the walk across the unit circle is Gauss reduction, form and witness:
-    # random forms with coefficients up to 10^6, and random SL2(Z)
-    # translates of reduced forms, some on the boundary |b| = a or a = c
+    # at level 1 the minimum, and the walk oracle across the unit circle,
+    # end at Gauss's reduced form, and the minimum's witness carries the
+    # start there: random forms with coefficients up to 10^6, and random
+    # SL2(Z) translates of reduced forms, some on the boundary |b| = a or
+    # a = c
     starts = []
     for _ in range(3000):
         a, c = rng.randint(1, 10**6), rng.randint(1, 10**6)
@@ -119,7 +121,9 @@ def test_level_one_walk_is_gauss(rng):
         for f in _sweep(d):
             starts += [tuple(act(f, random_sl2(rng, 12))) for _ in range(20)]
     for q in starts:
-        assert _walk(*q, 1) == _gauss(*q), q
+        a, b, c, *g = _minimum(*q, 1)
+        assert (a, b, c) == _gauss(*q)[:3] == walk_by_forms(Form(*q), 1), q
+        assert act_coeffs(*q, *g) == (a, b, c) and g[0] * g[3] - g[1] * g[2] == 1, q
 
 
 def test_is_reduced_gamma0_small_examples():
@@ -186,8 +190,10 @@ def test_is_reduced_gamma0_p_examples():
     assert is_reduced(Form(1, 1, 1), 5)
     # b = -p*c violates the arc condition at k = 1
     assert not is_reduced(Form(7, -5, 1), 5)
-    with pytest.raises(UnsupportedLevelError):
-        is_reduced(Form(1, 0, 1), 4)
+    # every level has its reduced forms: at level 4 (1, 0, 1) and (2, 2, 1)
+    # are, and (1, 2, 2), with b outside (-a, a], is not
+    assert is_reduced(Form(1, 0, 1), 4) and is_reduced(Form(2, 2, 1), 4)
+    assert not is_reduced(Form(1, 2, 2), 4)
 
 
 @given(
@@ -325,8 +331,8 @@ def test_enumerate_level2_reference_tables():
 def test_enumerate_is_sorted_and_validates():
     forms = enumerate_reduced(-28, 2)
     assert list(forms) == sorted(forms, key=lambda f: (f.a, f.b, f.c))
-    with pytest.raises(UnsupportedLevelError):
-        enumerate_reduced(-4, 4)
+    # a composite level: (psi(4) + eps2(4))/2 = (6 + 0)/2 reduced forms
+    assert enumerate_reduced(-4, 4) == (Form(1, 0, 1), Form(2, 2, 1), Form(5, 4, 1))
     with pytest.raises(ValidationError):
         enumerate_reduced(-5, 2)
 
@@ -337,7 +343,7 @@ def test_enumerate_matches_class_count_for_primes():
     for p in (5, 7, 11):
         for d in (-3, -4, -7, -8, -11):
             covering = covering_per_pair(d, p, coset_reps(p))
-            assert _class_table(d, p).keys() == covering.keys(), (d, p)
+            assert _class_table(d, p).keys() == covering, (d, p)
             assert len(enumerate_reduced(d, p)) == len(covering), (d, p)
 
 
@@ -358,62 +364,74 @@ def test_sweep_matches_per_a_oracle():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 101])
 def test_walk_matches_per_a_oracle(rng, n):
-    # random Gamma0(n) translates of every reduced form walk back to it
+    # random Gamma0(n) translates of every form of the per-a sweep walk back
+    # to it by the walk oracle, and the minimum gives it too
     discs = [-3, -4, -7, -8, -15, -20, -23, -47, -56, -71, -84, -127]
     for d in discs if n < 101 else discs[:6]:
         for f in sweep_per_a(d, n):
             for _ in range(4):
                 q = act(f, random_gamma0(rng, n, 12))
-                assert _walk(q.a, q.b, q.c, n)[:3] == (f.a, f.b, f.c), (q, n)
-                assert canonical_rep(q, n) == f, (q, n)
+                assert walk_by_forms(q, n) == f, (q, n)
+                assert _minimum(*q, n)[:3] == f == canonical_rep(q, n), (q, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 101])
 def test_walk_matches_form_oracle(rng, n):
-    # the integer walk ends at the form of the walk on Form objects, and its
-    # witness carries the start there within Gamma0(n)
+    # the minimum ends at the form of the walk on Form objects, ties between
+    # images on the region's boundary included, and its witness carries the
+    # start there within Gamma0(n)
     for _ in range(150):
         q = random_form(rng, rng.choice([-3, -4, -7, -8, -15, -20, -23, -47, -84, -420]))
         if rng.random() < 0.5:
             q = act(q, random_gamma0(rng, n, 6))
-        a, b, c, *g = _walk(q.a, q.b, q.c, n)
+        a, b, c, *g = _minimum(*q, n)
         assert Form(a, b, c) == walk_by_forms(q, n), (q, n)
         assert g[2] % n == 0 and act(q, GroupElement(*g)) == Form(a, b, c), (q, n)
 
 
 def test_walk_checks(monkeypatch):
-    # each check of the walk fires from one patched integer step: a strip
-    # translate one T off in form and witness ends outside the strip, one T
-    # off in the witness alone fails the witness check, and a move by the
-    # transpose of its matrix fails the check of the new a; two classes must
-    # not walk to one form
-    strip = reduction._into_strip
+    # each check of the minimum fires from one patched step: a wrong Bezout
+    # pair in the completion fails the witness check, and a scaled form left
+    # unreduced runs the rows past their bound; two classes must not have
+    # one reduced form
+    def wrong_bezout(x, y, _real=reduction.xgcd):
+        g, u, v = _real(x, y)
+        return g, u, v + 1
 
-    def one_more_t(*state):
-        a, b, c, ga, gb, gc, gd = strip(*state)
-        return a, b + 2 * a, a + b + c, ga, gb + ga, gc, gd + gc
-
-    def witness_one_more_t(*state):
-        a, b, c, ga, gb, gc, gd = strip(*state)
-        return a, b, c, ga, gb + ga, gc, gd + gc
-
-    q = act(Form(1, 1, 6), GroupElement(1, 0, 5, 1))  # one circle from (1, 1, 6)
-    assert _walk(q.a, q.b, q.c, 5)[:3] == (1, 1, 6)
+    q = act(Form(1, 1, 6), GroupElement(1, 0, 5, 1))  # (156, 61, 6)
+    assert _minimum(*q, 5)[:3] == (1, 1, 6)
     with monkeypatch.context() as m:
-        m.setattr(reduction, "_into_strip", one_more_t)
-        with pytest.raises(InvariantError, match="ends outside the strip"):
-            _walk(1, 1, 1, 5)
+        m.setattr(reduction, "xgcd", wrong_bezout)
+        with pytest.raises(InvariantError, match=r"does not carry \(156, 61, 6\) to \(1, \d+, \d+\) in Gamma0\(5\)"):
+            _minimum(*q, 5)
     with monkeypatch.context() as m:
-        m.setattr(reduction, "_into_strip", witness_one_more_t)
-        with pytest.raises(InvariantError, match="of the walk at level 5 does not carry"):
-            _walk(1, 1, 1, 5)
-    with monkeypatch.context() as m:
-        m.setattr(reduction, "act_coeffs", lambda a, b, c, ga, gb, gc, gd: act_coeffs(a, b, c, ga, gc, gb, gd))
-        with pytest.raises(InvariantError, match=r"the move by \(-1, 5\) carries"):
-            _walk(q.a, q.b, q.c, 5)
-    monkeypatch.setattr(reduction, "_walk", lambda a, b, c, n: (1, 1, 6, 1, 0, 0, 1))
-    with pytest.raises(InvariantError, match="walk to one reduced form"):
+        m.setattr(reduction, "_gauss_steps", lambda a, b, c: (a, b, c, 1, 0, 0, 1))
+        far = act(Form(1, 1, 1), GroupElement(1, 0, 5 * 10**6, 1))
+        with pytest.raises(InvariantError, match="at level 5 passed row 10"):
+            _minimum(*far, 5)
+    monkeypatch.setattr(reduction, "_minimum", lambda a, b, c, n: (1, 1, 6, 1, 0, 0, 1))
+    with pytest.raises(InvariantError, match="two classes of disc -23, level 5 have one reduced form"):
         _class_table.__wrapped__(-23, 5)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 15, 30, 122, 150])
+def test_minimum_matches_search_at_composite_levels(rng, n):
+    # at levels with no walk every class rep is its class's reduced form by
+    # the brute-force search, |D| < 150 (< 40 at n > 100); the minimum of a
+    # random Gamma0(n) translate of a sample of them, too far out for the
+    # search, gives the rep back, with a witness in Gamma0(n) that carries
+    # the translate to it
+    for d in range(-3, -150 if n < 100 else -40, -1):
+        if d % 4 not in (0, 1):
+            continue
+        reps = class_reps(d, n)
+        for f in reps:
+            assert reduced_by_search(f, n) == f, (f, n)
+        for f in rng.sample(reps, min(len(reps), 20)):
+            q = act(f, random_gamma0(rng, n, 6))
+            a, b, c, *g = _minimum(*q, n)
+            assert (a, b, c) == f, (q, n)
+            assert g[2] % n == 0 and act(q, GroupElement(*g)) == f, (q, n, g)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 4, 6, 10, 12, 122])
@@ -438,23 +456,34 @@ def test_count_stable_under_other_coset_systems(rng):
         base = coset_reps(n)
         twisted = tuple(random_gamma0(rng, n, 4) * g for g in reversed(base))
         covering = covering_per_pair(d, n, twisted)
-        assert covering.keys() == _class_table(d, n).keys(), (d, n)
+        assert covering == _class_table(d, n).keys(), (d, n)
         assert len(covering) == len(enumerate_reduced(d, n)), (d, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 11, 12, 30, 122, 150])
 def test_class_table_matches_per_pair_oracle(n):
+    # the class keys on the whole grid; the forms against the per-a sweep at
+    # the levels of the walk oracle, and elsewhere, for |D| < 150, each form
+    # lies in its entry's class (test_minimum_matches_search_at_composite_levels
+    # checks that each is reduced)
     reps = coset_reps_by_scan(n)
     for d in range(-3, -701, -1):
         if d % 4 in (0, 1):
-            assert _class_table(d, n) == class_table_per_pair(d, n, reps), (d, n)
+            table = _class_table(d, n)
+            if has_walk(n):
+                assert table == class_table_per_pair(d, n, reps), (d, n)
+                continue
+            assert table.keys() == covering_per_pair(d, n, reps), (d, n)
+            if d > -150:
+                for key, f in table.items():
+                    assert class_key(f, n) == key, (d, n, key)
 
 
 def test_class_table_work_counts(monkeypatch):
     # one automorph list per reduced form and one label per bottom row mod n,
     # not one per (reduced form, coset) pair; no lift, as coset_reps is warm,
-    # and one walk per class at a supported level
-    calls = dict.fromkeys(("p1_label", "automorphs", "_lift_to_sl2", "_walk"), 0)
+    # and one minimum per class at every level
+    calls = dict.fromkeys(("p1_label", "automorphs", "_lift_to_sl2", "_minimum"), 0)
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(reduction, name)):
@@ -462,7 +491,7 @@ def test_class_table_work_counts(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(reduction, name, counted)
-    for d, n in ((-2999, 150), (-2999, 11)):
+    for d, n in ((-2999, 150), (-2999, 11), (-2999, 1)):
         psi = len(coset_reps(n))
         h = len(_sweep(d))
         calls.update(dict.fromkeys(calls, 0))
@@ -470,13 +499,37 @@ def test_class_table_work_counts(monkeypatch):
         assert calls["automorphs"] <= h, (calls, d, n, h)
         assert calls["p1_label"] <= 2 * psi, (calls, d, n, psi)
         assert calls["_lift_to_sl2"] == 0, (calls, d, n)
-        assert calls["_walk"] == (classes if level_supported(n) else 0), (calls, d, n, classes)
+        assert calls["_minimum"] == classes, (calls, d, n, classes)
+
+
+def test_class_counts_match_the_index_formula():
+    # h(D)*psi(n) classes below D = -4, (psi(n) + eps2(n))/2 at D = -4 and
+    # (psi(n) + 2*eps3(n))/3 at D = -3, with psi(n) the cosets of the scan
+    # and eps2, eps3 the roots of u^2 + 1 and u^2 + u + 1 mod n (Diamond and
+    # Shurman, 3.7), not the prime products the class table checks against
+    for n in (*range(1, 13), 15, 16, 18, 27, 30):
+        psi = len(coset_reps_by_scan(n))
+        eps2 = sum((u * u + 1) % n == 0 for u in range(n))
+        eps3 = sum((u * u + u + 1) % n == 0 for u in range(n))
+        for d in range(-3, -200, -1):
+            if d % 4 in (0, 1):
+                expected = {-4: (psi + eps2) // 2, -3: (psi + 2 * eps3) // 3}.get(d, len(_sweep(d)) * psi)
+                assert len(class_reps(d, n)) == expected, (d, n)
+
+
+def test_class_count_check_catches_a_dropped_class(monkeypatch):
+    # a coset list one short drops one class per reduced form, which the
+    # count check of the class table refuses: 33 classes of the 3*12
+    reps = coset_reps(6)
+    monkeypatch.setattr(reduction, "coset_reps", lambda n: reps[:-1])
+    with pytest.raises(InvariantError, match="33 classes of disc -23, level 6, not 36"):
+        _class_table.__wrapped__(-23, 6)
 
 
 def test_each_sign_pair_is_labelled_once(monkeypatch, rng):
-    # delta*u and delta*(-u) have one P^1(Z/n) label, so reduce_gamma0 and
-    # class_key label |Aut(r)|/2 rows, and the class table never labels a
-    # row mod n and its negative
+    # delta*u and delta*(-u) have one P^1(Z/n) label, so class_key labels
+    # |Aut(r)|/2 rows, and the class table never labels a row mod n and its
+    # negative; reduce_gamma0 labels none
     calls = []
 
     def counted(n, c, d, _original=reduction.p1_label):
@@ -489,10 +542,12 @@ def test_each_sign_pair_is_labelled_once(monkeypatch, rng):
             for _ in range(5):
                 q = random_form(rng, d)
                 pairs = len(automorphs(reduce_sl2(q).reduced)) // 2
-                for name in ("reduce_gamma0", "class_key"):
-                    calls.clear()
-                    getattr(reduction, name)(q, n)
-                    assert len(calls) == pairs, (name, q, n, calls)
+                calls.clear()
+                class_key(q, n)
+                assert len(calls) == pairs, (q, n, calls)
+                calls.clear()
+                reduce_gamma0(q, n)
+                assert calls == [], (q, n, calls)
     for d, n in ((-2999, 150), (-3, 12), (-4, 12)):
         coset_reps(n)
         calls.clear()
@@ -505,7 +560,7 @@ def test_each_sign_pair_is_labelled_once(monkeypatch, rng):
 
 def test_orbit_lists_one_label_per_automorph(rng):
     # labelling each sign pair once keeps one entry per u in Aut(r), in
-    # order, so reduce_gamma0's labels.index(used) picks the same u
+    # order: the labels of delta*u over all of Aut(r)
     for d in (-3, -4, -23):
         for n in (1, 2, 6, 7, 130):
             for _ in range(10):
@@ -609,7 +664,7 @@ def test_canonical_rep():
 
 
 def test_canonical_rep_general_level(rng):
-    # composite level uses the coset-translate convention
+    # a composite level has its reduced forms too
     for _ in range(30):
         q = random_form(rng, -4)
         base = canonical_rep(q, 4)

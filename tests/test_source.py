@@ -52,6 +52,7 @@ def test_oracles_stay_in_tests():
             "classify_prime_by_scan",
             "canonical_rep_by_table",
             "walk_by_forms",
+            "reduced_by_search",
             "crt_by_euclid",
             "hnf_rows_by_euclid",
         ):
@@ -216,9 +217,8 @@ def test_only_equiv_searches_for_equivalence():
 
 
 def test_only_the_branch_sites_read_level_supported():
-    # the split between supported and general levels is made in four
-    # places, each a branch of reduction; one list to empty when every
-    # level has its reduced forms
+    # every level has its reduced forms, from one rule, so no module
+    # branches between supported and general levels any more
     users = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -227,12 +227,7 @@ def test_only_the_branch_sites_read_level_supported():
                     isinstance(node, ast.Attribute) and node.attr == "level_supported"
                 ):
                     users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
-    assert users == {
-        "reduction.is_reduced",
-        "reduction.enumerate_reduced",
-        "reduction._class_table",
-        "reduction.reduce_gamma0",
-    }
+    assert users == set()
 
 
 def test_no_tuple_conversions():
