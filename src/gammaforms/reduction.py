@@ -422,10 +422,11 @@ def check_table_bounds(d: int, n: int) -> None:
 def _class_count(d: int, n: int, h: int) -> int:
     """The number of Gamma0(n)-classes of disc d, h the number of
     SL2(Z)-classes: h*psi(n) below D = -4, where every stabilizer is +-I.
-    At D = -4 and -3 the one class splits into (psi(n) + eps2(n))/2 and
-    (psi(n) + 2*eps3(n))/3, eps2 and eps3 counting the elliptic points of
-    order 2 and 3 (Shimura, ch. 1): 0 when 4 | n (9 | n), else the product
-    over p | n of 1 + (-4/p) ((-3/p))."""
+    At D = -4 the one class splits into (psi(n) + eps2(n))/2 classes and
+    at D = -3 into (psi(n) + 2*eps3(n))/3, eps2 and eps3 counting the
+    elliptic points of order 2 and 3 (Shimura, ch. 1): eps2(n) is 0 when
+    4 | n and else the product over p | n of 1 + (-4/p), eps3(n) is 0 when
+    9 | n and else the product of 1 + (-3/p)."""
     psi = _coset_index(n)
     if d < -4:
         return h * psi
@@ -461,7 +462,7 @@ def _class_table(d: int, n: int) -> dict:
     for r in sweep:
         auts = automorphs(r)
         if auts not in orbits:
-            orbits[auts] = sorted({min(_orbit(g.c, g.d, auts, label)) for g in reps})
+            orbits[auts] = {min(_orbit(g.c, g.d, auts, label)) for g in reps}
         for least in orbits[auts]:
             t = act_coeffs(*r, *inverses[least])
             table[r, least] = Form(*_minimum(*t, n)[:3])
