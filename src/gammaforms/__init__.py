@@ -73,7 +73,6 @@ from .reduction import (
     ReductionResult,
     automorphs,
     canonical_rep,
-    class_key,
     class_reps,
     coset_reps,
     enumerate_reduced,

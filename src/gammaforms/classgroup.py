@@ -46,6 +46,8 @@ from .core import (
     act_by_column,
     checked_cache,
     crt,
+    kronecker,
+    prime_factors,
     require_qf,
     search_bound,
     validate_discriminant,
@@ -59,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .ideals import ideal_from_form, ideal_mul
-from .reduction import _gauss, automorphs, check_table_bounds, class_reps, reduce_sl2
+from .reduction import _coset_index, _gauss, automorphs, check_table_bounds, class_reps, reduce_sl2
 
 
 def principal_form(d: int) -> Form:
@@ -221,15 +223,29 @@ def _scaled_classes(d: int, n: int) -> Mapping[Form, tuple[Form, tuple[GroupElem
     """The reduced form r of (a, bN, cN^2) -> (f, the products delta*u for
     u in Aut(r)), delta carrying the one to the other, for every admissible
     class rep f = (a, b, c): the isomorphism, checked one-to-one and
-    read-only, since every caller shares the cached map."""
+    read-only, since every caller shares the cached map.  Its size is
+    checked against h(D*N^2) = h(D)*N*prod over p | N of (1 - (D/p)/p),
+    divided by 3 at D = -3 and by 2 at D = -4 when N > 1 (Cox, Primes of
+    the Form x^2 + ny^2, Thm 7.24), h(D) being the checked class table's
+    size over psi(N), and 1 at D = -3 and -4."""
+    reps = class_reps(d, n)
     scaled = {}
-    for f in class_reps(d, n):
+    for f in reps:
         if math.gcd(f.a, n) != 1:
             continue
         r, delta = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
         if r in scaled:
             raise InvariantError(f"{scaled[r][0]} and {f} meet at disc {d * n * n} (level {n})")
         scaled[r] = f, tuple(delta * u for u in automorphs(r))
+    expected = (len(reps) // _coset_index(n) if d < -4 else 1) * n
+    for p in prime_factors(n):
+        expected = expected // p * (p - kronecker(d, p))
+    if d >= -4 and n > 1:
+        expected //= 2 if d == -4 else 3
+    if len(scaled) != expected:
+        raise InvariantError(
+            f"{len(scaled)} admissible classes of disc {d}, level {n}, not {expected}"
+        )
     return MappingProxyType(scaled)
 
 

@@ -15,12 +15,10 @@ of the class, however far towards a cusp.  ``reduce_gamma0`` is the
 minimum of one form with its witness, ``canonical_rep`` its form and
 ``is_reduced`` the test that the minimum gives the form back.
 
-``class_key`` names each class by the SL2(Z)-reduced form r of the class
-and the least P^1(Z/N) label of its coset orbit, the cosets of delta*u
-for delta carrying a form of the class to r and u in Aut(r).  The cached
-class table per (D, N) keys every class so, from the coset translates of
-the reduced forms, and takes the minimum of one translate per class; it
-counts the classes against h(D)*psi(N) (Shimura, ch. 1).
+The reduced form is the name of its class.  The cached class table per
+(D, N) is the set of minima of the coset translates of the SL2(Z)-reduced
+forms, which meet every class; it counts the classes against
+h(D)*psi(N) and its corrections at D = -3 and -4 (Shimura, ch. 1).
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -33,8 +31,6 @@ and the index psi(N) are functions of (D, N) alone, bounded by
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -274,9 +270,9 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
     label starts with a divisor of n (n standing for 0).
 
     The labels come from one walk over the orbits of each divisor row, about
-    sigma_0(n)*n steps; the class table over them makes h(D)*psi(n) form
-    translates, so an index psi(n) above 1500 is refused before every
-    lookup, hit or miss.
+    sigma_0(n)*n steps; they are made here and nowhere else.  The class
+    table takes the minimum of h(D)*psi(n) form translates over them, so an
+    index psi(n) above 1500 is refused before every lookup, hit or miss.
     """
     index = _coset_index(n)
     labels = []
@@ -362,33 +358,7 @@ def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
 
 
 # ---------------------------------------------------------------------------
-# class keys and canonical forms
-
-
-def _orbit(c: int, d: int, auts: tuple[GroupElement, ...], label: Callable) -> list:
-    """The labels label(c', d') of the bottom rows (c', d') of delta*u, u
-    in auts = Aut(r) in order, r reduced and (c, d) the bottom row of
-    delta: the coset orbit of each q with act(q, delta) = r.  Its least
-    label and r are the class key of q.  Aut(r) holds -u with u, and
-    negation reverses the order of entry tuples, so -u is auts[-1 - i] for
-    u = auts[i]; the rows of delta*u and delta*(-u) are one point of
-    P^1(Z/N), -1 being a unit, so the first half is labelled and mirrored."""
-    half = [label(c * u.a + d * u.c, c * u.b + d * u.d) for u in auts[: len(auts) // 2]]
-    return half + half[::-1]
-
-
-def class_key(q: Form, n: int) -> tuple[Form, tuple[int, int]]:
-    """A hashable name of the Gamma0(n)-class of q: equal for two forms iff
-    they are Gamma0(n)-equivalent.
-
-    With delta carrying q to its SL2(Z)-reduction r, the key is r and the
-    least P^1(Z/n) label of the cosets Gamma0(n)*delta*u, u in Aut(r).
-    """
-    validate_level(n)
-    res = reduce_sl2(q)
-    r = res.reduced
-    delta = res.transform
-    return r, min(_orbit(delta.c, delta.d, automorphs(r), partial(p1_label, n)))
+# the class table and canonical forms
 
 
 def _sweep(d: int) -> list[Form]:
@@ -436,41 +406,21 @@ def _class_count(d: int, n: int, h: int) -> int:
 
 
 @checked_cache(check_table_bounds)
-def _class_table(d: int, n: int) -> dict:
-    """Class key -> reduced form for every Gamma0(n)-class of disc d: the
-    coset translates of the reduced forms r meet every class, one class per
-    orbit of the cosets under Aut(r).  Each orbit is labelled once per
-    Aut(r), each bottom row mod n once up to sign and each coset rep
-    inverted once; each class's reduced form is the _minimum of the
-    translate of r by the inverse of the coset rep of its least label.
-    The classes are counted against _class_count and their forms must be
-    distinct."""
-    labels: dict = {}
-
-    def label(c: int, e: int) -> tuple[int, int]:
-        # a row and its negative have one label
-        row = min((c % n, e % n), (-c % n, -e % n))
-        if row not in labels:
-            labels[row] = p1_label(n, *row)
-        return labels[row]
-
-    reps = coset_reps(n)
-    inverses = {label(g.c, g.d): g.inverse() for g in reps}
-    orbits: dict = {}  # Aut(r) -> the least labels of its orbits; one Aut(r) below D = -4
-    table: dict = {}
+def _class_table(d: int, n: int) -> frozenset:
+    """The reduced form of every Gamma0(n)-class of disc d: the set of the
+    _minimum of every coset translate act(r, g^(-1)), r SL2(Z)-reduced and
+    g a coset rep.  The translates meet every class, below D = -4 once
+    each, as Aut(r) = +-I; at D = -3 and -4 a class met more than once has
+    one minimum, which the set keeps once.  The size of the set is checked
+    against _class_count, so a minimum that merged two classes fails."""
+    inverses = [g.inverse() for g in coset_reps(n)]
     sweep = _sweep(d)
-    for r in sweep:
-        auts = automorphs(r)
-        if auts not in orbits:
-            orbits[auts] = {min(_orbit(g.c, g.d, auts, label)) for g in reps}
-        for least in orbits[auts]:
-            t = act_coeffs(*r, *inverses[least])
-            table[r, least] = Form(*_minimum(*t, n)[:3])
+    table = frozenset(
+        Form(*_minimum(*act_coeffs(*r, *g), n)[:3]) for r in sweep for g in inverses
+    )
     expected = _class_count(d, n, len(sweep))
     if len(table) != expected:
         raise InvariantError(f"{len(table)} classes of disc {d}, level {n}, not {expected}")
-    if len(set(table.values())) != len(table):
-        raise InvariantError(f"two classes of disc {d}, level {n} have one reduced form")
     return table
 
 
@@ -478,7 +428,7 @@ def class_reps(d: int, n: int) -> tuple[Form, ...]:
     """The reduced form of every Gamma0(n)-class of discriminant d,
     sorted by (a, b, c).  Classes with gcd(a, n) = 1 are the admissible
     ones of the class group and the genus tables."""
-    return tuple(sorted(_class_table(d, n).values()))
+    return tuple(sorted(_class_table(d, n)))
 
 
 def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -37,7 +38,6 @@ from gammaforms.reduction import (
     _sweep,
     automorphs,
     canonical_rep,
-    class_key,
     class_reps,
     enumerate_reduced,
     p1_label,
@@ -372,29 +372,50 @@ def automorphs_by_search(q: Form) -> tuple[GroupElement, ...]:
 
 
 def key_per_pair(r: Form, delta: GroupElement, n: int) -> tuple:
-    """The class key of every form q with act(q, delta) = r, r reduced, with
-    the automorphs of r and the label of each product delta*u computed for
-    this one pair; the oracle for the label orbit of reduction.class_key."""
+    """The class key of every form q with act(q, delta) = r, r reduced: r
+    and the least P^1(Z/n) label of the bottom rows of delta*u over u in
+    Aut(r), the cosets Gamma0(n)*delta*u."""
     return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in automorphs(r)))
+
+
+def class_key(q: Form, n: int) -> tuple:
+    """A hashable name of the Gamma0(n)-class of q, equal for two forms iff
+    they are Gamma0(n)-equivalent: the key of q's SL2(Z)-reduction r and
+    the matrix delta carrying q to it.  The oracle of class identity that
+    the reduced forms of reduction._minimum are tested against."""
+    res = reduce_sl2(q)
+    return key_per_pair(res.reduced, res.transform, n)
 
 
 def covering_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> set:
     """The class keys of the coset translates act(R, g^(-1)), over the
     SL2(Z)-reduced forms R of discriminant d and g in reps, with every key
-    computed for its own pair (R, g); the oracle for the keys of
-    reduction._class_table."""
+    computed for its own pair (R, g): one key per Gamma0(n)-class."""
     return {key_per_pair(r, g, n) for r in _sweep(d) for g in reps}
+
+
+@functools.lru_cache(maxsize=32)
+def keyed_class_table(d: int, n: int) -> dict:
+    """Class key -> reduced form for every form of reduction._class_table,
+    the keys checked distinct: no two of the table's minima lie in one
+    class.  Compared with covering_per_pair, it shows that the table lists
+    every class once.  The last few tables are kept for the lookups of
+    canonical_rep_by_table."""
+    table = {}
+    for f in _class_table(d, n):
+        key = class_key(f, n)
+        if key in table:
+            raise InvariantError(f"{table[key]} and {f} lie in one class (disc {d}, level {n})")
+        table[key] = f
+    return table
 
 
 def class_table_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict:
     """Class key -> reduced form, n = 1, 2, 3 or a prime p >= 5: the forms
     of the per-a sweep under their keys, which must be those of the
-    per-pair covering over reps.  The oracle for reduction._class_table
-    when reps is coset_reps_by_scan(n)."""
-    reduced = {}
-    for f in sweep_per_a(d, n):
-        res = reduce_sl2(f)
-        reduced[key_per_pair(res.reduced, res.transform, n)] = f
+    per-pair covering over reps.  The oracle for keyed_class_table when
+    reps is coset_reps_by_scan(n)."""
+    reduced = {class_key(f, n): f for f in sweep_per_a(d, n)}
     if reduced.keys() != covering_per_pair(d, n, reps):
         raise InvariantError(f"reduced forms do not match the covering of disc {d}, level {n}")
     return reduced
@@ -402,10 +423,10 @@ def class_table_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> dict
 
 def canonical_rep_by_table(q: Form, n: int) -> Form:
     """The canonical form of q's class looked up by its class key in the
-    class table of all h(D)*psi(n) coset translates; the oracle for
-    reduction.canonical_rep, which computes it from q alone."""
+    keyed class table; the oracle for reduction.canonical_rep, which
+    computes it from q alone."""
     require_qf(q)
-    return _class_table(q.disc, n)[class_key(q, n)]
+    return keyed_class_table(q.disc, n)[class_key(q, n)]
 
 
 def torsion_invariant_factors(cayley: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from gammaforms.classgroup import (
     principal_form,
     verify_iso_with_scaled,
 )
-from gammaforms.core import Form, act
+from gammaforms.core import Form, act, kronecker
 from gammaforms.errors import (
     CompositionError,
     DiscriminantMismatch,
@@ -23,7 +24,7 @@ from gammaforms.errors import (
     ValidationError,
 )
 from gammaforms.genus import genus_table
-from gammaforms.reduction import _gauss, canonical_rep, class_reps, equivalent_gamma0
+from gammaforms.reduction import _gauss, _sweep, canonical_rep, class_reps, equivalent_gamma0
 from conftest import (
     compose_one_pair_wrongly,
     composed_cayley,
@@ -140,6 +141,40 @@ def test_scaled_class_lookup_matches_canonical_rep(rng, d):
                 key = _gauss(q.a, q.b * n, q.c * n * n)[:3]
                 found = classgroup._scaled_class(scaled, key, d, n)[0]
                 assert found == canonical_rep(q, n) == f, (d, n, q)
+
+
+def test_admissible_counts_match_the_order_formula():
+    # the admissible classes, listed and in the D*N^2 map, number
+    # h(D*N^2), counted by the level-1 sweep at D*N^2 and by
+    # h(D)*N*prod over p | N of (1 - (D/p)/p), divided at D = -3 and -4 by
+    # the unit index 3 or 2 when N > 1, in fractions with h(D) from the
+    # level-1 sweep at D
+    for n in (*range(1, 11), 12, 15):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, p))]
+        for d in range(-3, -301, -1):
+            if d % 4 not in (0, 1):
+                continue
+            expected = Fraction(len(_sweep(d)) * n)
+            for p in primes:
+                expected *= 1 - Fraction(kronecker(d, p), p)
+            if n > 1:
+                expected /= {-3: 3, -4: 2}.get(d, 1)
+            admissible = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
+            assert len(classgroup._scaled_classes(d, n)) == len(admissible) == expected, (d, n)
+            assert len(_sweep(d * n * n)) == expected, (d, n)
+
+
+def test_admissible_count_check_catches_a_dropped_class(monkeypatch):
+    # one admissible class swapped for a repeat of an inadmissible one
+    # leaves the table's size, and so h(D), as they were; the D*N^2 map then
+    # has 5 of the 3*6*(1 - 1/2)*(1 - 1/3) = 6 admissible classes
+    reps = class_reps(-23, 6)
+    admissible = [f for f in reps if math.gcd(f.a, 6) == 1]
+    other = next(f for f in reps if math.gcd(f.a, 6) != 1)
+    mutant = tuple(other if f == admissible[-1] else f for f in reps)
+    monkeypatch.setattr(classgroup, "class_reps", lambda d, n: mutant)
+    with pytest.raises(InvariantError, match="5 admissible classes of disc -23, level 6, not 6"):
+        classgroup._scaled_classes.__wrapped__(-23, 6)
 
 
 def test_group_and_composition_take_no_walk(monkeypatch):

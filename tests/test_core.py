@@ -124,7 +124,6 @@ def test_every_level_is_validated(n):
         "principal_genus_congruences": lambda: gf.principal_genus_congruences(-23, n),
         "brahmagupta_check": lambda: gf.brahmagupta_check(q, n),
         "canonical_rep": lambda: gf.canonical_rep(q, n),
-        "class_key": lambda: gf.class_key(q, n),
         "class_reps": lambda: gf.class_reps(-23, n),
         "coset_reps": lambda: gf.coset_reps(n),
         "enumerate_reduced": lambda: gf.enumerate_reduced(-23, n),
@@ -180,7 +179,6 @@ def test_every_form_is_validated(q):
         "reduce_sl2": lambda: gf.reduce_sl2(q),
         "automorphs": lambda: gf.automorphs(q),
         "canonical_rep": lambda: gf.canonical_rep(q, 2),
-        "class_key": lambda: gf.class_key(q, 2),
         "equivalent_gamma0": lambda: gf.equivalent_gamma0(q, good, 2),
         "equivalent_gamma0 second": lambda: gf.equivalent_gamma0(good, q, 2),
     }

@@ -1,7 +1,6 @@
 import math
 import random
 import signal
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +13,7 @@ from gammaforms.errors import (
     SearchBoundExceeded,
     ValidationError,
 )
+from gammaforms.genus import find_representations
 from gammaforms.reduction import (
     _class_table,
     _gauss,
@@ -22,7 +22,6 @@ from gammaforms.reduction import (
     _sweep,
     automorphs,
     canonical_rep,
-    class_key,
     class_reps,
     coset_reps,
     enumerate_reduced,
@@ -37,6 +36,7 @@ from conftest import (
     T,
     automorphs_by_search,
     canonical_rep_by_table,
+    class_key,
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
@@ -44,6 +44,7 @@ from conftest import (
     into_strip,
     is_reduced_by_rules,
     is_reduced_gamma0_small,
+    keyed_class_table,
     random_form,
     random_gamma0,
     random_sl2,
@@ -276,7 +277,8 @@ def test_p1_label_and_cosets_match_unit_loop():
 
 
 def test_p1_label_zero_row_is_immediate():
-    # c = 0 (mod n) labels as (0, 1) without a loop over the n units
+    # c = 0 (mod n) labels as (0, 1) without a loop over the n units, also
+    # in the class key of the test oracle
     n = 10**9 + 7
     assert p1_label(n, 0, 5) == (0, 1)
     assert class_key(Form(1, 1, 6), n) == (Form(1, 1, 6), (0, 1))
@@ -339,11 +341,11 @@ def test_enumerate_is_sorted_and_validates():
 
 def test_enumerate_matches_class_count_for_primes():
     # |Gamma0(p)-RF(D)| agrees with the translate covering at higher levels,
-    # class key by class key
+    # class key by class key of the oracle
     for p in (5, 7, 11):
         for d in (-3, -4, -7, -8, -11):
             covering = covering_per_pair(d, p, coset_reps(p))
-            assert _class_table(d, p).keys() == covering, (d, p)
+            assert keyed_class_table(d, p).keys() == covering, (d, p)
             assert len(enumerate_reduced(d, p)) == len(covering), (d, p)
 
 
@@ -392,8 +394,8 @@ def test_walk_matches_form_oracle(rng, n):
 def test_walk_checks(monkeypatch):
     # each check of the minimum fires from one patched step: a wrong Bezout
     # pair in the completion fails the witness check, and a scaled form left
-    # unreduced runs the rows past their bound; two classes must not have
-    # one reduced form
+    # unreduced runs the rows past their bound; a minimum that gives two
+    # classes one reduced form fails the class count of the table
     def wrong_bezout(x, y, _real=reduction.xgcd):
         g, u, v = _real(x, y)
         return g, u, v + 1
@@ -409,8 +411,14 @@ def test_walk_checks(monkeypatch):
         far = act(Form(1, 1, 1), GroupElement(1, 0, 5 * 10**6, 1))
         with pytest.raises(InvariantError, match="at level 5 passed row 10"):
             _minimum(*far, 5)
-    monkeypatch.setattr(reduction, "_minimum", lambda a, b, c, n: (1, 1, 6, 1, 0, 0, 1))
-    with pytest.raises(InvariantError, match="two classes of disc -23, level 5 have one reduced form"):
+    first, second = class_reps(-23, 5)[:2]
+
+    def merged(a, b, c, n, _real=reduction._minimum):
+        out = _real(a, b, c, n)
+        return (*first, *out[3:]) if out[:3] == second else out
+
+    monkeypatch.setattr(reduction, "_minimum", merged)
+    with pytest.raises(InvariantError, match="17 classes of disc -23, level 5, not 18"):
         _class_table.__wrapped__(-23, 5)
 
 
@@ -451,38 +459,37 @@ def test_reduce_gamma0_witness(rng, n):
 
 
 def test_count_stable_under_other_coset_systems(rng):
-    # the classes, and so their keys, do not depend on the chosen coset system
+    # the classes, and so their oracle keys, do not depend on the chosen
+    # coset system
     for d, n in [(-4, 2), (-8, 2), (-3, 5), (-7, 3)]:
         base = coset_reps(n)
         twisted = tuple(random_gamma0(rng, n, 4) * g for g in reversed(base))
         covering = covering_per_pair(d, n, twisted)
-        assert covering == _class_table(d, n).keys(), (d, n)
+        assert covering == keyed_class_table(d, n).keys(), (d, n)
         assert len(covering) == len(enumerate_reduced(d, n)), (d, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 11, 12, 30, 122, 150])
 def test_class_table_matches_per_pair_oracle(n):
-    # the class keys on the whole grid; the forms against the per-a sweep at
-    # the levels of the walk oracle, and elsewhere, for |D| < 150, each form
-    # lies in its entry's class (test_minimum_matches_search_at_composite_levels
-    # checks that each is reduced)
+    # on the whole grid the oracle keys of the table's forms are distinct
+    # and are the keys of the covering, so the set of minima lists every
+    # class once; at the levels of the walk oracle its forms are those of
+    # the per-a sweep (test_minimum_matches_search_at_composite_levels
+    # checks that each form is reduced elsewhere)
     reps = coset_reps_by_scan(n)
     for d in range(-3, -701, -1):
         if d % 4 in (0, 1):
-            table = _class_table(d, n)
+            table = keyed_class_table(d, n)
             if has_walk(n):
                 assert table == class_table_per_pair(d, n, reps), (d, n)
-                continue
-            assert table.keys() == covering_per_pair(d, n, reps), (d, n)
-            if d > -150:
-                for key, f in table.items():
-                    assert class_key(f, n) == key, (d, n, key)
+            else:
+                assert table.keys() == covering_per_pair(d, n, reps), (d, n)
 
 
 def test_class_table_work_counts(monkeypatch):
-    # one automorph list per reduced form and one label per bottom row mod n,
-    # not one per (reduced form, coset) pair; no lift, as coset_reps is warm,
-    # and one minimum per class at every level
+    # one minimum per coset translate, h(D)*psi(n) of them, which is one
+    # per class below D = -4; no label, no automorph list and, as coset_reps
+    # is warm, no lift
     calls = dict.fromkeys(("p1_label", "automorphs", "_lift_to_sl2", "_minimum"), 0)
     for name in calls:
 
@@ -491,15 +498,13 @@ def test_class_table_work_counts(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(reduction, name, counted)
-    for d, n in ((-2999, 150), (-2999, 11), (-2999, 1)):
+    for d, n in ((-2999, 150), (-2999, 11), (-2999, 1), (-3, 12), (-4, 12)):
         psi = len(coset_reps(n))
         h = len(_sweep(d))
         calls.update(dict.fromkeys(calls, 0))
         classes = len(_class_table.__wrapped__(d, n))
-        assert calls["automorphs"] <= h, (calls, d, n, h)
-        assert calls["p1_label"] <= 2 * psi, (calls, d, n, psi)
-        assert calls["_lift_to_sl2"] == 0, (calls, d, n)
-        assert calls["_minimum"] == classes, (calls, d, n, classes)
+        assert calls == {"p1_label": 0, "automorphs": 0, "_lift_to_sl2": 0, "_minimum": h * psi}, (d, n)
+        assert classes == h * psi if d < -4 else classes < h * psi, (d, n, classes)
 
 
 def test_class_counts_match_the_index_formula():
@@ -517,6 +522,29 @@ def test_class_counts_match_the_index_formula():
                 assert len(class_reps(d, n)) == expected, (d, n)
 
 
+def test_representation_counts_match_the_roots():
+    # below D = -4 Gamma0(n) moves each proper admissible representation
+    # q(x, y) = m to (1, 0) of one (m, b, (b^2 - D)/4m), b mod 2m a root of
+    # b^2 = D (mod 4m), and fixes none but by I, while Aut(q) in Gamma0(n)
+    # is +-I: summed over the class reps the representations are 2 per
+    # primitive root, whatever n, so a class listed twice or missed shows
+    discs = (-7, -8, -11, -12, -15, -16, -20, -23, -24, -27, -28, -31, -35)
+    discs += (-39, -47, -56, -84, -95, -104, -420)
+    for d in discs:
+        for m in range(1, 40):
+            roots = sum(
+                (b * b - d) % (4 * m) == 0 and math.gcd(m, b, (b * b - d) // (4 * m)) == 1
+                for b in range(2 * m)
+            )
+            for n in (1, 2, 3, 4, 5, 6, 7, 10, 12):
+                found = sum(
+                    r.proper and r.admissible
+                    for q in class_reps(d, n)
+                    for r in find_representations(q, m, n)
+                )
+                assert found == 2 * roots, (d, n, m, found, roots)
+
+
 def test_class_count_check_catches_a_dropped_class(monkeypatch):
     # a coset list one short drops one class per reduced form, which the
     # count check of the class table refuses: 33 classes of the 3*12
@@ -526,49 +554,24 @@ def test_class_count_check_catches_a_dropped_class(monkeypatch):
         _class_table.__wrapped__(-23, 6)
 
 
-def test_each_sign_pair_is_labelled_once(monkeypatch, rng):
-    # delta*u and delta*(-u) have one P^1(Z/n) label, so class_key labels
-    # |Aut(r)|/2 rows, and the class table never labels a row mod n and its
-    # negative; reduce_gamma0 labels none
+def test_table_and_reduction_label_no_row(monkeypatch, rng):
+    # rows are labelled only where coset_reps is built: reduce_gamma0 and a
+    # class table over warm cosets call p1_label never
     calls = []
 
     def counted(n, c, d, _original=reduction.p1_label):
-        calls.append((n, c % n, d % n))
+        calls.append((n, c, d))
         return _original(n, c, d)
 
     monkeypatch.setattr(reduction, "p1_label", counted)
     for d in (-3, -4, -23, -2999):
         for n in (2, 5, 6, 130):
             for _ in range(5):
-                q = random_form(rng, d)
-                pairs = len(automorphs(reduce_sl2(q).reduced)) // 2
-                calls.clear()
-                class_key(q, n)
-                assert len(calls) == pairs, (q, n, calls)
-                calls.clear()
-                reduce_gamma0(q, n)
-                assert calls == [], (q, n, calls)
+                reduce_gamma0(random_form(rng, d), n)
     for d, n in ((-2999, 150), (-3, 12), (-4, 12)):
         coset_reps(n)
-        calls.clear()
         _class_table.__wrapped__(d, n)
-        rows = {min((c, e), (-c % n, -e % n)) for _, c, e in calls}
-        assert len(rows) == len(calls), (d, n)
-        if d < -4:
-            assert len(calls) <= len(coset_reps(n)), (d, n, len(calls))
-
-
-def test_orbit_lists_one_label_per_automorph(rng):
-    # labelling each sign pair once keeps one entry per u in Aut(r), in
-    # order: the labels of delta*u over all of Aut(r)
-    for d in (-3, -4, -23):
-        for n in (1, 2, 6, 7, 130):
-            for _ in range(10):
-                res = reduce_sl2(random_form(rng, d))
-                auts = automorphs(res.reduced)
-                delta = res.transform
-                expected = [p1_label(n, g.c, g.d) for g in (delta * u for u in auts)]
-                assert reduction._orbit(delta.c, delta.d, auts, partial(p1_label, n)) == expected
+    assert calls == []
 
 
 def test_finiteness_bound_for_prime_levels():
@@ -707,7 +710,8 @@ def test_canonical_rep_near_a_cusp(n):
 
 
 # ---------------------------------------------------------------------------
-# class keys
+# class keys: the oracle of class identity in conftest, checked against the
+# equivalence search
 
 
 KEY_DISCS = [-3, -4, -7, -8, -15, -20, -23, -56]

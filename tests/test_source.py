@@ -22,6 +22,13 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: no module may use
+    # grammar that 3.10 does not parse
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))
+
+
 def test_oracles_stay_in_tests():
     # the brute-force algorithms survive only as test oracles (tests/conftest.py)
     modules = [gammaforms] + [
@@ -42,7 +49,9 @@ def test_oracles_stay_in_tests():
             "is_prime_trial_division",
             "coset_reps_by_scan",
             "key_per_pair",
+            "class_key",
             "covering_per_pair",
+            "keyed_class_table",
             "class_table_per_pair",
             "genus_table_by_value_sets",
             "coprime_value",
