@@ -11,14 +11,16 @@ least over gcd(x, N) = 1, the minimum of the scaled form (a, bN, cN^2).
 Course in Computational Algebraic Number Theory, 2.7), completes each
 least (x, y) to a matrix of Gamma0(N) and keeps the greatest b, in
 integers, ending in one check of the witness.  It starts from any member
-of the class, however far towards a cusp.  ``reduce_gamma0`` is the
-minimum of one form with its witness, ``canonical_rep`` its form and
-``is_reduced`` the test that the minimum gives the form back.
+of the class, however far towards a cusp, at any level.  ``reduce_gamma0``
+is the minimum of one form with its witness, ``canonical_rep`` its form
+and ``is_reduced`` the test that the minimum gives the form back.
 
-The reduced form is the name of its class.  The cached class table per
-(D, N) is the set of minima of the coset translates of the SL2(Z)-reduced
-forms, which meet every class; it counts the classes against
-h(D)*psi(N) and its corrections at D = -3 and -4 (Shimura, ch. 1).
+The reduced form is the name of its class: ``equivalent_gamma0`` compares
+the minima of two forms and, when they agree, joins their witnesses.  The
+cached class table per (D, N) is the set of minima of the coset
+translates of the SL2(Z)-reduced forms, which meet every class; it counts
+the classes against h(D)*psi(N) and its corrections at D = -3 and -4
+(Shimura, ch. 1).
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -131,15 +133,22 @@ def _minimum(a: int, b: int, c: int, n: int) -> tuple[int, int, int, int, int, i
     Row t = 0 gives A when gcd(M11, n) = 1.  The values of row t >= 1 are
     at least |D|n^2*t^2/(4A), so the rows stop once that passes the best
     value.  Each prime of n forbids either a whole row (it divides M11 and
-    t) or one residue of s in it, so only the least allowed s on each side
-    of the vertex -B*t/(2A) can give the row's least value, and any span
-    consecutive s hold an allowed one, span being the part of n prime to
-    M11.  Row 1 is never forbidden, so the best value is below
-    A*span^2 + |D|n^2/(4A), and as 3A^2 <= |D|n^2 no row from 2*span on
-    can reach it.  A loop past either bound is an internal error.  Every
-    (x, y) at the least value is kept, signed so that y > 0, or y = 0 and
-    x > 0, and completed by xgcd; of the greatest b, the greatest matrix
-    is the witness."""
+    t) or one residue of s in it, so only the nearest allowed s on each
+    side of the vertex -B*t/(2A) can give the row's least value.  The
+    primes that forbid a residue divide span, the part of n prime to M11,
+    so by the Chinese remainder theorem the allowed s of a row are a
+    translate of the integers prime to span: any j consecutive s hold one,
+    j <= span being the Jacobsthal function of span.
+
+    No search bound is needed at any level.  Row 1 is never forbidden and
+    has an allowed s within j/2 of its vertex, so the best value is at most
+    A*j^2/4 + |D|n^2/(4A).  As 3A^2 <= |D|n^2, only the rows with
+    t^2 <= 1 + j^2/3 can reach it: O(j) rows of at most j steps on each
+    side, however large n is.  A row with 3(t^2 - 1) > span^2, or a side
+    with no allowed s in span steps, is an internal error.  Every (x, y)
+    at the least value is kept, signed so that y > 0, or y = 0 and x > 0,
+    and completed by xgcd; of the greatest b, the greatest matrix is the
+    witness."""
     big_a, big_b, big_c, ma, mb, mc, md = _gauss_steps(a, b * n, c * n * n)
     disc = 4 * big_a * big_c - big_b * big_b
     span = n
@@ -151,7 +160,7 @@ def _minimum(a: int, b: int, c: int, n: int) -> tuple[int, int, int, int, int, i
         best, found = big_a, [(ma, mc)]
     t = 1
     while disc * t * t <= 4 * big_a * best:
-        if t >= 2 * span:
+        if 3 * (t * t - 1) > span * span:
             raise InvariantError(f"the minimum of {(a, b, c)} at level {n} passed row {t}")
         if math.gcd(ma, mb * t, n) == 1:
             vertex = -big_b * t // (2 * big_a)
@@ -214,22 +223,6 @@ def _units_taking(n: int, c: int, g: int) -> list[int]:
     return [u for u in range(pow(c // g, -1, m), n, m) if math.gcd(u, n) == 1]
 
 
-def p1_label(n: int, c: int, d: int) -> tuple[int, int]:
-    """Canonical label of (c : d) on P^1(Z/N): the lexicographically least
-    unit multiple.  Requires gcd(c, d, n) = 1.  With g = gcd(c, N) the least
-    first entry is g (0 if g = N), reached by the units taking c to g."""
-    validate_level(n)
-    c %= n
-    d %= n
-    g = math.gcd(c, n)
-    if math.gcd(g, d) != 1:
-        raise ValidationError(f"({c} : {d}) is not a point of P^1(Z/{n})")
-    if g == n:
-        # c = 0 and d is a unit, which d^(-1) takes to 1
-        return 0, 1 % n
-    return g, min(u * d % n for u in _units_taking(n, c, g))
-
-
 def _lift_to_sl2(n: int, c: int, d: int) -> GroupElement:
     """An SL2(Z) matrix whose bottom row is = (c, d) mod n.  The rows come
     from labels the library built, so a row that is not a point of
@@ -279,8 +272,8 @@ def coset_reps(n: int) -> tuple[GroupElement, ...]:
     for c in range(1, n + 1):
         if n % c:
             continue
-        # the points (c : d) fall into orbits under the units fixing c, and
-        # p1_label names each orbit by c mod n and its least member
+        # the points (c : d) fall into orbits under the units fixing c; an
+        # orbit's label, its least unit multiple, is c mod n and its least d
         units = _units_taking(n, c, c)
         seen = bytearray(n)
         for d in range(n):
@@ -334,27 +327,23 @@ def automorphs(q: Form) -> tuple[GroupElement, ...]:
 def equivalent_gamma0(q1: Form, q2: Form, n: int) -> GroupElement | None:
     """A matrix g in Gamma0(n) with act(q1, g) = q2, or None.
 
-    Both forms are reduced to the common SL2(Z) representative; the full
-    solution set of act(q1, g) = q2 is then delta1 * Aut * delta2^(-1),
-    and it suffices to test each candidate's lower-left entry mod n.
+    The forms are equivalent when they have one reduced form, the _minimum
+    of each; then g = g1 * g2^(-1), g1 and g2 the witnesses carrying q1 and
+    q2 to it.  The minimum needs no search bound, so this answers at every
+    level.
     """
     require_qf(q1)
     require_qf(q2)
     validate_level(n)
     if q1.disc != q2.disc:
         raise DiscriminantMismatch(f"disc {q1.disc} != {q2.disc}")
-    r1 = reduce_sl2(q1)
-    r2 = reduce_sl2(q2)
-    if r1.reduced != r2.reduced:
+    m1, m2 = _minimum(*q1, n), _minimum(*q2, n)
+    if m1[:3] != m2[:3]:
         return None
-    d2_inv = r2.transform.inverse()
-    for u in automorphs(r1.reduced):
-        g = r1.transform * u * d2_inv
-        if g.in_gamma0(n):
-            if act(q1, g) != q2:
-                raise InvariantError(f"witness {g} does not carry {q1} to {q2}")
-            return g
-    return None
+    g = GroupElement(*m1[3:]) * GroupElement(*m2[3:]).inverse()
+    if act(q1, g) != q2:
+        raise InvariantError(f"witness {g} does not carry {q1} to {q2}")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,12 @@ from gammaforms.core import (
     validate_level,
     xgcd,
 )
-from gammaforms.errors import InvariantError, SearchBoundExceeded, ValidationError
+from gammaforms.errors import (
+    DiscriminantMismatch,
+    InvariantError,
+    SearchBoundExceeded,
+    ValidationError,
+)
 from gammaforms.genus import (
     GenusTable,
     PrimeClassification,
@@ -36,11 +41,11 @@ from gammaforms.reduction import (
     _class_table,
     _lift_to_sl2,
     _sweep,
+    _units_taking,
     automorphs,
     canonical_rep,
     class_reps,
     enumerate_reduced,
-    p1_label,
     reduce_sl2,
 )
 
@@ -335,6 +340,24 @@ def sweep_per_a(d: int, n: int) -> list[Form]:
     return forms
 
 
+def p1_label(n: int, c: int, d: int) -> tuple[int, int]:
+    """Canonical label of (c : d) on P^1(Z/N): the lexicographically least
+    unit multiple.  Requires gcd(c, d, n) = 1.  With g = gcd(c, N) the least
+    first entry is g (0 if g = N), reached by the units taking c to g.  The
+    labels of the coset and class-key oracles; reduction.coset_reps makes
+    its own by one walk over each orbit."""
+    validate_level(n)
+    c %= n
+    d %= n
+    g = math.gcd(c, n)
+    if math.gcd(g, d) != 1:
+        raise ValidationError(f"({c} : {d}) is not a point of P^1(Z/{n})")
+    if g == n:
+        # c = 0 and d is a unit, which d^(-1) takes to 1
+        return 0, 1 % n
+    return g, min(u * d % n for u in _units_taking(n, c, g))
+
+
 def coset_reps_by_scan(n: int) -> tuple[GroupElement, ...]:
     """Coset representatives of Gamma0(n) in SL2(Z), one per label, found by
     labelling every point (c : d) with c a divisor of n; the oracle for
@@ -374,8 +397,40 @@ def automorphs_by_search(q: Form) -> tuple[GroupElement, ...]:
 def key_per_pair(r: Form, delta: GroupElement, n: int) -> tuple:
     """The class key of every form q with act(q, delta) = r, r reduced: r
     and the least P^1(Z/n) label of the bottom rows of delta*u over u in
-    Aut(r), the cosets Gamma0(n)*delta*u."""
-    return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in automorphs(r)))
+    Aut(r), the cosets Gamma0(n)*delta*u.  delta*u and delta*(-u) have one
+    label, as -1 is a unit, so one u of each pair +-u is labelled: the one
+    whose bottom row is above (0, 0)."""
+    units = [u for u in automorphs(r) if (u.c, u.d) > (0, 0)]
+    return r, min(p1_label(n, g.c, g.d) for g in (delta * u for u in units))
+
+
+def solutions_by_stabilizers(q1: Form, q2: Form) -> tuple[GroupElement, ...]:
+    """Every g in SL2(Z) with act(q1, g) = q2: delta1*u*delta2^(-1) over u
+    in Aut(r) when both forms Gauss-reduce to r by delta1 and delta2, and
+    none when their reductions differ."""
+    r1, r2 = reduce_sl2(q1), reduce_sl2(q2)
+    if r1.reduced != r2.reduced:
+        return ()
+    d2_inv = r2.transform.inverse()
+    return tuple(r1.transform * u * d2_inv for u in automorphs(r1.reduced))
+
+
+def equivalent_by_stabilizers(q1: Form, q2: Form, n: int) -> GroupElement | None:
+    """A matrix g in Gamma0(n) with act(q1, g) = q2, or None: the first of
+    solutions_by_stabilizers whose lower-left entry is 0 mod n.  The oracle
+    for reduction.equivalent_gamma0, which compares the reduced forms of
+    the two classes and searches no stabilizer."""
+    require_qf(q1)
+    require_qf(q2)
+    validate_level(n)
+    if q1.disc != q2.disc:
+        raise DiscriminantMismatch(f"disc {q1.disc} != {q2.disc}")
+    for g in solutions_by_stabilizers(q1, q2):
+        if g.in_gamma0(n):
+            if act(q1, g) != q2:
+                raise InvariantError(f"witness {g} does not carry {q1} to {q2}")
+            return g
+    return None
 
 
 def class_key(q: Form, n: int) -> tuple:

@@ -10,6 +10,10 @@ repository root:
 
     PYTHONPATH=src python tests/digest_grid.py
 
+It prints to stderr each group whose digest changed, was added or was
+removed against the file it replaces, the list a change that moves an
+output names.
+
 The grid: ``enumerate``, ``genus`` and ``classgroup --table`` in JSON and
 ``classify`` at the primes 3..41, for every discriminant in -3..-239 and
 the levels in LEVELS; ``reduce``, ``equiv`` and ``represent`` on seeded
@@ -142,6 +146,20 @@ def digests() -> dict[str, str]:
     return {key: h.hexdigest() for key, h in sorted(hashes.items())}
 
 
+def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """'changed KEY', 'added KEY' or 'removed KEY' for each group whose
+    digest differs between old and new, sorted by key."""
+    return [
+        f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key) != new.get(key)
+    ]
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    new = digests()
+    for line in moved(old, new):
+        print(line, file=sys.stderr)
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)

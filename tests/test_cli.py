@@ -210,6 +210,24 @@ def test_reduce_builds_no_class_table(capsys, monkeypatch):
         assert code == 0 and out.startswith(f"reduced: {rep}\n"), level
 
 
+def test_equiv_answers_at_every_level(capsys, monkeypatch):
+    # equiv compares two minima, which need no search bound: with the bound
+    # at 1, where reduce refuses every level above 1, a translated pair is
+    # answered at levels with too many cosets for any class table
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "1")
+    q = Form(2, 1, 3)
+    for n in (10**6 + 3, 223092870, 10**12 + 39):
+        moved = act(q, GroupElement(1, 0, n, 1) * GroupElement(1, 1, 0, 1))
+        argv = ["equiv", "--form1", str(q), "--form2", str(moved), "--level", str(n), "--json"]
+        code, out, _ = capture(capsys, argv)
+        data = json.loads(out)
+        assert code == 0 and data["equivalent"], n
+        (a, b), (c, d) = data["gamma"]
+        assert c % n == 0 and act(q, GroupElement(a, b, c, d)) == moved, n
+    code, _, err = capture(capsys, ["reduce", "--form", str(q), "--level", "2"])
+    assert code == 4 and "search-bound" in err
+
+
 def test_reduce_at_a_large_level_in_a_fresh_process():
     proc = _run_cli(["reduce", "--form", "3,1,250", "--level", "1009", "--json"])
     assert proc.returncode == 0, proc.stderr

@@ -28,7 +28,7 @@ from gammaforms.core import (
 )
 from gammaforms.classgroup import principal_form
 from gammaforms.errors import SearchBoundExceeded, ValidationError
-from gammaforms.reduction import class_reps, p1_label
+from gammaforms.reduction import class_reps
 from conftest import (
     S,
     T,
@@ -129,7 +129,6 @@ def test_every_level_is_validated(n):
         "enumerate_reduced": lambda: gf.enumerate_reduced(-23, n),
         "equivalent_gamma0": lambda: gf.equivalent_gamma0(q, q, n),
         "is_reduced": lambda: gf.is_reduced(q, n),
-        "p1_label": lambda: p1_label(n, 1, 1),
         "sym_residues": lambda: gf.sym_residues(n),
         "sym_rep": lambda: gf.sym_rep(n, 1),
         "sym_inverse": lambda: gf.sym_inverse(n, 1),

@@ -27,7 +27,6 @@ from gammaforms.reduction import (
     enumerate_reduced,
     equivalent_gamma0,
     is_reduced,
-    p1_label,
     reduce_gamma0,
     reduce_sl2,
 )
@@ -40,15 +39,18 @@ from conftest import (
     class_table_per_pair,
     coset_reps_by_scan,
     covering_per_pair,
+    equivalent_by_stabilizers,
     has_walk,
     into_strip,
     is_reduced_by_rules,
     is_reduced_gamma0_small,
     keyed_class_table,
+    p1_label,
     random_form,
     random_gamma0,
     random_sl2,
     reduced_by_search,
+    solutions_by_stabilizers,
     sweep_per_a,
     walk_by_forms,
 )
@@ -409,7 +411,7 @@ def test_walk_checks(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(reduction, "_gauss_steps", lambda a, b, c: (a, b, c, 1, 0, 0, 1))
         far = act(Form(1, 1, 1), GroupElement(1, 0, 5 * 10**6, 1))
-        with pytest.raises(InvariantError, match="at level 5 passed row 10"):
+        with pytest.raises(InvariantError, match="at level 5 passed row 4"):
             _minimum(*far, 5)
     first, second = class_reps(-23, 5)[:2]
 
@@ -488,9 +490,9 @@ def test_class_table_matches_per_pair_oracle(n):
 
 def test_class_table_work_counts(monkeypatch):
     # one minimum per coset translate, h(D)*psi(n) of them, which is one
-    # per class below D = -4; no label, no automorph list and, as coset_reps
-    # is warm, no lift
-    calls = dict.fromkeys(("p1_label", "automorphs", "_lift_to_sl2", "_minimum"), 0)
+    # per class below D = -4; no unit orbit, no automorph list and, as
+    # coset_reps is warm, no lift
+    calls = dict.fromkeys(("_units_taking", "automorphs", "_lift_to_sl2", "_minimum"), 0)
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(reduction, name)):
@@ -503,7 +505,7 @@ def test_class_table_work_counts(monkeypatch):
         h = len(_sweep(d))
         calls.update(dict.fromkeys(calls, 0))
         classes = len(_class_table.__wrapped__(d, n))
-        assert calls == {"p1_label": 0, "automorphs": 0, "_lift_to_sl2": 0, "_minimum": h * psi}, (d, n)
+        assert calls == {"_units_taking": 0, "automorphs": 0, "_lift_to_sl2": 0, "_minimum": h * psi}, (d, n)
         assert classes == h * psi if d < -4 else classes < h * psi, (d, n, classes)
 
 
@@ -523,26 +525,30 @@ def test_class_counts_match_the_index_formula():
 
 
 def test_representation_counts_match_the_roots():
-    # below D = -4 Gamma0(n) moves each proper admissible representation
-    # q(x, y) = m to (1, 0) of one (m, b, (b^2 - D)/4m), b mod 2m a root of
-    # b^2 = D (mod 4m), and fixes none but by I, while Aut(q) in Gamma0(n)
-    # is +-I: summed over the class reps the representations are 2 per
-    # primitive root, whatever n, so a class listed twice or missed shows
-    discs = (-7, -8, -11, -12, -15, -16, -20, -23, -24, -27, -28, -31, -35)
+    # Gamma0(n) moves each proper admissible representation q(x, y) = m to
+    # (1, 0) of one (m, b, (b^2 - D)/4m), b mod 2m a root of b^2 = D
+    # (mod 4m); the representations that land on one such form are its
+    # automorphs in Gamma0(n), whose first columns give (1, 0) back.  Summed
+    # over the class reps they number, per primitive root, the stabilizer
+    # of that form in Gamma0(n): +-I below D = -4, whatever n, and up to 6
+    # at D = -3 and 4 at D = -4, so a class listed twice or missed shows
+    discs = (-3, -4, -7, -8, -11, -12, -15, -16, -20, -23, -24, -27, -28, -31, -35)
     discs += (-39, -47, -56, -84, -95, -104, -420)
     for d in discs:
         for m in range(1, 40):
-            roots = sum(
-                (b * b - d) % (4 * m) == 0 and math.gcd(m, b, (b * b - d) // (4 * m)) == 1
+            roots = [
+                Form(m, b, (b * b - d) // (4 * m))
                 for b in range(2 * m)
-            )
+                if (b * b - d) % (4 * m) == 0 and math.gcd(m, b, (b * b - d) // (4 * m)) == 1
+            ]
             for n in (1, 2, 3, 4, 5, 6, 7, 10, 12):
+                expected = sum(u.c % n == 0 for f in roots for u in automorphs(f))
                 found = sum(
                     r.proper and r.admissible
                     for q in class_reps(d, n)
                     for r in find_representations(q, m, n)
                 )
-                assert found == 2 * roots, (d, n, m, found, roots)
+                assert found == expected, (d, n, m, found, expected)
 
 
 def test_class_count_check_catches_a_dropped_class(monkeypatch):
@@ -555,15 +561,20 @@ def test_class_count_check_catches_a_dropped_class(monkeypatch):
 
 
 def test_table_and_reduction_label_no_row(monkeypatch, rng):
-    # rows are labelled only where coset_reps is built: reduce_gamma0 and a
-    # class table over warm cosets call p1_label never
+    # rows are labelled only where coset_reps is built, by the unit orbits
+    # of _units_taking: reduce_gamma0 and a class table over warm cosets
+    # take no orbit, and the library has no labelling function of its own
+    assert not hasattr(reduction, "p1_label")
+    # the cosets of the tables below and of random_form's level-1 tables
+    for n in (1, 150, 12):
+        coset_reps(n)
     calls = []
 
-    def counted(n, c, d, _original=reduction.p1_label):
-        calls.append((n, c, d))
-        return _original(n, c, d)
+    def counted(n, c, g, _original=reduction._units_taking):
+        calls.append((n, c, g))
+        return _original(n, c, g)
 
-    monkeypatch.setattr(reduction, "p1_label", counted)
+    monkeypatch.setattr(reduction, "_units_taking", counted)
     for d in (-3, -4, -23, -2999):
         for n in (2, 5, 6, 130):
             for _ in range(5):
@@ -650,6 +661,53 @@ def test_equivalent_gamma0_detects_translates(rng):
         assert g is not None and g.in_gamma0(n) and act(q, g) == q2
 
 
+EQUIV_DISCS = (-3, -4, -7, -8, -11, -15, -20, -23, -84, -231, -420)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 25, 30])
+def test_equivalent_gamma0_matches_stabilizer_oracle(rng, n):
+    # 40 pairs per (D, n), every other one moved by a Gamma0(n) word and the
+    # rest by an SL2(Z) word: None exactly where the oracle finds no element
+    # of Gamma0(n) in delta1*Aut(r)*delta2^(-1), and otherwise a matrix of
+    # that set that lies in Gamma0(n) and carries q1 to q2
+    outcomes = set()
+    for d in EQUIV_DISCS:
+        for i in range(40):
+            q1 = random_form(rng, d)
+            q2 = act(q1, random_gamma0(rng, n) if i % 2 else random_sl2(rng))
+            g = equivalent_gamma0(q1, q2, n)
+            assert (g is None) == (equivalent_by_stabilizers(q1, q2, n) is None), (q1, q2, n)
+            if g is not None:
+                assert g.in_gamma0(n) and act(q1, g) == q2, (q1, q2, n, g)
+                assert g in solutions_by_stabilizers(q1, q2), (q1, q2, n, g)
+            outcomes.add(g is None)
+    assert outcomes == ({False, True} if n > 1 else {False}), n
+
+
+@pytest.mark.parametrize("n", [10**6 + 3, 223092870, 10**12 + 39])
+def test_equivalent_gamma0_at_large_levels(rng, n):
+    # the minimum needs no search bound: at a prime, the product of the
+    # primes up to 23 and a prime near 10^12, where no class table can be
+    # built, translated pairs are answered within the alarm, as the oracle
+    # answers them
+    pairs = []
+    for d in EQUIV_DISCS:
+        for i in range(10):
+            q1 = random_form(rng, d)
+            pairs.append((q1, act(q1, random_gamma0(rng, n) if i % 2 else random_sl2(rng))))
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        found = [equivalent_gamma0(q1, q2, n) for q1, q2 in pairs]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    for (q1, q2), g in zip(pairs, found):
+        assert (g is None) == (equivalent_by_stabilizers(q1, q2, n) is None), (q1, q2, n)
+        assert g is None or g.in_gamma0(n) and act(q1, g) == q2, (q1, q2, n, g)
+    assert all(g is not None for g in found[1::2]), n
+
+
 def test_enumerated_forms_pairwise_inequivalent():
     for d, n in [(-4, 2), (-8, 2), (-28, 2), (-3, 5), (-4, 5), (-7, 7)]:
         forms = enumerate_reduced(d, n)
@@ -691,7 +749,7 @@ def test_canonical_rep_matches_table_oracle(rng, n):
 
 
 def _time_out(signum, frame):
-    raise TimeoutError("canonical_rep did not answer within 10 s")
+    raise TimeoutError("no answer within 10 s")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6])

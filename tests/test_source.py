@@ -48,6 +48,7 @@ def test_oracles_stay_in_tests():
             "prepare_coprime_sorted_shells",
             "is_prime_trial_division",
             "coset_reps_by_scan",
+            "p1_label",
             "key_per_pair",
             "class_key",
             "covering_per_pair",
@@ -60,6 +61,8 @@ def test_oracles_stay_in_tests():
             "contains_all_arcs",
             "classify_prime_by_scan",
             "canonical_rep_by_table",
+            "solutions_by_stabilizers",
+            "equivalent_by_stabilizers",
             "walk_by_forms",
             "reduced_by_search",
             "crt_by_euclid",
@@ -213,7 +216,8 @@ def test_only_core_reads_the_environment():
 
 def test_only_equiv_searches_for_equivalence():
     # a reduced form's witness comes with it from reduction.reduce_gamma0;
-    # the pairwise search equivalent_gamma0 serves the equiv command alone
+    # equivalent_gamma0, which joins the witnesses of two reduced forms,
+    # serves the equiv command alone
     users = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
