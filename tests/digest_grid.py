@@ -11,8 +11,8 @@ repository root:
     PYTHONPATH=src python tests/digest_grid.py
 
 It prints to stderr each group whose digest changed, was added or was
-removed against the file it replaces, the list a change that moves an
-output names.
+removed against the file it replaces; a change that moves an output
+lists these groups in CHANGES.md.
 
 The grid: ``enumerate``, ``genus`` and ``classgroup --table`` in JSON and
 ``classify`` at the primes 3..41, for every discriminant in -3..-239 and
