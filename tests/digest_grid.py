@@ -16,7 +16,9 @@ lists these groups in CHANGES.md.
 
 The grid: ``enumerate``, ``genus`` and ``classgroup --table`` in JSON and
 ``classify`` at the primes 3..41, for every discriminant in -3..-239 and
-the levels in LEVELS; ``reduce``, ``equiv`` and ``represent`` on seeded
+the levels in LEVELS; ``verify-iso`` and ``verify-iso --oracle``, in text
+and JSON, for every discriminant in -3..-59 at those levels, the oracle
+being a group of its own; ``reduce``, ``equiv`` and ``represent`` on seeded
 random forms and Gamma0(N) translates; ``fundomain`` at a few primes;
 ``paper-tables``; ``enumerate`` in text at level 6; and one call per
 error exit code.  The inputs come from a seeded generator and level-1
@@ -43,6 +45,9 @@ from gammaforms.reduction import enumerate_reduced
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
 DISCS = [d for d in range(-3, -240, -1) if d % 4 in (0, 1)]
+# the lattice oracle checks every pair of classes, h^2 of them; this range
+# keeps the verify-iso calls to a few seconds of the grid
+VERIFY_DISCS = [d for d in DISCS if d > -60]
 LEVELS = (1, 2, 3, 4, 5, 6, 7, 10, 12)
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 SEED = 20261020
@@ -79,6 +84,12 @@ def grid() -> list[tuple[list[str], str | None]]:
             calls.append((["genus", *disc, *level, "--json"], None))
             calls.append((["classgroup", *disc, *level, "--table", "--json"], None))
             calls += [(["classify", "--prime", str(p), *disc, *level], None) for p in PRIMES]
+            if d in VERIFY_DISCS:
+                calls += [
+                    (["verify-iso", *disc, *level, *oracle, *fmt], None)
+                    for oracle in ([], ["--oracle"])
+                    for fmt in ([], ["--json"])
+                ]
             q, moved = _random_translate(rng, d, n)
             for fmt in ("text", "json"):
                 calls.append((["reduce", "--form", _form(moved), *level, "--format", fmt], None))
@@ -101,10 +112,11 @@ def grid() -> list[tuple[list[str], str | None]]:
 
 
 def group_key(argv: list[str], fault: str | None) -> str:
-    """'command format level': the format named in argv or the command's
-    default, and the level (or prime of fundomain), '-' when there is none;
-    an injected fault is named after them."""
-    command = argv[0]
+    """'command format level': the command (with --oracle when given), the
+    format named in argv or the command's default, and the level (or prime
+    of fundomain), '-' when there is none; an injected fault is named after
+    them."""
+    command = argv[0] + (" --oracle" if "--oracle" in argv else "")
     fmt = "json" if command in ("classify", "fundomain") else "text"
     level = "-"
     for i, arg in enumerate(argv):
