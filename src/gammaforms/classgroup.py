@@ -61,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .ideals import ideal_from_form, ideal_mul
-from .reduction import _coset_index, _gauss, automorphs, check_table_bounds, class_reps, reduce_sl2
+from .reduction import _coset_index, _gauss, automorphs, check_table_bounds, class_reps
 
 
 def principal_form(d: int) -> Form:
@@ -85,14 +85,15 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
     if m == 0:
         raise ValidationError("m must be nonzero")
     m = abs(m)
-    if math.gcd(q.a, m) == 1:
+    a, b, c = q
+    if math.gcd(a, m) == 1:
         return q
     g_mn = math.gcd(m, n)
-    if g_mn > 1 and math.gcd(q.a, g_mn) > 1:
+    if g_mn > 1 and math.gcd(a, g_mn) > 1:
         raise ValidationError(
             f"no Gamma0({n})-translate of {q} has leading coefficient coprime to {m}"
         )
-    limit = search_bound(4 * m * n * abs(q.disc))
+    limit = search_bound(4 * m * n * (4 * a * c - b * b))
     for s in range(1, limit + 1):
         # the shell max(|x|, |y|) = s, x ascending and then y ascending,
         # visiting only the y divisible by n: all of them on the sides
@@ -100,7 +101,7 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
         side = range(-(s // n) * n, s + 1, n)
         for x in range(-s, s + 1) if s % n == 0 else (-s, s):
             for y in side if abs(x) == s else (-s, s):
-                if math.gcd(x, y) == 1 and math.gcd(q(x, y), m) == 1:
+                if math.gcd(x, y) == 1 and math.gcd(a * x * x + b * x * y + c * y * y, m) == 1:
                     return act_by_column(q, x, y)
     raise SearchBoundExceeded(
         f"prepare_coprime({q}, m={m}, n={n}) exceeded max(|x|,|y|) <= {limit}"
@@ -117,30 +118,29 @@ def dirichlet_compose(q1: Form, q2: Form, n: int) -> Form:
     require_qf(q1)
     require_qf(q2)
     validate_level(n)
-    d = q1.disc
-    if d != q2.disc:
-        raise DiscriminantMismatch(f"disc {q1.disc} != {q2.disc}")
-    a1, b1 = q1.a, q1.b
-    a2, b2 = q2.a, q2.b
-    if math.gcd(math.gcd(a1, a2), (b1 + b2) // 2) != 1:
+    a1, b1, c1 = q1
+    a2, b2, c2 = q2
+    d = b1 * b1 - 4 * a1 * c1
+    if d != b2 * b2 - 4 * a2 * c2:
+        raise DiscriminantMismatch(f"disc {d} != {q2.disc}")
+    if math.gcd(a1, a2, (b1 + b2) // 2) != 1:
         raise CompositionError(f"gcd(a, a', (b+b')/2) != 1 for {q1} and {q2}")
-    if math.gcd(a1 * a2, n) != 1:
+    aa = a1 * a2
+    if math.gcd(aa, n) != 1:
         raise CompositionError(f"gcd(aa', {n}) != 1 for {q1} and {q2}")
 
-    mod = 2 * a1 * a2
+    mod = 2 * aa
     sol = crt(b1, 2 * a1, b2, 2 * a2)
     if sol is None:
         raise CompositionError(f"middle coefficients {b1}, {b2} have mixed parity")
     base, l = sol
-    candidates = [
-        b for b in range(base, mod, l) if (b * b - d) % (4 * a1 * a2) == 0
-    ]
+    candidates = [b for b in range(base, mod, l) if (b * b - d) % (4 * aa) == 0]
     if len(candidates) != 1:
         raise CompositionError(
             f"B is not unique mod {mod} for {q1} and {q2}: {candidates}"
         )
     big_b = candidates[0]
-    return Form(a1 * a2, big_b, (big_b * big_b - d) // (4 * a1 * a2))
+    return Form(aa, big_b, (big_b * big_b - d) // (4 * aa))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,13 @@ def _scaled_classes(d: int, n: int) -> Mapping[Form, tuple[Form, tuple[GroupElem
     reps = class_reps(d, n)
     scaled = {}
     for f in reps:
-        if math.gcd(f.a, n) != 1:
+        a, b, c = f
+        if math.gcd(a, n) != 1:
             continue
-        r, delta = reduce_sl2(Form(f.a, f.b * n, f.c * n * n))
+        # f is admissible, so its image is primitive: Gauss reduction,
+        # with its witness checked, is its SL2(Z) reduction
+        ra, rb, rc, *g = _gauss(a, b * n, c * n * n)
+        r, delta = Form(ra, rb, rc), GroupElement(*g)
         if r in scaled:
             raise InvariantError(f"{scaled[r][0]} and {f} meet at disc {d * n * n} (level {n})")
         scaled[r] = f, tuple(delta * u for u in automorphs(r))

@@ -105,43 +105,48 @@ def is_prime(n: int) -> bool:
 
 def sqrt_mod_prime(a: int, p: int) -> int:
     """A root r in [0, p) of r^2 = a (mod p), p an odd prime.  A non-residue
-    a raises ValidationError (Euler's criterion).  By p mod 8:
+    a raises ValidationError: every root is squared before it is returned.
+    By p mod 8:
 
     * p = 3, 7: r = a^((p+1)/4).
     * p = 5 (Atkin): with v = (2a)^((p-5)/8) and i = 2a*v^2, a square root
       of -1, r = a*v*(i - 1).  One power; no search.
-    * p = 1: Tonelli-Shanks (Cohen 1.5.1).  It needs a non-residue z; the
-      search tries z = 2, 3, ... and refuses past search_bound(10**4)
-      candidates (under GRH the least one is below 2*log(p)^2, about 6,400
-      at p < 3.3e24).
+    * p = 1: Tonelli-Shanks (Cohen 1.5.1), after Euler's criterion, since
+      the descent needs a residue.  It needs a non-residue z; the search
+      tries z = 2, 3, ... and refuses past search_bound(10**4) candidates
+      (under GRH the least one is below 2*log(p)^2, about 6,400 at
+      p < 3.3e24).
     """
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValidationError(f"{a} is not a square modulo {p}")
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
+        r = pow(a, (p + 1) // 4, p)
+    elif p % 8 == 5:
         v = pow(2 * a, (p - 5) // 8, p)
-        return a * v * (2 * a * v * v - 1) % p
-    odd, twos = p - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    limit = search_bound(10**4)
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        if z > limit:
-            raise SearchBoundExceeded(f"no non-residue modulo {p} among {limit} candidates")
-        z += 1
-    # invariant: r^2 = a*t, t^(2^(m-1)) = 1 and c has order 2^m
-    m, c, t, r = twos, pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        r = a * v * (2 * a * v * v - 1) % p
+    else:
+        if pow(a, (p - 1) // 2, p) != 1:
+            raise ValidationError(f"{a} is not a square modulo {p}")
+        odd, twos = p - 1, 0
+        while odd % 2 == 0:
+            odd, twos = odd // 2, twos + 1
+        limit = search_bound(10**4)
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            if z > limit:
+                raise SearchBoundExceeded(f"no non-residue modulo {p} among {limit} candidates")
+            z += 1
+        # invariant: r^2 = a*t, t^(2^(m-1)) = 1 and c has order 2^m
+        m, c, t, r = twos, pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    if r * r % p != a:
+        raise ValidationError(f"{a} is not a square modulo {p}")
     return r
 
 

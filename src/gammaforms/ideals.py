@@ -8,12 +8,13 @@ delta^2 = D*delta - (D^2 - D)/4.  An element x + y*delta is the vector
     ((h00, h01), (0, h11)),   h00, h11 > 0,   0 <= h01 < h11,
 
 holding the basis rows, together with a positive rational scale for
-fractional ideals.  The matrix is kept primitive (content 1, pushed into
-the scale), which makes lattice equality a structural equality.
-Multiplication expands the four pairwise products of basis vectors with
-the minimal polynomial of delta and re-normalizes; no composition formula
-is involved anywhere, which is what makes this an independent check of the
-form-level group law.
+fractional ideals.  An ideal is the tuple (order, mat, scale) itself,
+equal to and hashed as that tuple.  The matrix is kept primitive (content
+1, pushed into the scale), which makes lattice equality a structural
+equality.  Multiplication expands the four pairwise products of basis
+vectors in integers, with delta^2 = D*delta - N(delta), and re-normalizes;
+no composition formula is involved anywhere, which is what makes this an
+independent check of the form-level group law.
 
 The ideal of a form comes in closed form: its lattice Z*(a, 0) + Z*(k, 1)
 has the HNF ((g, t), (0, a/g)) for g = gcd(a, k) and t the inverse of k/g
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import Form, require_qf, validate_discriminant
 from .errors import InvariantError, ValidationError
@@ -99,8 +101,7 @@ def hnf_rows(rows: list[tuple[int, int]]) -> Matrix:
     return ((h00, h01 % h11), (0, h11))
 
 
-@dataclass(frozen=True)
-class OIdeal:
+class OIdeal(NamedTuple):
     """A fractional ideal (or plain lattice) scale * (Z row0 + Z row1)."""
 
     order: QuadOrder
@@ -110,15 +111,13 @@ class OIdeal:
     @classmethod
     def make(cls, order: QuadOrder, rows: list[tuple[int, int]], scale: Fraction = _ONE) -> "OIdeal":
         # a Fraction keeps its sign in the numerator
-        if scale.numerator <= 0:
+        if scale is not _ONE and scale.numerator <= 0:
             raise ValidationError("scale must be positive")
         mat = hnf_rows(rows)
-        content = math.gcd(math.gcd(mat[0][0], mat[0][1]), mat[1][1])
+        (h00, h01), (_, h11) = mat
+        content = math.gcd(h00, h01, h11)
         if content > 1:
-            mat = (
-                (mat[0][0] // content, mat[0][1] // content),
-                (0, mat[1][1] // content),
-            )
+            mat = ((h00 // content, h01 // content), (0, h11 // content))
             scale = scale * content
         return cls(order, mat, scale)
 
@@ -205,18 +204,26 @@ def ideal_from_form(q: Form) -> OIdeal:
 
 
 def ideal_mul(i: OIdeal, j: OIdeal) -> OIdeal:
-    """Product lattice: HNF of the four pairwise products of basis vectors."""
-    order = i.order
-    if order is not j.order and order != j.order:
+    """Product lattice: HNF of the four pairwise products of basis vectors,
+    (x1 + y1*delta)(x2 + y2*delta) = x1*x2 - y1*y2*N(delta) +
+    (x1*y2 + y1*x2 + y1*y2*D)*delta, expanded from the two HNF matrices."""
+    order, ((x1, y1), (_, w1)), scale1 = i
+    other, ((x2, y2), (_, w2)), scale2 = j
+    if order is not other and order != other:
         raise ValidationError("ideals live in different orders")
-    mul = order.mul
-    rows = [mul(u, v) for u in i.mat for v in j.mat]
-    if i.scale is _ONE:
-        scale = j.scale
-    elif j.scale is _ONE:
-        scale = i.scale
+    d, nd = order.D, order.delta_norm
+    rows = [
+        (x1 * x2 - y1 * y2 * nd, x1 * y2 + y1 * x2 + y1 * y2 * d),
+        (-y1 * w2 * nd, (x1 + y1 * d) * w2),
+        (-w1 * y2 * nd, w1 * (x2 + y2 * d)),
+        (-w1 * w2 * nd, w1 * w2 * d),
+    ]
+    if scale1 is _ONE:
+        scale = scale2
+    elif scale2 is _ONE:
+        scale = scale1
     else:
-        scale = i.scale * j.scale
+        scale = scale1 * scale2
     return OIdeal.make(order, rows, scale)
 
 

@@ -713,6 +713,15 @@ def ideal_from_form_by_hnf(q: Form) -> OIdeal:
     return ideal
 
 
+def ideal_mul_by_order(i: OIdeal, j: OIdeal) -> OIdeal:
+    """Product lattice: the four products of basis vectors by QuadOrder.mul,
+    reduced through OIdeal.make; the oracle for ideals.ideal_mul."""
+    if i.order != j.order:
+        raise ValidationError("ideals live in different orders")
+    rows = [i.order.mul(u, v) for u in i.mat for v in j.mat]
+    return OIdeal.make(i.order, rows, i.scale * j.scale)
+
+
 def crt_by_euclid(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     """x = r1 (mod m1), x = r2 (mod m2) from the s of xgcd(m1, m2) =
     (g, s, t): (x, lcm) with 0 <= x < lcm, or None when incompatible; the

@@ -1,3 +1,4 @@
+import builtins
 import math
 from fractions import Fraction
 from functools import partial
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gammaforms as gf
+from gammaforms import core
 from gammaforms.core import (
     MILLER_RABIN_LIMIT,
     CmPoint,
@@ -439,6 +441,24 @@ def test_sqrt_mod_prime_five_mod_eight_does_no_search(monkeypatch):
     # refuses nothing
     monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "0")
     assert sqrt_mod_prime(3, 13) in (4, 9)
+
+
+@pytest.mark.parametrize("bad_root", [lambda r: r + 1, lambda r: 2 * r])
+@pytest.mark.parametrize("a, p", [(2, 23), (3, 37)])
+def test_root_check_catches_a_wrong_power(monkeypatch, bad_root, a, p):
+    # 23 = 3 (mod 4) and 37 = 5 (mod 8): the root is one closed-form power,
+    # and only its square checks it; the module's pow is shadowed here by
+    # one that is wrong at every exponent but Euler's (p - 1)/2
+    r = sqrt_mod_prime(a, p)
+    assert r * r % p == a
+
+    def wrong_pow(x, e, m):
+        out = builtins.pow(x, e, m)
+        return out if e == (m - 1) // 2 else bad_root(out)
+
+    monkeypatch.setattr(core, "pow", wrong_pow, raising=False)
+    with pytest.raises(ValidationError, match=f"{a} is not a square modulo {p}"):
+        sqrt_mod_prime(a, p)
 
 
 def test_crt_matches_euclid_oracle():

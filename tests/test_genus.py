@@ -385,7 +385,7 @@ def test_classify_prime_checks_every_candidate(monkeypatch):
 def test_scaled_classes_must_be_distinct(monkeypatch):
     # two classes landing on one SL2(Z)-class at disc D*N^2 break the
     # isomorphism and are reported
-    monkeypatch.setattr(classgroup, "reduce_sl2", lambda q: reduce_sl2(Form(1, 0, 28)))
+    monkeypatch.setattr(classgroup, "_gauss", lambda a, b, c: reduction._gauss(1, 0, 28))
     with pytest.raises(InvariantError, match="meet at disc -112"):
         classgroup._scaled_classes.__wrapped__(-28, 2)
 

@@ -19,7 +19,13 @@ from gammaforms.ideals import (
     whole_order_ideal,
 )
 from gammaforms.reduction import class_reps, enumerate_reduced
-from conftest import hnf_rows_by_euclid, ideal_from_form_by_hnf, random_form, random_sl2
+from conftest import (
+    hnf_rows_by_euclid,
+    ideal_from_form_by_hnf,
+    ideal_mul_by_order,
+    random_form,
+    random_sl2,
+)
 
 
 def test_quad_order_arithmetic():
@@ -188,6 +194,28 @@ def test_hnf_rows_matches_euclid_oracle(rng):
             continue
         assert hnf_rows(rows) == expected, rows
     assert deficient > 1000
+
+
+def test_ideal_mul_matches_order_oracle(rng):
+    # random form ideals, their conjugates and their halves, over every
+    # discriminant in -3..-400; equal products hash equal
+    discs = [d for d in range(-3, -401, -1) if d % 4 in (0, 1)]
+    scaled = 0
+    for _ in range(3000):
+        d = rng.choice(discs)
+        pair = []
+        for _ in range(2):
+            i = ideal_from_form(random_form(rng, d, 4))
+            if rng.random() < 0.3:
+                i = i.conjugate()
+            if rng.random() < 0.3:
+                i = i.scaled(Fraction(1, 2))
+            pair.append(i)
+        product = ideal_mul(*pair)
+        expected = ideal_mul_by_order(*pair)
+        assert product == expected and hash(product) == hash(expected), pair
+        scaled += product.scale != 1
+    assert scaled > 500
 
 
 def test_scaled_paths_keep_their_values():

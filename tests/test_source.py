@@ -67,6 +67,7 @@ def test_oracles_stay_in_tests():
             "reduced_by_search",
             "crt_by_euclid",
             "hnf_rows_by_euclid",
+            "ideal_mul_by_order",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
 
