@@ -109,7 +109,7 @@ def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
 def reduce_sl2(q: Form) -> ReductionResult:
     """Gauss reduction; returns the reduced form and a witness matrix g
     with act(q, g) equal to it.  The loop and its check run in integers
-    in `_gauss`, which `genus.classify_prime` calls directly; only the
+    in `_gauss`, which `classgroup` and `genus` call directly; only the
     answer is wrapped in objects."""
     require_qf(q)
     a, b, c, *g = _gauss(*q)
