@@ -66,20 +66,16 @@ from .ideals import (
     QuadOrder,
     ideal_from_form,
     ideal_mul,
-    ideal_norm,
-    whole_order_ideal,
 )
 from .reduction import (
     ReductionResult,
     automorphs,
     canonical_rep,
-    class_reps,
     coset_reps,
     enumerate_reduced,
     equivalent_gamma0,
     is_reduced,
     reduce_gamma0,
-    reduce_sl2,
 )
 
 __version__ = "0.1.0"

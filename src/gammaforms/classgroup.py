@@ -61,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .ideals import ideal_from_form, ideal_mul
-from .reduction import _coset_index, _gauss, automorphs, check_table_bounds, class_reps
+from .reduction import _coset_index, _gauss, automorphs, check_table_bounds, enumerate_reduced
 
 
 def principal_form(d: int) -> Form:
@@ -94,7 +94,9 @@ def prepare_coprime(q: Form, m: int, n: int) -> Form:
             f"no Gamma0({n})-translate of {q} has leading coefficient coprime to {m}"
         )
     limit = search_bound(4 * m * n * (4 * a * c - b * b))
-    for s in range(1, limit + 1):
+    # below s = n a shell holds only (+-s, 0), whose value a*s^2 shares a
+    # factor with m, so the walk starts at shell n
+    for s in range(n, limit + 1):
         # the shell max(|x|, |y|) = s, x ascending and then y ascending,
         # visiting only the y divisible by n: all of them on the sides
         # x = -s and x = s, and y = -s, s in between when n | s
@@ -228,7 +230,7 @@ def _scaled_classes(d: int, n: int) -> Mapping[Form, tuple[Form, tuple[GroupElem
     divided by 3 at D = -3 and by 2 at D = -4 when N > 1 (Cox, Primes of
     the Form x^2 + ny^2, Thm 7.24), h(D) being the checked class table's
     size over psi(N), and 1 at D = -3 and -4."""
-    reps = class_reps(d, n)
+    reps = enumerate_reduced(d, n)
     scaled = {}
     for f in reps:
         a, b, c = f

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import classgroup as cg
@@ -371,7 +372,17 @@ def _call(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console entry point.  A reader that closes stdout early, as
+    `| head -1` does, ends the command with exit 1 and no traceback (the
+    Python docs' note on SIGPIPE)."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout to devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

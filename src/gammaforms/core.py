@@ -425,10 +425,6 @@ class CmPoint:
     def im_sq(self) -> Fraction:
         return Fraction(-self.D, self.den * self.den)
 
-    @property
-    def abs_sq(self) -> Fraction:
-        return Fraction(self.numB * self.numB - self.D, self.den * self.den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CmPoint):
             return NotImplemented

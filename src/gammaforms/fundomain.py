@@ -25,6 +25,7 @@ and the boundary inventory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ def sym_rep(p: int, x: int) -> int:
 def sym_inverse(p: int, x: int) -> int:
     """The unique y in S_p with x*y = 1 (mod p)."""
     validate_level(p)
-    if x % p == 0:
+    if x % p == 0 or math.gcd(x, p) > 1:
         raise ValidationError(f"{x} has no inverse modulo {p}")
     return sym_rep(p, pow(x, -1, p))
 

@@ -77,10 +77,6 @@ def _pair_key(pair: tuple[int, int]) -> tuple:
     return (abs(y), abs(x), y < 0, x < 0)
 
 
-def _rep_sort_key(r: Representation) -> tuple:
-    return _pair_key((r.x, r.y))
-
-
 def find_representations(q: Form, m: int, n: int) -> tuple[Representation, ...]:
     """All integer solutions of q(x, y) = m, each flagged.
 
@@ -123,7 +119,7 @@ def find_representations(q: Form, m: int, n: int) -> tuple[Representation, ...]:
                     math.gcd(x, n) == 1 and y % n == 0,
                 )
             )
-    return tuple(sorted(set(out), key=_rep_sort_key))
+    return tuple(sorted(set(out), key=lambda r: _pair_key((r.x, r.y))))
 
 
 def form_from_representation(q: Form, r: Representation, n: int) -> Form:
@@ -352,8 +348,8 @@ def classify_prime(p: int, d: int, n: int) -> PrimeClassification:
     Every N-admissible representation of p by a form f is the first column
     of a Gamma0(N) matrix carrying f to one of the two (Cox, Lemmas 2.3 and
     2.5), so the witness is the lesser canonical form of their classes
-    (the first in class_reps order) and the representation is the least
-    of those first columns.  When p does not divide N the classes are
+    (the first in enumerate_reduced order) and the representation is the
+    least of those first columns.  When p does not divide N the classes are
     found at disc D*N^2, where (a, b, c) -> (a, bN, cN^2) carries
     Gamma0(N)-classes of admissible forms to SL2(Z)-classes: one Gauss
     reduction of (p, bN, cN^2) in integers, mirrored for -b, and one

@@ -167,10 +167,6 @@ def _order(d: int) -> QuadOrder:
     return QuadOrder(d)
 
 
-def whole_order_ideal(d: int) -> OIdeal:
-    return OIdeal(_order(d), ((1, 0), (0, 1)), _ONE)
-
-
 def ideal_from_form(q: Form) -> OIdeal:
     """The integral ideal Z*a + Z*(-b + sqrt(D))/2 of norm a.
 
@@ -225,7 +221,3 @@ def ideal_mul(i: OIdeal, j: OIdeal) -> OIdeal:
     else:
         scale = scale1 * scale2
     return OIdeal.make(order, rows, scale)
-
-
-def ideal_norm(i: OIdeal) -> Fraction:
-    return i.norm()

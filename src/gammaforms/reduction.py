@@ -17,10 +17,10 @@ and ``is_reduced`` the test that the minimum gives the form back.
 
 The reduced form is the name of its class: ``equivalent_gamma0`` compares
 the minima of two forms and, when they agree, joins their witnesses.  The
-cached class table per (D, N) is the set of minima of the coset
-translates of the SL2(Z)-reduced forms, which meet every class; it counts
-the classes against h(D)*psi(N) and its corrections at D = -3 and -4
-(Shimura, ch. 1).
+cached class table per (D, N), ``enumerate_reduced``, is the sorted set of
+minima of the coset translates of the SL2(Z)-reduced forms, which meet
+every class; it counts the classes against h(D)*psi(N) and its
+corrections at D = -3 and -4 (Shimura, ch. 1).
 
 The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
@@ -58,7 +58,7 @@ from .errors import (
 
 
 # ---------------------------------------------------------------------------
-# classical SL2(Z) reduction
+# Gauss reduction
 
 
 class ReductionResult(NamedTuple):
@@ -96,7 +96,10 @@ def _gauss_steps(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, 
 
 def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
     """_gauss_steps with its witness checked: determinant 1, carrying
-    (a, b, c) to the reduced form."""
+    (a, b, c) to the reduced form.  classgroup and genus name the class of
+    an admissible form at level N by this reduction of its image
+    (a, bN, cN^2) at disc D*N^2; SL2(Z) reduction of a form is
+    reduce_gamma0(q, 1)."""
     red = _gauss_steps(a, b, c)
     ra, rb, rc, ga, gb, gc, gd = red
     if ga * gd - gb * gc != 1 or act_coeffs(a, b, c, ga, gb, gc, gd) != (ra, rb, rc):
@@ -104,16 +107,6 @@ def _gauss(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
             f"witness [[{ga}, {gb}], [{gc}, {gd}]] does not carry {(a, b, c)} to {(ra, rb, rc)}"
         )
     return red
-
-
-def reduce_sl2(q: Form) -> ReductionResult:
-    """Gauss reduction; returns the reduced form and a witness matrix g
-    with act(q, g) equal to it.  The loop and its check run in integers
-    in `_gauss`, which `classgroup` and `genus` call directly; only the
-    answer is wrapped in objects."""
-    require_qf(q)
-    a, b, c, *g = _gauss(*q)
-    return ReductionResult(Form(a, b, c), GroupElement(*g))
 
 
 # ---------------------------------------------------------------------------
@@ -395,49 +388,37 @@ def _class_count(d: int, n: int, h: int) -> int:
 
 
 @checked_cache(check_table_bounds)
-def _class_table(d: int, n: int) -> frozenset:
-    """The reduced form of every Gamma0(n)-class of disc d: the set of the
-    _minimum of every coset translate act(r, g^(-1)), r SL2(Z)-reduced and
-    g a coset rep.  The translates meet every class, below D = -4 once
-    each, as Aut(r) = +-I; at D = -3 and -4 a class met more than once has
-    one minimum, which the set keeps once.  The size of the set is checked
-    against _class_count, so a minimum that merged two classes fails."""
+def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
+    """The reduced form of every Gamma0(n)-class of disc d, sorted by
+    (a, b, c): the _minimum of every coset translate act(r, g^(-1)), r
+    SL2(Z)-reduced and g a coset rep.  The translates meet every class,
+    below D = -4 once each, as Aut(r) = +-I; at D = -3 and -4 a class met
+    more than once has one minimum, which the set keeps once.  The number
+    of forms is checked against _class_count, so a minimum that merged two
+    classes fails.  Classes with gcd(a, n) = 1 are the admissible ones of
+    the class group and the genus tables."""
     inverses = [g.inverse() for g in coset_reps(n)]
     sweep = _sweep(d)
-    table = frozenset(
-        Form(*_minimum(*act_coeffs(*r, *g), n)[:3]) for r in sweep for g in inverses
-    )
+    table = {Form(*_minimum(*act_coeffs(*r, *g), n)[:3]) for r in sweep for g in inverses}
     expected = _class_count(d, n, len(sweep))
     if len(table) != expected:
         raise InvariantError(f"{len(table)} classes of disc {d}, level {n}, not {expected}")
-    return table
-
-
-def class_reps(d: int, n: int) -> tuple[Form, ...]:
-    """The reduced form of every Gamma0(n)-class of discriminant d,
-    sorted by (a, b, c).  Classes with gcd(a, n) = 1 are the admissible
-    ones of the class group and the genus tables."""
-    return tuple(sorted(_class_table(d, n)))
-
-
-def enumerate_reduced(d: int, n: int) -> tuple[Form, ...]:
-    """All Gamma0(n)-reduced forms of discriminant d, sorted by (a, b, c):
-    one per class, at every level."""
-    return class_reps(d, n)
+    return tuple(sorted(table))
 
 
 def reduce_gamma0(q: Form, n: int) -> ReductionResult:
     """The reduced form of the Gamma0(n)-class of q, the form that
-    class_reps lists for it, and a witness g in Gamma0(n) with act(q, g)
-    equal to it: the _minimum of q and its checked matrix.  The table's
-    bounds are checked first, so what class_reps refuses, this does."""
+    enumerate_reduced lists for it, and a witness g in Gamma0(n) with
+    act(q, g) equal to it: the _minimum of q and its checked matrix.  At
+    n = 1 this is Gauss reduction.  The table's bounds are checked first,
+    so what enumerate_reduced refuses, this does."""
     require_qf(q)
-    _class_table.check(q.disc, n)
+    enumerate_reduced.check(q.disc, n)
     a, b, c, *g = _minimum(*q, n)
     return ReductionResult(Form(a, b, c), GroupElement(*g))
 
 
 def canonical_rep(q: Form, n: int) -> Form:
     """The reduced form of the Gamma0(n)-class of q, the form that
-    class_reps lists for it: the form of reduce_gamma0."""
+    enumerate_reduced lists for it: the form of reduce_gamma0."""
     return reduce_gamma0(q, n).reduced

@@ -38,21 +38,28 @@ from gammaforms.genus import (
 )
 from gammaforms.ideals import OIdeal, QuadOrder
 from gammaforms.reduction import (
-    _class_table,
+    ReductionResult,
+    _gauss,
     _lift_to_sl2,
     _sweep,
     _units_taking,
     automorphs,
     canonical_rep,
-    class_reps,
     enumerate_reduced,
-    reduce_sl2,
 )
 
 # the generators T = (1, 1; 0, 1) and S = (0, -1; 1, 0) of SL2(Z)
 T = GroupElement(1, 1, 0, 1)
 S = GroupElement(0, -1, 1, 0)
 T_INV = T.inverse()
+
+
+def gauss_reduction(q: Form) -> ReductionResult:
+    """Gauss reduction of q and its witness, checked, from reduction._gauss:
+    the SL2(Z) reduction of the class-identity oracles below, which so stay
+    independent of reduction._minimum."""
+    a, b, c, *g = _gauss(*require_qf(q))
+    return ReductionResult(Form(a, b, c), GroupElement(*g))
 
 
 def random_sl2(rng: random.Random, max_len: int = 8) -> GroupElement:
@@ -408,7 +415,7 @@ def solutions_by_stabilizers(q1: Form, q2: Form) -> tuple[GroupElement, ...]:
     """Every g in SL2(Z) with act(q1, g) = q2: delta1*u*delta2^(-1) over u
     in Aut(r) when both forms Gauss-reduce to r by delta1 and delta2, and
     none when their reductions differ."""
-    r1, r2 = reduce_sl2(q1), reduce_sl2(q2)
+    r1, r2 = gauss_reduction(q1), gauss_reduction(q2)
     if r1.reduced != r2.reduced:
         return ()
     d2_inv = r2.transform.inverse()
@@ -438,7 +445,7 @@ def class_key(q: Form, n: int) -> tuple:
     they are Gamma0(n)-equivalent: the key of q's SL2(Z)-reduction r and
     the matrix delta carrying q to it.  The oracle of class identity that
     the reduced forms of reduction._minimum are tested against."""
-    res = reduce_sl2(q)
+    res = gauss_reduction(q)
     return key_per_pair(res.reduced, res.transform, n)
 
 
@@ -451,13 +458,13 @@ def covering_per_pair(d: int, n: int, reps: tuple[GroupElement, ...]) -> set:
 
 @functools.lru_cache(maxsize=32)
 def keyed_class_table(d: int, n: int) -> dict:
-    """Class key -> reduced form for every form of reduction._class_table,
+    """Class key -> reduced form for every form of enumerate_reduced,
     the keys checked distinct: no two of the table's minima lie in one
     class.  Compared with covering_per_pair, it shows that the table lists
     every class once.  The last few tables are kept for the lookups of
     canonical_rep_by_table."""
     table = {}
-    for f in _class_table(d, n):
+    for f in enumerate_reduced(d, n):
         key = class_key(f, n)
         if key in table:
             raise InvariantError(f"{table[key]} and {f} lie in one class (disc {d}, level {n})")
@@ -556,7 +563,7 @@ def composed_cayley(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The Cayley table of C(d, Gamma0(n)) with every pair of classes
     composed, indexed like class_group(d, n).elements; the oracle for the
     table class_group derives from exponent vectors."""
-    reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
+    reps = [f for f in enumerate_reduced(d, n) if math.gcd(f.a, n) == 1]
     index = {f: i for i, f in enumerate(reps)}
     size = len(reps)
     table = [[0] * size for _ in range(size)]
@@ -635,7 +642,7 @@ def genus_table_by_value_sets(d: int, n: int) -> GenusTable:
         cosets.append(coset)
         remaining -= coset
     assignment = []
-    for f in class_reps(d, n):
+    for f in enumerate_reduced(d, n):
         if math.gcd(f.a, n) != 1:
             continue
         values = unit_values(f, n)
@@ -672,7 +679,7 @@ def classify_prime_by_scan(p: int, d: int, n: int) -> PrimeClassification:
     table = genus_table(d, n)
     idx = table.coset_of_residue(p)
     # the fallback pool is built only when the genus holds no witness
-    pools = (lambda: table.genus_forms(idx), lambda: class_reps(d, n))
+    pools = (lambda: table.genus_forms(idx), lambda: enumerate_reduced(d, n))
     for pool in pools:
         for f in pool():
             good = [r for r in find_representations(f, p, n) if r.admissible]

@@ -24,7 +24,7 @@ from gammaforms.errors import (
     ValidationError,
 )
 from gammaforms.genus import genus_table
-from gammaforms.reduction import _gauss, _sweep, canonical_rep, class_reps, equivalent_gamma0
+from gammaforms.reduction import _gauss, _sweep, canonical_rep, enumerate_reduced, equivalent_gamma0
 from conftest import (
     compose_one_pair_wrongly,
     composed_cayley,
@@ -93,7 +93,7 @@ def test_prepare_coprime_matches_sorted_shells():
         if d % 4 not in (0, 1):
             continue
         for n in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15):
-            for q in class_reps(d, n):
+            for q in enumerate_reduced(d, n):
                 for m in (2, 3, 6, 10, 30, q.a * n):
                     expected = _outcome(prepare_coprime_sorted_shells, q, m, n)
                     assert _outcome(prepare_coprime, q, m, n) == expected, (q, m, n)
@@ -134,7 +134,7 @@ def test_scaled_class_lookup_matches_canonical_rep(rng, d):
     for n in (2, 3, 4, 5, 6, 8, 9, 10, 12, 15):
         scaled = classgroup._scaled_classes(d, n)
         assert genus_table(d, n).scaled_classes is scaled
-        reps = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
+        reps = [f for f in enumerate_reduced(d, n) if math.gcd(f.a, n) == 1]
         assert len(scaled) == len(reps), (d, n)
         for f in reps:
             for q in [f] + [act(f, random_gamma0(rng, n)) for _ in range(3)]:
@@ -159,7 +159,7 @@ def test_admissible_counts_match_the_order_formula():
                 expected *= 1 - Fraction(kronecker(d, p), p)
             if n > 1:
                 expected /= {-3: 3, -4: 2}.get(d, 1)
-            admissible = [f for f in class_reps(d, n) if math.gcd(f.a, n) == 1]
+            admissible = [f for f in enumerate_reduced(d, n) if math.gcd(f.a, n) == 1]
             assert len(classgroup._scaled_classes(d, n)) == len(admissible) == expected, (d, n)
             assert len(_sweep(d * n * n)) == expected, (d, n)
 
@@ -168,11 +168,11 @@ def test_admissible_count_check_catches_a_dropped_class(monkeypatch):
     # one admissible class swapped for a repeat of an inadmissible one
     # leaves the table's size, and so h(D), as they were; the D*N^2 map then
     # has 5 of the 3*6*(1 - 1/2)*(1 - 1/3) = 6 admissible classes
-    reps = class_reps(-23, 6)
+    reps = enumerate_reduced(-23, 6)
     admissible = [f for f in reps if math.gcd(f.a, 6) == 1]
     other = next(f for f in reps if math.gcd(f.a, 6) != 1)
     mutant = tuple(other if f == admissible[-1] else f for f in reps)
-    monkeypatch.setattr(classgroup, "class_reps", lambda d, n: mutant)
+    monkeypatch.setattr(classgroup, "enumerate_reduced", lambda d, n: mutant)
     with pytest.raises(InvariantError, match="5 admissible classes of disc -23, level 6, not 6"):
         classgroup._scaled_classes.__wrapped__(-23, 6)
 
@@ -183,7 +183,7 @@ def test_group_and_composition_take_no_walk(monkeypatch):
     # canonical_rep, no minimum
     pairs = [(-23, 2), (-47, 5), (-56, 6), (-84, 4), (-231, 12), (-20, 9)]
     for d, n in pairs:
-        class_reps(d, n)
+        enumerate_reduced(d, n)
     class_group.cache_clear()
     classgroup._scaled_classes.cache_clear()
     calls = []

@@ -198,7 +198,7 @@ def test_reduce_builds_no_class_table(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"class table built for {args}")
 
-    reduction._class_table.cache_clear()
+    reduction.enumerate_reduced.cache_clear()
     monkeypatch.setattr(reduction, "_sweep", refuse)
     monkeypatch.setattr(reduction, "coset_reps", refuse)
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
@@ -334,7 +334,7 @@ def test_reduction_witness_check(capsys, monkeypatch):
     genus.genus_table(-28, 2)
     monkeypatch.setattr(reduction, "act_coeffs", corrupt)
     with pytest.raises(InvariantError):
-        reduction.reduce_sl2(Form(3, 2, 1))
+        reduction._gauss(3, 2, 1)
     with pytest.raises(InvariantError, match="does not carry"):
         genus.classify_prime(23, -28, 2)
     code, out, err = capture(capsys, ["reduce", "--form", "3,2,1", "--level", "2"])
@@ -531,14 +531,15 @@ def test_parser_built_once(capsys, monkeypatch):
     assert real() is not real()
 
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args, env_extra=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env.pop("GAMMA_FORMS_MAX_SEARCH", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "gammaforms", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -552,6 +553,23 @@ def test_search_bound_exit_code():
     )
     assert proc.returncode == 4
     assert "search-bound" in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # a reader that stops early, as `| head -1` does, closes its end of the
+    # pipe; closing it before the child starts makes the first write fail
+    # every time, however short the output
+    for args in (
+        ["enumerate", "--disc", "-23", "--level", "2"],
+        ["reduce", "--form", "3,2,1", "--level", "2", "--json"],
+    ):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _run_cli(args, stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, ""), args
 
 
 def test_output_is_deterministic():

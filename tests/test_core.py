@@ -30,7 +30,7 @@ from gammaforms.core import (
 )
 from gammaforms.classgroup import principal_form
 from gammaforms.errors import SearchBoundExceeded, ValidationError
-from gammaforms.reduction import class_reps
+from gammaforms.reduction import enumerate_reduced
 from conftest import (
     S,
     T,
@@ -126,7 +126,6 @@ def test_every_level_is_validated(n):
         "principal_genus_congruences": lambda: gf.principal_genus_congruences(-23, n),
         "brahmagupta_check": lambda: gf.brahmagupta_check(q, n),
         "canonical_rep": lambda: gf.canonical_rep(q, n),
-        "class_reps": lambda: gf.class_reps(-23, n),
         "coset_reps": lambda: gf.coset_reps(n),
         "enumerate_reduced": lambda: gf.enumerate_reduced(-23, n),
         "equivalent_gamma0": lambda: gf.equivalent_gamma0(q, q, n),
@@ -177,7 +176,7 @@ def test_every_form_is_validated(q):
         "ideal_of_norm_from_representation": lambda: gf.ideal_of_norm_from_representation(q, rep),
         "ideal_from_form": lambda: gf.ideal_from_form(q),
         "brahmagupta_check": lambda: gf.brahmagupta_check(q, 1),
-        "reduce_sl2": lambda: gf.reduce_sl2(q),
+        "reduce_gamma0": lambda: gf.reduce_gamma0(q, 1),
         "automorphs": lambda: gf.automorphs(q),
         "canonical_rep": lambda: gf.canonical_rep(q, 2),
         "equivalent_gamma0": lambda: gf.equivalent_gamma0(q, good, 2),
@@ -357,7 +356,7 @@ def test_representation_values_gamma0_invariant(rng):
 
 
 # every discriminant down to -60 at small levels, then large 2-parts;
-# the non-admissible class_reps give the cases p | gcd(a, N)
+# the non-admissible reduced forms give the cases p | gcd(a, N)
 UNIT_VALUE_GRID = [
     (d, n) for d in range(-3, -61, -1) if d % 4 in (0, 1) for n in (1, 2, 3, 4, 5, 6)
 ] + [(d, n) for d in (-64, -128, -256) for n in (1, 2, 4, 8)]
@@ -366,7 +365,7 @@ UNIT_VALUE_GRID = [
 def test_unit_values_match_grid():
     for d, n in UNIT_VALUE_GRID:
         units = units_mod(d)
-        for f in (*class_reps(d, n), principal_form(d)):
+        for f in (*enumerate_reduced(d, n), principal_form(d)):
             want = representation_values(f, n, -d) & units
             assert unit_values(f, n) == want, (d, n, f)
 

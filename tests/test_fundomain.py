@@ -52,6 +52,8 @@ def test_sym_rep_and_inverse():
             assert y in sym_residues(p) and (x * y - 1) % p == 0
     with pytest.raises(ValidationError):
         sym_inverse(5, 10)
+    with pytest.raises(ValidationError):
+        sym_inverse(6, 2)  # gcd(2, 6) = 2: no inverse, and no bare ValueError
 
 
 def test_gamma_k():

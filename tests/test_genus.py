@@ -21,8 +21,7 @@ from gammaforms.genus import (
     ideal_of_norm_from_representation,
     principal_genus_congruences,
 )
-from gammaforms.ideals import ideal_norm
-from gammaforms.reduction import enumerate_reduced, equivalent_gamma0, reduce_sl2
+from gammaforms.reduction import enumerate_reduced, equivalent_gamma0, reduce_gamma0
 from conftest import (
     classify_prime_by_scan,
     coprime_value,
@@ -277,7 +276,7 @@ def test_classify_prime_never_scans(monkeypatch):
 
 def test_classify_prime_builds_no_reduction_objects(monkeypatch):
     # with the genus table built, a prime not dividing N is classified in
-    # integers: no reduce_sl2, no automorphs and no matrix object per prime
+    # integers: no reduce_gamma0, no automorphs and no matrix object per prime
     for d, n in _CLASSIFY_GRID:
         genus_table(d, n)
     calls = []
@@ -286,7 +285,7 @@ def test_classify_prime_builds_no_reduction_objects(monkeypatch):
         return lambda *args: calls.append(name) or real(*args)
 
     for module in (classgroup, genus, reduction):
-        for name in ("reduce_sl2", "automorphs"):
+        for name in ("reduce_gamma0", "automorphs"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(
@@ -407,7 +406,7 @@ def test_mirror_matches_reduction(rng):
     for q in forms:
         a, b, c, *g = genus._mirror(reduction._gauss(q.a, q.b, q.c))
         other = Form(q.a, -q.b, q.c)
-        assert Form(a, b, c) == reduce_sl2(other).reduced, q
+        assert Form(a, b, c) == reduce_gamma0(other, 1).reduced, q
         assert act(other, GroupElement(*g)) == Form(a, b, c), q
 
 
@@ -475,11 +474,11 @@ def test_ideal_of_norm_from_representation():
     q = Form(1, 0, 1)
     r = find_representations(q, 1, 1)[0]
     ideal = ideal_of_norm_from_representation(q, r)
-    assert ideal_norm(ideal) == 1 and ideal.mat == ((1, 0), (0, 1))
+    assert ideal.norm() == 1 and ideal.mat == ((1, 0), (0, 1))
 
     q = Form(7, 0, 1)
     r = find_representations(q, 23, 2)[0]
-    assert ideal_norm(ideal_of_norm_from_representation(q, r)) == 23
+    assert ideal_of_norm_from_representation(q, r).norm() == 23
 
     # imprimitive pair: gcd(x, y) = 3, norm = value
     q = Form(1, 0, 7)
@@ -487,7 +486,7 @@ def test_ideal_of_norm_from_representation():
         rep for rep in find_representations(q, 261, 2) if (rep.x, rep.y) == (3, 6)
     )
     assert not r.proper and r.admissible
-    assert ideal_norm(ideal_of_norm_from_representation(q, r)) == 261
+    assert ideal_of_norm_from_representation(q, r).norm() == 261
 
     bad = Representation(0, 2, 28, 2, False, False)
     with pytest.raises(ValidationError):
@@ -506,7 +505,7 @@ def test_ideal_norm_matches_value(rng):
         reps = [r for r in find_representations(q, m, n) if r.admissible]
         if not reps:
             continue
-        assert ideal_norm(ideal_of_norm_from_representation(q, reps[0])) == m
+        assert ideal_of_norm_from_representation(q, reps[0]).norm() == m
         count += 1
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gammaforms.classgroup import class_group, dirichlet_compose, prepare_coprime
+from gammaforms.classgroup import class_group, dirichlet_compose, prepare_coprime, principal_form
 from gammaforms.core import Form, act
 from gammaforms.errors import InvariantError, ValidationError
 from gammaforms import ideals
@@ -15,10 +15,8 @@ from gammaforms.ideals import (
     hnf_rows,
     ideal_from_form,
     ideal_mul,
-    ideal_norm,
-    whole_order_ideal,
 )
-from gammaforms.reduction import class_reps, enumerate_reduced
+from gammaforms.reduction import enumerate_reduced
 from conftest import (
     hnf_rows_by_euclid,
     ideal_from_form_by_hnf,
@@ -68,7 +66,7 @@ def test_unit_ideal_and_delta_closure(rng):
         q = random_form(rng, d)
         i = ideal_from_form(q)
         assert i.is_delta_stable()
-        assert ideal_mul(i, whole_order_ideal(d)) == i
+        assert ideal_mul(i, ideal_from_form(principal_form(d))) == i
 
 
 def test_norm_multiplicative_on_coprime_norms(rng):
@@ -79,7 +77,7 @@ def test_norm_multiplicative_on_coprime_norms(rng):
         if math.gcd(q1.a, q2.a) != 1:
             continue
         i, j = ideal_from_form(q1), ideal_from_form(q2)
-        assert ideal_norm(ideal_mul(i, j)) == ideal_norm(i) * ideal_norm(j)
+        assert ideal_mul(i, j).norm() == i.norm() * j.norm()
         count += 1
 
 
@@ -92,7 +90,7 @@ def test_conjugation_law(rng):
         product = ideal_mul(i, i.conjugate())
         assert product.mat == ((1, 0), (0, 1))
         assert product.scale == q.a
-        assert ideal_norm(product) == q.a * q.a
+        assert product.norm() == q.a * q.a
     # same thing said with forms: ideal(a, b) * ideal(a, -b)
     q = Form(3, 2, 1)
     assert ideal_mul(ideal_from_form(q), ideal_from_form(Form(3, -2, 1))) == ideal_from_form(
@@ -156,7 +154,7 @@ def test_closed_form_matches_hnf_on_class_reps():
     for n in (2, 3, 5, 6, 12):
         for d in range(-3, -301, -1):
             if d % 4 in (0, 1):
-                for q in class_reps(d, n):
+                for q in enumerate_reduced(d, n):
                     assert _same_as_hnf_oracle(q), (q, n)
 
 

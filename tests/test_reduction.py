@@ -15,20 +15,17 @@ from gammaforms.errors import (
 )
 from gammaforms.genus import find_representations
 from gammaforms.reduction import (
-    _class_table,
     _gauss,
     _lift_to_sl2,
     _minimum,
     _sweep,
     automorphs,
     canonical_rep,
-    class_reps,
     coset_reps,
     enumerate_reduced,
     equivalent_gamma0,
     is_reduced,
     reduce_gamma0,
-    reduce_sl2,
 )
 from conftest import (
     S,
@@ -40,6 +37,7 @@ from conftest import (
     coset_reps_by_scan,
     covering_per_pair,
     equivalent_by_stabilizers,
+    gauss_reduction,
     has_walk,
     into_strip,
     is_reduced_by_rules,
@@ -57,21 +55,21 @@ from conftest import (
 
 
 def test_reduce_sl2_examples():
-    r = reduce_sl2(Form(1, 2, 2))
+    r = reduce_gamma0(Form(1, 2, 2), 1)
     assert r.reduced == Form(1, 0, 1)
     assert r.transform == GroupElement(1, -1, 0, 1)
-    assert reduce_sl2(Form(3, 2, 1)).reduced == Form(1, 0, 2)
-    assert reduce_sl2(Form(1, 1, 1)).reduced == Form(1, 1, 1)
+    assert reduce_gamma0(Form(3, 2, 1), 1).reduced == Form(1, 0, 2)
+    assert reduce_gamma0(Form(1, 1, 1), 1).reduced == Form(1, 1, 1)
 
 
 def test_reduce_sl2_witness_and_idempotence(rng):
     for _ in range(200):
         d = rng.choice([-3, -4, -7, -8, -11, -15, -20, -23, -24, -163])
         q = random_form(rng, d)
-        r = reduce_sl2(q)
+        r = reduce_gamma0(q, 1)
         assert act(q, r.transform) == r.reduced
         assert is_reduced(r.reduced, 1)
-        assert reduce_sl2(r.reduced).reduced == r.reduced
+        assert reduce_gamma0(r.reduced, 1).reduced == r.reduced
 
 
 def test_reduce_sl2_unique_over_small_words():
@@ -91,9 +89,9 @@ def test_reduce_sl2_unique_over_small_words():
 
 def test_reduce_rejects_bad_input():
     with pytest.raises(ValidationError):
-        reduce_sl2(Form(1, 4, 1))
+        reduce_gamma0(Form(1, 4, 1), 1)
     with pytest.raises(ValidationError):
-        reduce_sl2(Form(2, 0, 2))
+        reduce_gamma0(Form(2, 0, 2), 1)
 
 
 def test_level_one_region_is_classical_reduction():
@@ -182,7 +180,7 @@ def test_is_reduced_matches_rules_oracle(n):
     for d in range(-3, -400, -1):
         if d % 4 not in (0, 1):
             continue
-        for f in class_reps(d, n):
+        for f in enumerate_reduced(d, n):
             images = _same_a_images(f, n)
             assert [g for g in images if is_reduced(g, n)] == [f], (f, n)
             for q in images:
@@ -413,7 +411,7 @@ def test_walk_checks(monkeypatch):
         far = act(Form(1, 1, 1), GroupElement(1, 0, 5 * 10**6, 1))
         with pytest.raises(InvariantError, match="at level 5 passed row 4"):
             _minimum(*far, 5)
-    first, second = class_reps(-23, 5)[:2]
+    first, second = enumerate_reduced(-23, 5)[:2]
 
     def merged(a, b, c, n, _real=reduction._minimum):
         out = _real(a, b, c, n)
@@ -421,7 +419,7 @@ def test_walk_checks(monkeypatch):
 
     monkeypatch.setattr(reduction, "_minimum", merged)
     with pytest.raises(InvariantError, match="17 classes of disc -23, level 5, not 18"):
-        _class_table.__wrapped__(-23, 5)
+        enumerate_reduced.__wrapped__(-23, 5)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 15, 30, 122, 150])
@@ -434,7 +432,7 @@ def test_minimum_matches_search_at_composite_levels(rng, n):
     for d in range(-3, -150 if n < 100 else -40, -1):
         if d % 4 not in (0, 1):
             continue
-        reps = class_reps(d, n)
+        reps = enumerate_reduced(d, n)
         for f in reps:
             assert reduced_by_search(f, n) == f, (f, n)
         for f in rng.sample(reps, min(len(reps), 20)):
@@ -504,7 +502,7 @@ def test_class_table_work_counts(monkeypatch):
         psi = len(coset_reps(n))
         h = len(_sweep(d))
         calls.update(dict.fromkeys(calls, 0))
-        classes = len(_class_table.__wrapped__(d, n))
+        classes = len(enumerate_reduced.__wrapped__(d, n))
         assert calls == {"_units_taking": 0, "automorphs": 0, "_lift_to_sl2": 0, "_minimum": h * psi}, (d, n)
         assert classes == h * psi if d < -4 else classes < h * psi, (d, n, classes)
 
@@ -521,7 +519,7 @@ def test_class_counts_match_the_index_formula():
         for d in range(-3, -200, -1):
             if d % 4 in (0, 1):
                 expected = {-4: (psi + eps2) // 2, -3: (psi + 2 * eps3) // 3}.get(d, len(_sweep(d)) * psi)
-                assert len(class_reps(d, n)) == expected, (d, n)
+                assert len(enumerate_reduced(d, n)) == expected, (d, n)
 
 
 def test_representation_counts_match_the_roots():
@@ -545,7 +543,7 @@ def test_representation_counts_match_the_roots():
                 expected = sum(u.c % n == 0 for f in roots for u in automorphs(f))
                 found = sum(
                     r.proper and r.admissible
-                    for q in class_reps(d, n)
+                    for q in enumerate_reduced(d, n)
                     for r in find_representations(q, m, n)
                 )
                 assert found == expected, (d, n, m, found, expected)
@@ -557,7 +555,7 @@ def test_class_count_check_catches_a_dropped_class(monkeypatch):
     reps = coset_reps(6)
     monkeypatch.setattr(reduction, "coset_reps", lambda n: reps[:-1])
     with pytest.raises(InvariantError, match="33 classes of disc -23, level 6, not 36"):
-        _class_table.__wrapped__(-23, 6)
+        enumerate_reduced.__wrapped__(-23, 6)
 
 
 def test_table_and_reduction_label_no_row(monkeypatch, rng):
@@ -581,7 +579,7 @@ def test_table_and_reduction_label_no_row(monkeypatch, rng):
                 reduce_gamma0(random_form(rng, d), n)
     for d, n in ((-2999, 150), (-3, 12), (-4, 12)):
         coset_reps(n)
-        _class_table.__wrapped__(d, n)
+        enumerate_reduced.__wrapped__(d, n)
     assert calls == []
 
 
@@ -719,7 +717,7 @@ def test_enumerated_forms_pairwise_inequivalent():
 def test_canonical_rep():
     assert canonical_rep(Form(1, 2, 2), 2) == Form(1, 0, 1)
     q = Form(3, 2, 1)
-    assert canonical_rep(q, 1) == reduce_sl2(q).reduced
+    assert canonical_rep(q, 1) == gauss_reduction(q).reduced
     c = canonical_rep(q, 2)
     assert canonical_rep(c, 2) == c
 
@@ -738,7 +736,7 @@ def test_canonical_rep_matches_table_oracle(rng, n):
     # every listed form is its own canonical form; SL2(Z) translates of a
     # sample of them land in other classes, Gamma0(n) translates in theirs
     for d in (-3, -4, -7, -20, -23, -84, -420, -2999):
-        reps = class_reps(d, n)
+        reps = enumerate_reduced(d, n)
         for f in reps:
             assert canonical_rep(f, n) == f == canonical_rep_by_table(f, n), (f, n)
         for f in rng.sample(reps, min(len(reps), 40)):

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -30,7 +31,10 @@ def test_sources_parse_as_python_3_10():
 
 
 def test_oracles_stay_in_tests():
-    # the brute-force algorithms survive only as test oracles (tests/conftest.py)
+    # the brute-force algorithms survive only as test oracles (tests/conftest.py),
+    # and a concept has one public name: SL2(Z) reduction is reduce_gamma0(q, 1),
+    # the class table is enumerate_reduced, an ideal's norm is its norm() and
+    # the whole order is the ideal of the principal form
     modules = [gammaforms] + [
         importlib.import_module(f"gammaforms.{path.stem}")
         for path in sorted(SRC.glob("*.py"))
@@ -68,8 +72,26 @@ def test_oracles_stay_in_tests():
             "crt_by_euclid",
             "hnf_rows_by_euclid",
             "ideal_mul_by_order",
+            "reduce_sl2",
+            "class_reps",
+            "_class_table",
+            "ideal_norm",
+            "whole_order_ideal",
         ):
             assert not hasattr(module, name), f"{module.__name__} exports {name}"
+
+
+def test_every_export_is_named_in_the_readme():
+    # the README's API section names every name the package exports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    exported = [
+        alias.name
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    missing = [name for name in exported if not re.search(rf"\b{name}\b", readme)]
+    assert exported and missing == []
 
 
 def _imports(path: Path) -> set[str]:
