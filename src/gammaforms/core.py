@@ -190,18 +190,14 @@ def search_bound(default: int) -> int:
 def checked_cache(check: Callable[..., None]) -> Callable:
     """lru_cache that runs check(*args) before every lookup, hit or miss.
     check reads only its arguments and search_bound, so a passed check is
-    remembered for each value of GAMMA_FORMS_MAX_SEARCH.  The wrapper's
-    check attribute runs that memoized check alone."""
+    remembered for each value of GAMMA_FORMS_MAX_SEARCH."""
 
     def decorate(fn: Callable) -> Callable:
         cached = lru_cache(maxsize=None)(fn)
         passed = lru_cache(maxsize=None)(lambda env, *args: check(*args))
-
-        def checked(*args):
-            return passed(os.environ.get(_SEARCH_ENV), *args)
-
-        call = wraps(fn)(lambda *args: checked(*args) or cached(*args))
-        call.check = checked
+        call = wraps(fn)(
+            lambda *args: passed(os.environ.get(_SEARCH_ENV), *args) or cached(*args)
+        )
         call.cache_clear = lambda: cached.cache_clear() or passed.cache_clear()
         call.cache_info = cached.cache_info
         return call

@@ -97,9 +97,8 @@ def check_arc_bound(p: int) -> None:
 
 @checked_cache(check_arc_bound)
 def elliptic_data(p: int) -> EllipticData:
-    """E2 and E3 of Gamma0(p).  Every region query passes through here, so
-    check_arc_bound runs before every lookup, hit or miss, and before the
-    O(p) work."""
+    """E2 and E3 of Gamma0(p).  check_arc_bound runs before every lookup,
+    hit or miss, and before the O(p) work."""
     s = sym_residues(p)
     e2 = tuple(k for k in s if (k * k + 1) % p == 0)
     e3 = tuple(k for k in s if (k * k - k + 1) % p == 0)
@@ -132,9 +131,10 @@ def contains(p: int, t: CmPoint) -> bool:
     """Exact membership of the quadratic point t in the fundamental region.
 
     t lies in the region exactly when reduction.is_reduced keeps the form
-    of t, core.form_from_cm(t), at level p.
+    of t, core.form_from_cm(t), at level p.  It walks no arc, so it
+    validates p and reads no arc bound.
     """
-    check_arc_bound(p)
+    _require_p(p)
     return is_reduced(form_from_cm(t), p)
 
 

@@ -26,8 +26,9 @@ The SL2(Z)-reduced forms come from a sweep: |b| <= a <= c gives 3*b^2 <=
 -D, so b runs over 3*b^2 <= -D, b = D (mod 2), and min(a, c) over the
 divisors of a*c = (b^2 - D)/4 from |b| to sqrt(a*c).  Its divisor trials
 and the index psi(N) are functions of (D, N) alone, bounded by
-``check_table_bounds`` before any cached table is read and before
-``reduce_gamma0`` reduces a form.
+``check_table_bounds`` before any cached table is read.  A bound refuses
+only the work it guards: ``reduce_gamma0``, ``is_reduced`` and
+``equivalent_gamma0`` build no table and read no bound.
 """
 
 from __future__ import annotations
@@ -410,10 +411,10 @@ def reduce_gamma0(q: Form, n: int) -> ReductionResult:
     """The reduced form of the Gamma0(n)-class of q, the form that
     enumerate_reduced lists for it, and a witness g in Gamma0(n) with
     act(q, g) equal to it: the _minimum of q and its checked matrix.  At
-    n = 1 this is Gauss reduction.  The table's bounds are checked first,
-    so what enumerate_reduced refuses, this does."""
+    n = 1 this is Gauss reduction.  The minimum needs no search bound, so
+    this answers at every level, as equivalent_gamma0 does."""
     require_qf(q)
-    enumerate_reduced.check(q.disc, n)
+    validate_level(n)
     a, b, c, *g = _minimum(*q, n)
     return ReductionResult(Form(a, b, c), GroupElement(*g))
 

@@ -101,11 +101,13 @@ def grid() -> list[tuple[list[str], str | None]]:
     calls += [(["paper-tables"], None), (["paper-tables", "--table", "rf-disc7-level2"], None)]
     calls.append((["enumerate", "--disc", "-4", "--level", "6"], None))
     # one call per error exit code: 1 (an internal error, from a wrong square
-    # root mod p), 2 (an invalid discriminant) and 4 (a level whose cosets
-    # pass the search bound)
+    # root mod p), 2 (an invalid discriminant) and 4 (a class table at a
+    # level whose cosets pass the search bound); reduce, which builds no
+    # table, answers at that level
     calls += [
         (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], "wrong-root"),
         (["enumerate", "--disc", "-5", "--level", "2"], None),
+        (["enumerate", "--disc", "-23", "--level", "1000000007"], None),
         (["reduce", "--form", "1,1,6", "--level", "1000000007"], None),
     ]
     return calls

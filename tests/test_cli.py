@@ -149,14 +149,14 @@ def test_enumerate_sweep_bound(capsys, monkeypatch):
 
 
 def test_search_bound_before_the_work(capsys, monkeypatch):
-    # psi(N) > 10^9 cosets, a prime above the Miller-Rabin limit with no
-    # factor below 100, genus tables walking 10^12 residues, a region with
-    # 10^6 arcs and an oracle over 1032^2 class pairs: all refused without
-    # the work
+    # class tables over psi(N) > 10^9 cosets, a prime above the
+    # Miller-Rabin limit with no factor below 100, genus tables walking
+    # 10^12 residues, a region with 10^6 arcs and an oracle over 1032^2
+    # class pairs: all refused without the work
     monkeypatch.delenv("GAMMA_FORMS_MAX_SEARCH", raising=False)
     for argv in (
-        ["reduce", "--form", "1,1,6", "--level", "1000000007"],
-        ["reduce", "--form", "1,1,6", "--level", "1000000000000000003"],
+        ["enumerate", "--disc", "-23", "--level", "1000000007"],
+        ["enumerate", "--disc", "-23", "--level", "1000000000000000003"],
         ["classify", "--prime", "3317044064679887385962123", "--disc", "-23", "--level", "1"],
         ["genus", "--disc", "-1000000000000", "--level", "1"],
         ["classify", "--prime", "5", "--disc", "-999999999999", "--level", "1"],
@@ -212,8 +212,8 @@ def test_reduce_builds_no_class_table(capsys, monkeypatch):
 
 def test_equiv_answers_at_every_level(capsys, monkeypatch):
     # equiv compares two minima, which need no search bound: with the bound
-    # at 1, where reduce refuses every level above 1, a translated pair is
-    # answered at levels with too many cosets for any class table
+    # at 1 a translated pair is answered at levels with too many cosets for
+    # any class table
     monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "1")
     q = Form(2, 1, 3)
     for n in (10**6 + 3, 223092870, 10**12 + 39):
@@ -224,8 +224,44 @@ def test_equiv_answers_at_every_level(capsys, monkeypatch):
         assert code == 0 and data["equivalent"], n
         (a, b), (c, d) = data["gamma"]
         assert c % n == 0 and act(q, GroupElement(a, b, c, d)) == moved, n
-    code, _, err = capture(capsys, ["reduce", "--form", str(q), "--level", "2"])
-    assert code == 4 and "search-bound" in err
+
+
+def test_reduce_and_equiv_answer_alike(capsys, monkeypatch):
+    # reduce and equiv run one minimum and read no search bound, so with the
+    # bound at 1 both answer for a form and its Gamma0(N)-translate, at
+    # levels with too many cosets for any class table and at a disc whose
+    # sweep would take 1.3e12 divisor trials; equiv's witness carries the
+    # form to the reduced form that reduce prints for its translate
+    monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "1")
+
+    def reduced(form, n):
+        code, out, _ = capture(capsys, ["reduce", "--form", str(form), "--level", str(n), "--json"])
+        assert code == 0, (form, n)
+        data = json.loads(out)
+        (a, b), (c, d) = data["transform"]
+        return Form(**data["reduced"]), GroupElement(a, b, c, d)
+
+    cases = [(Form(2, 1, 3), n) for n in (10**6 + 3, 223092870, 10**12 + 39)]
+    cases.append((Form(1, 1, 10**12), 5))
+    for q, n in cases:
+        moved = act(q, GroupElement(1, 0, n, 1) * GroupElement(1, 1, 0, 1))
+        argv = ["equiv", "--form1", str(q), "--form2", str(moved), "--level", str(n), "--json"]
+        code, out, _ = capture(capsys, argv)
+        data = json.loads(out)
+        assert code == 0 and data["equivalent"], (q, n)
+        (a, b), (c, d) = data["gamma"]
+        gamma = GroupElement(a, b, c, d)
+        rep, w = reduced(moved, n)
+        assert w.c % n == 0 and act(moved, w) == rep, (q, n)
+        assert act(q, gamma * w) == rep and reduced(q, n) == (rep, gamma * w), (q, n)
+
+    # the reduction asks for no bound at all
+    def refuse(default):
+        raise AssertionError("reduce_gamma0 read a search bound")
+
+    monkeypatch.setattr(reduction, "search_bound", refuse)
+    for q, n in cases + [(Form(3, 1, 5), 2003), (Form(1, 1, 6), 10**9 + 7)]:
+        assert reduction.reduce_gamma0(q, n).reduced == reduced(q, n)[0], (q, n)
 
 
 def test_reduce_at_a_large_level_in_a_fresh_process():
@@ -297,6 +333,7 @@ def test_exit_codes(capsys):
         ["enumerate", "--disc", "-23", "--level", "0"],
         ["enumerate", "--disc", "-23", "--level", "-3"],
         ["reduce", "--form", "1,1,6", "--level", "0"],
+        ["reduce", "--form", "1,1,6", "--level", "-3"],
         ["classify", "--prime", "5", "--disc", "-23", "--level", "-1"],
     ):
         code, _, err = capture(capsys, argv)
@@ -433,27 +470,27 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
 
 # (argv, GAMMA_FORMS_MAX_SEARCH or None): each request bounded and not;
 # at 10 only the 360 cosets of level 150 refuse (-3, 150), at 1000 the
-# 1024 level-1 divisor trials refuse (-3000, 1), the 1010 cosets of
-# level 1009 refuse a reduce that builds no cosets, at 20 only the 28
-# residues of the genus table refuse (-28, 2), and at 10 only the 12
-# boundary arcs of Gamma0(13) refuse
+# 1024 level-1 divisor trials refuse (-3000, 1) and the 1010 cosets of
+# level 1009 refuse (-23, 1009), at 20 only the 28 residues of the genus
+# table refuse (-28, 2), and at 10 only the 12 boundary arcs of Gamma0(13)
+# refuse
 _BOUND_SCRIPT = (
-    (["reduce", "--form", "1,1,1", "--level", "150"], "10"),
-    (["reduce", "--form", "1,1,1", "--level", "150"], None),
+    (["enumerate", "--disc", "-3", "--level", "150"], "10"),
+    (["enumerate", "--disc", "-3", "--level", "150"], None),
     (["classgroup", "--disc", "-3000", "--level", "1"], "1000"),
     (["classgroup", "--disc", "-3000", "--level", "1"], None),
     (["classgroup", "--disc", "-3", "--level", "5"], "1"),
     (["classgroup", "--disc", "-3", "--level", "5"], None),
-    (["reduce", "--form", "3,1,1000", "--level", "150"], "1"),
-    (["reduce", "--form", "3,1,1000", "--level", "150"], None),
+    (["enumerate", "--disc", "-23", "--level", "150"], "1"),
+    (["enumerate", "--disc", "-23", "--level", "150"], None),
     (["genus", "--disc", "-28", "--level", "2"], "1"),
     (["genus", "--disc", "-28", "--level", "2"], None),
     (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], "1"),
     (["classify", "--prime", "23", "--disc", "-28", "--level", "2"], None),
     (["enumerate", "--disc", "-23", "--level", "7"], "1"),
     (["enumerate", "--disc", "-23", "--level", "7"], None),
-    (["reduce", "--form", "3,1,250", "--level", "1009"], "1000"),
-    (["reduce", "--form", "3,1,250", "--level", "1009"], None),
+    (["enumerate", "--disc", "-23", "--level", "1009"], "1000"),
+    (["enumerate", "--disc", "-23", "--level", "1009"], None),
     (["genus", "--disc", "-28", "--level", "2"], "20"),
     (["fundomain", "--p", "13"], "10"),
     (["fundomain", "--p", "13"], None),

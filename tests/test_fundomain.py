@@ -252,22 +252,22 @@ def test_boundary_description():
 
 
 def test_arc_bound(monkeypatch):
-    # one check, check_arc_bound, bounds the boundary and the membership test
+    # check_arc_bound bounds the boundary, which walks the arcs; the
+    # membership test walks none and answers past the bound
     monkeypatch.setenv("GAMMA_FORMS_MAX_SEARCH", "10")
     elliptic_data.cache_clear()
     try:
         assert len(r_gamma0p_boundary(11).arcs) == 10
         with pytest.raises(SearchBoundExceeded, match="12 boundary arcs"):
             r_gamma0p_boundary(13)
-        with pytest.raises(SearchBoundExceeded, match="12 boundary arcs"):
-            contains(13, cm_point(Form(1, 1, 1)))
+        assert contains(13, cm_point(Form(1, 1, 1)))
     finally:
         elliptic_data.cache_clear()
 
 
 def test_region_queries_skip_elliptic_data():
-    # contains and the boundary validate p and bound its arcs by the check
-    # alone, not by the O(p) scan that builds E2 and E3
+    # contains validates p and the boundary also bounds its arcs, neither
+    # by the O(p) scan that builds E2 and E3
     elliptic_data.cache_clear()
     try:
         assert contains(99991, cm_point(Form(1, 1, 1)))
